@@ -164,9 +164,7 @@ def cmd_translate_kb4(args) -> int:
 
 
 def cmd_countermodel(args) -> int:
-    bounds = search.Bounds(agents=args.agents, views=args.views, edges=args.edges,
-                           agent_atoms=args.agent_atoms, env_atoms=args.env_atoms,
-                           depth=args.depth)
+    bounds = search.Bounds(agents=args.agents, views=args.views, edges=args.edges)
     bounds.validate()
     agents = search.default_agents(args.agents)
     formula, _sig = pa.parse_world_inferring(args.formula, agents)
@@ -285,9 +283,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=int, default=2)
     p.add_argument("--views", type=int, default=2)
     p.add_argument("--edges", type=int, default=4)
-    p.add_argument("--agent-atoms", type=int, default=2, dest="agent_atoms")
-    p.add_argument("--env-atoms", type=int, default=2, dest="env_atoms")
-    p.add_argument("--depth", type=int, default=2)
     add_format(p)
     p.set_defaults(func=cmd_countermodel)
 
@@ -323,6 +318,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except HyperknowError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
         return 2
 
 

@@ -15,7 +15,10 @@ variables).
 
 ``soundness_spotcheck`` replays every accepted statement against all
 enumerated models within bounds; a violation would indicate a kernel bug,
-so it is reported as a result rather than raised.
+so it is reported as a result rather than raised.  It runs on the search
+module's ``sweep`` over valuations numbered as ``iter_valuations`` lists
+them (agent atoms, then environment atoms, in declaration order), so the
+counterexample is the first one that stream gives.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .core import Signature
-from .errors import DerivationCheckError
-from .search import Bounds, enumerate_hypergraphs, iter_valuations
-from .semantics import Evaluator, View, World
+from .errors import DerivationCheckError, SortError
+# iter_valuations is unused here but stays bound: perfbench/tracing.py
+# counts the spotcheck's models by wrapping proofkernel.iter_valuations.
+from .search import Bounds, _structures, compile_program, iter_valuations, sweep, witness_model
 from .syntax import (
     AAnd,
     AFalse,
@@ -43,7 +47,6 @@ from .syntax import (
     WMeta,
     WNot,
     WTrue,
-    atoms_of,
 )
 
 WORLD_SORT = "e"
@@ -523,22 +526,20 @@ def soundness_spotcheck(d: Derivation, bounds: Optional[Bounds] = None
     sig = d.sig
     if bounds is None:
         bounds = Bounds(agents=len(sig.agents), views=2, edges=3)
+    bounds.validate()
+    structures = _structures(sig.agents, bounds.views, bounds.edges)
     for line in d.lines:
         stmt = line.statement
-        names = atoms_of(stmt.formula)
-        vary_agent = {a: tuple(n for n in sig.atoms_for(a) if n in names)
-                      for a in sig.agents}
-        vary_env = tuple(n for n in sig.env_atoms if n in names)
-        for h in enumerate_hypergraphs(bounds, sig):
-            for model in iter_valuations(h, vary_agent, vary_env):
-                ev = Evaluator(model)
-                if stmt.sort == WORLD_SORT:
-                    for e in model.edges:
-                        if not ev.sat_world(e, stmt.formula):
-                            return SoundnessCounterexample(line.index, model, World(e))
-                else:
-                    for v in model.views_of(stmt.sort):
-                        if not ev.sat_agent(stmt.sort, v, stmt.formula):
-                            return SoundnessCounterexample(
-                                line.index, model, View(stmt.sort, v))
+        sort = "world" if stmt.sort == WORLD_SORT else stmt.sort
+        program, sorts = compile_program(stmt.formula, sort)
+        names = [n for a in sig.agents for n in sig.atoms_for(a) if sorts.get(n) == a]
+        names += [n for n in sig.env_atoms if sorts.get(n) == "world"]
+        if len(names) != len(sorts):
+            raise SortError(f"line {line.index} mentions a name outside its sort's atoms")
+        for st in structures:
+            _, hit = sweep(program, sort, st, names, sorts)
+            if hit is not None:
+                assignment, point = hit
+                return SoundnessCounterexample(
+                    line.index, witness_model(sig, st, names, sorts, assignment), point)
     return None

@@ -5,6 +5,15 @@ the bounds, deterministically, with no isomorphism elimination (duplicates
 are harmless for validity sweeps and canonicalization would cost more than
 it saves at these sizes).
 
+Every validity sweep (``check_scheme``, ``find_countermodel`` and the proof
+kernel's ``soundness_spotcheck``) runs through ``sweep``: the formula is
+compiled once into a postfix program, and on each structure every point's
+value is one int whose bit ``t`` is its truth value under assignment ``t``
+(bit-slicing across valuations).  Assignments are numbered in
+``itertools.product`` order and swept in chunks of bounded width; the lowest
+zero bit gives the first falsifying assignment and the first point false
+under it the witness, exactly as trying one valuation at a time would.
+
 ``check_scheme`` decides whether a scheme (a formula with ``?metavariable``
 leaves) holds at every point of every model within bounds.  Instead of
 instantiating metavariables with concrete formulas one by one, it sweeps the
@@ -18,9 +27,9 @@ Returned countermodels carry a concrete witness: each metavariable is
 assigned a fresh atom whose valuation is the falsifying extension, and the
 verdict is re-checked through the ordinary evaluator before being returned.
 
-``find_countermodel`` runs the same sweep over the valuations of a concrete
-formula's atoms, then greedily minimizes the witness (drop edges, then
-views, while the formula stays false).
+``find_countermodel`` sweeps the valuations of a concrete formula's own
+atoms, then greedily minimizes the witness (drop edges, then views, while
+the formula stays false) and re-checks it through the evaluator.
 """
 
 from __future__ import annotations
@@ -28,10 +37,12 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .core import (
+    _AGENT_POOL,
     ChromaticHypergraph,
     ChromaticHypergraphModel,
     Signature,
@@ -75,7 +86,6 @@ from .syntax import (
     substitute_metas,
 )
 
-_AGENT_POOL = "abcdefghijklmnopqrstuvwxyz"
 _ENV_CAPS = {"agents": 3, "views": 3, "edges": 5}
 
 
@@ -96,7 +106,10 @@ def hard_caps() -> Dict[str, int]:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Structural bounds for enumeration and scheme sweeps."""
+    """Structural bounds for enumeration and scheme sweeps.
+
+    ``depth`` is validated but read by no sweep.
+    """
 
     agents: int = 2
     views: int = 2
@@ -302,88 +315,184 @@ def enumerate_kb4_formulas(atoms, agents, max_size=5, max_modal_depth=2,
     return out
 
 
-# --- extension-mask evaluation ----------------------------------------------------
+# --- the bit-sliced extension sweep ----------------------------------------------
 
 
-class _MaskContext:
-    """Per-hypergraph tables for bitmask extension evaluation."""
+class _Structure:
+    """One enumerated hypergraph and the tables the sweep reads.
 
-    __slots__ = ("h", "edges", "edge_index", "all_edges", "views", "view_index",
-                 "all_views", "fiber_masks", "edge_view")
+    Per agent: ``view_of[a][i]`` is the index of the agent's view in edge
+    ``i`` (None where the agent is absent) and ``fibers[a][j]`` the indices
+    of the edges holding its view ``j``.  Equal tables are one shared tuple.
+    """
 
-    def __init__(self, h: ChromaticHypergraph):
+    __slots__ = ("h", "edges", "views", "view_of", "fibers")
+
+    def __init__(self, h: ChromaticHypergraph, intern: Dict[tuple, tuple]):
         self.h = h
         self.edges = h.edges
-        self.edge_index = {e: i for i, e in enumerate(h.edges)}
-        self.all_edges = (1 << len(h.edges)) - 1
-        self.views = {a: h.views.get(a, ()) for a in h.sig.agents}
-        self.view_index = {
-            a: {v: i for i, v in enumerate(vs)} for a, vs in self.views.items()}
-        self.all_views = {a: (1 << len(vs)) - 1 for a, vs in self.views.items()}
-        self.fiber_masks = {}
+        self.views = h.views
+        self.view_of = {}
+        self.fibers = {}
         for a in h.sig.agents:
-            masks = []
-            for v in self.views[a]:
-                mask = 0
-                for e in h.worlds_of_view(a, v):
-                    mask |= 1 << self.edge_index[e]
-                masks.append(mask)
-            self.fiber_masks[a] = masks
-
-
-def _wext(f, ctx: _MaskContext, env: Dict[str, int]) -> int:
-    match f:
-        case WTrue():
-            return ctx.all_edges
-        case WFalse():
-            return 0
-        case EnvAtom(n) | WMeta(n):
-            return env[n]
-        case WNot(x):
-            return ctx.all_edges ^ _wext(x, ctx, env)
-        case WAnd(l, r):
-            return _wext(l, ctx, env) & _wext(r, ctx, env)
-        case SomeView(a, x):
-            y = _aext(x, a, ctx, env)
-            mask = 0
-            fibers = ctx.fiber_masks[a]
-            i = 0
-            while y:
-                if y & 1:
-                    mask |= fibers[i]
-                y >>= 1
-                i += 1
-            return mask
-    raise SortError(f"not a core world formula: {f!r}", node=f)
-
-
-def _aext(f, agent: str, ctx: _MaskContext, env: Dict[str, int]) -> int:
-    match f:
-        case ATrue():
-            return ctx.all_views[agent]
-        case AFalse():
-            return 0
-        case AgentAtom(n) | AMeta(n):
-            return env[n]
-        case ANot(x):
-            return ctx.all_views[agent] ^ _aext(x, agent, ctx, env)
-        case AAnd(l, r):
-            return _aext(l, agent, ctx, env) & _aext(r, agent, ctx, env)
-        case PossWorld(x):
-            w = _wext(x, ctx, env)
-            mask = 0
-            for i, fiber in enumerate(ctx.fiber_masks[agent]):
-                if fiber & w:
-                    mask |= 1 << i
-            return mask
-    raise SortError(f"not a core agent formula: {f!r}", node=f)
+            index = {v: j for j, v in enumerate(h.views[a])}
+            view_of = tuple(index.get(h.proj.get((e, a))) for e in h.edges)
+            fibers = tuple(tuple(i for i, j in enumerate(view_of) if j == k)
+                           for k in range(len(index)))
+            self.view_of[a] = intern.setdefault(view_of, view_of)
+            self.fibers[a] = intern.setdefault(fibers, fibers)
 
 
 @lru_cache(maxsize=8)
-def _structures(agents: Tuple[str, ...], views: int, edges: int):
+def _structures(agents: Tuple[str, ...], views: int, edges: int) -> Tuple[_Structure, ...]:
     b = Bounds(agents=len(agents), views=views, edges=edges)
-    sig = Signature(agents)
-    return tuple((h, _MaskContext(h)) for h in enumerate_hypergraphs(b, sig))
+    intern: Dict[tuple, tuple] = {}
+    return tuple(_Structure(h, intern) for h in enumerate_hypergraphs(b, Signature(agents)))
+
+
+def compile_program(core, sort: str):
+    """Compile a core formula of ``sort`` (``"world"`` or an agent) into a
+    postfix program, walking it with an explicit stack.
+
+    Returns the program and the sort of each atom or metavariable name, in
+    order of first occurrence.  Steps: ``("top"|"bot", sort)``, ``("atom",
+    name)``, ``("not",)``, ``("and",)``, ``("some", a)`` for ``E[a]`` and
+    ``("poss", a)`` for ``<>`` at a view of ``a``.
+    """
+    program = []
+    leaves: Dict[str, str] = {}
+    todo = [(core, sort)]
+    while todo:
+        node, ctx = todo.pop()
+        if node is None:          # an operator whose operands are emitted
+            program.append(ctx)
+            continue
+        if isinstance(node, WorldFormula) != (ctx == "world"):
+            raise SortError(f"not a core formula of sort {ctx}: {node!r}", node=node)
+        match node:
+            case WTrue() | ATrue():
+                program.append(("top", ctx))
+            case WFalse() | AFalse():
+                program.append(("bot", ctx))
+            case EnvAtom(n) | WMeta(n) | AgentAtom(n) | AMeta(n):
+                if leaves.setdefault(n, ctx) != ctx:
+                    raise SortError(f"'{n}' occurs at two sorts", node=node)
+                program.append(("atom", n))
+            case WNot(x) | ANot(x):
+                todo += [(None, ("not",)), (x, ctx)]
+            case WAnd(l, r) | AAnd(l, r):
+                todo += [(None, ("and",)), (r, ctx), (l, ctx)]
+            case SomeView(a, x):
+                todo += [(None, ("some", a)), (x, a)]
+            case PossWorld(x):
+                todo += [(None, ("poss", ctx)), (x, "world")]
+            case _:
+                raise SortError(f"not a core formula of sort {ctx}: {node!r}", node=node)
+    return tuple(program), leaves
+
+
+# Assignments per chunk of the sweep, as a power of two.
+_CHUNK_BITS = 14
+
+
+@lru_cache(maxsize=None)
+def _bit_pattern(chunk: int, m: int) -> int:
+    """The ``2**chunk``-bit int whose bit ``t`` is bit ``m`` of ``t``."""
+    block = 1 << m
+    ones = ((1 << block) - 1) << block
+    return ((1 << (1 << chunk)) - 1) // ((1 << (2 * block)) - 1) * ones
+
+
+def _widths(st: _Structure, swept_names, sorts) -> List[int]:
+    return [len(st.edges) if sorts[n] == "world" else len(st.views[sorts[n]])
+            for n in swept_names]
+
+
+def extension_chunks(program, st: _Structure, swept_names, sorts
+                     ) -> Iterator[Tuple[int, int, List[int]]]:
+    """Evaluate a compiled program on one structure under every assignment.
+
+    An assignment gives each swept name a set of points of its sort
+    (``sorts[name]``), a bitmask over them.  Assignments are numbered in
+    ``itertools.product`` order over the names' masks, the last name varying
+    fastest.  Yields ``(first, width, values)`` for consecutive chunks of at
+    most ``2**_CHUNK_BITS`` assignments: bit ``t`` of ``values[p]`` is the
+    formula's value at point ``p`` under assignment ``first + t``.
+    """
+    widths = _widths(st, swept_names, sorts)
+    total = sum(widths)
+    chunk = min(total, _CHUNK_BITS)
+    width = 1 << chunk
+    full = (1 << width) - 1
+    view_of, fibers = st.view_of, st.fibers
+    for first in range(0, 1 << total, width):
+        # Point j of the name at ``offset`` holds iff bit offset + j of the
+        # assignment number is set.
+        env = {}
+        offset = total
+        for name, k in zip(swept_names, widths):
+            offset -= k
+            env[name] = [_bit_pattern(chunk, m) if m < chunk
+                         else full if first >> m & 1 else 0
+                         for m in range(offset, offset + k)]
+        stack = []
+        for step in program:
+            op = step[0]
+            if op == "atom":
+                stack.append(env[step[1]])
+            elif op == "not":
+                stack[-1] = [full ^ x for x in stack[-1]]
+            elif op == "and":
+                right = stack.pop()
+                stack[-1] = [x & y for x, y in zip(stack[-1], right)]
+            elif op == "some":
+                sub = stack[-1]
+                stack[-1] = [0 if j is None else sub[j] for j in view_of[step[1]]]
+            elif op == "poss":
+                sub = stack[-1]
+                stack[-1] = [reduce(or_, [sub[i] for i in fiber]) for fiber in fibers[step[1]]]
+            else:
+                points = len(st.edges) if step[1] == "world" else len(st.views[step[1]])
+                stack.append([full if op == "top" else 0] * points)
+        yield first, width, stack[0]
+
+
+def sweep(program, sort: str, st: _Structure, swept_names, sorts):
+    """Find the first assignment that falsifies the program at a point of ``sort``.
+
+    Returns ``(assignments swept, None)`` when there is none, else
+    ``(assignments swept, (assignment, point))``: the first falsifying
+    assignment in ``extension_chunks`` order and the first point, in the
+    structure's order, where it fails.
+    """
+    for first, width, values in extension_chunks(program, st, swept_names, sorts):
+        full = (1 << width) - 1
+        holds = reduce(and_, values, full)
+        if holds != full:
+            t = ((full ^ holds) & -(full ^ holds)).bit_length() - 1
+            idx = next(p for p, x in enumerate(values) if not x >> t & 1)
+            point = World(st.edges[idx]) if sort == "world" else View(sort, st.views[sort][idx])
+            return first + t + 1, (first + t, point)
+    return first + width, None
+
+
+def witness_model(sig: Signature, st: _Structure, swept_names, sorts, assignment,
+                  atom_of=None) -> ChromaticHypergraphModel:
+    """The model over ``sig`` on structure ``st`` under the numbered
+    assignment: each swept name's atom (``atom_of[name]``, by default the
+    name) holds at the points of its mask, every other atom nowhere."""
+    val_agent = {a: {} for a in sig.agents}
+    val_env = {}
+    widths = _widths(st, swept_names, sorts)
+    offset = sum(widths)
+    for name, k in zip(swept_names, widths):
+        offset -= k
+        sort = sorts[name]
+        points = st.edges if sort == "world" else st.views[sort]
+        members = frozenset(p for i, p in enumerate(points) if assignment >> offset + i & 1)
+        atom = atom_of[name] if atom_of else name
+        (val_env if sort == "world" else val_agent[sort])[atom] = members
+    return build_model(sig, st.views, st.edges, st.h.proj, val_agent, val_env)
 
 
 # --- verdicts -----------------------------------------------------------------------
@@ -404,19 +513,6 @@ class Countermodel:
 Verdict = Union[ValidWithinBounds, Countermodel]
 
 
-def _ordered_metas(f, acc):
-    match f:
-        case WMeta(n) | AMeta(n):
-            if n not in acc:
-                acc.append(n)
-        case WNot(x) | ANot(x) | SomeView(_, x) | PossWorld(x):
-            _ordered_metas(x, acc)
-        case WAnd(l, r) | AAnd(l, r):
-            _ordered_metas(l, acc)
-            _ordered_metas(r, acc)
-    return acc
-
-
 def check_scheme(scheme, b: Bounds, agent: Optional[str] = None) -> Verdict:
     """Sweep a scheme over every model within bounds.
 
@@ -434,83 +530,43 @@ def check_scheme(scheme, b: Bounds, agent: Optional[str] = None) -> Verdict:
         raise SortError(f"agent '{agent}' is outside the bounds alphabet")
     meta_sorts = scheme_meta_sorts(scheme, sig, agent=agent)
     core = desugar(scheme)
-    metas = _ordered_metas(core, [])
+    sort = "world" if world_scheme else agent
+    program, sorts = compile_program(core, sort)
 
     # Concrete atoms occurring in the scheme are swept exactly like
     # metavariables: their valuations are free across the enumerated models.
-    atom_sorts = _atom_sorts(core, "world" if world_scheme else agent, {})
-    sweep_names = metas + [n for n in atom_sorts if n not in metas]
-    sweep_sorts = dict(meta_sorts)
-    sweep_sorts.update(atom_sorts)
+    metas = [n for n in sorts if n in meta_sorts]
+    atoms = [n for n in sorts if n not in meta_sorts]
+    swept_names = metas + atoms
 
     # One fresh atom per metavariable makes the extension sweep exactly the
     # sweep over all instantiations under all valuations.
-    witness_atom: Dict[str, object] = {}
-    env_pool = [n for n in sig.env_atoms if n not in atom_sorts]
-    agent_pool = {a: [n for n in sig.atoms_for(a) if n not in atom_sorts]
+    atom_of: Dict[str, str] = {n: n for n in atoms}
+    env_pool = [n for n in sig.env_atoms if n not in atom_of]
+    agent_pool = {a: [n for n in sig.atoms_for(a) if n not in atom_of]
                   for a in sig.agents}
     for name in metas:
-        sort = meta_sorts[name]
-        if sort == "world":
-            if not env_pool:
-                raise BoundsError(
-                    "scheme checking needs one environment atom per world metavariable")
-            witness_atom[name] = EnvAtom(env_pool.pop(0))
-        else:
-            if not agent_pool[sort]:
-                raise BoundsError(
-                    f"scheme checking needs one atom of agent {sort} per metavariable")
-            witness_atom[name] = AgentAtom(agent_pool[sort].pop(0))
-    for name, sort in atom_sorts.items():
-        witness_atom[name] = EnvAtom(name) if sort == "world" else AgentAtom(name)
+        pool = env_pool if sorts[name] == "world" else agent_pool[sorts[name]]
+        if not pool:
+            raise BoundsError(
+                "scheme checking needs one environment atom per world metavariable"
+                if sorts[name] == "world" else
+                f"scheme checking needs one atom of agent {sorts[name]} per metavariable")
+        atom_of[name] = pool.pop(0)
 
     checked = 0
-    for h, ctx in _structures(sig.agents, b.views, b.edges):
-        domains = []
-        for name in sweep_names:
-            sort = sweep_sorts[name]
-            size = len(ctx.edges) if sort == "world" else len(ctx.views[sort])
-            domains.append(range(1 << size))
-        for assignment in itertools.product(*domains):
-            env = dict(zip(sweep_names, assignment))
-            checked += 1
-            if world_scheme:
-                ext = _wext(core, ctx, env)
-                full = ctx.all_edges
-            else:
-                ext = _aext(core, agent, ctx, env)
-                full = ctx.all_views[agent]
-            if ext == full:
-                continue
-            missing = (full & ~ext)
-            idx = (missing & -missing).bit_length() - 1
-            if world_scheme:
-                point = World(ctx.edges[idx])
-            else:
-                point = View(agent, ctx.views[agent][idx])
-            model = _witness_model(sig, h, ctx, sweep_names, sweep_sorts,
-                                   witness_atom, env)
-            formula_assignment = {name: witness_atom[name] for name in metas}
+    for st in _structures(sig.agents, b.views, b.edges):
+        count, hit = sweep(program, sort, st, swept_names, sorts)
+        checked += count
+        if hit is not None:
+            assignment, point = hit
+            model = witness_model(sig, st, swept_names, sorts, assignment, atom_of)
+            formula_assignment = {
+                n: EnvAtom(atom_of[n]) if sorts[n] == "world" else AgentAtom(atom_of[n])
+                for n in metas}
             _revalidate(model, point, core, formula_assignment)
             return Countermodel(model=model, point=point, assignment=formula_assignment)
     return ValidWithinBounds(models_checked=checked)
-
-
-def _witness_model(sig, h, ctx, names, meta_sorts, witness_atom, env):
-    val_agent = {a: {atom: frozenset() for atom in sig.atoms_for(a)} for a in sig.agents}
-    val_env = {atom: frozenset() for atom in sig.env_atoms}
-    for name in names:
-        mask = env[name]
-        sort = meta_sorts[name]
-        atom = witness_atom[name]
-        if isinstance(atom, EnvAtom):
-            members = frozenset(e for i, e in enumerate(ctx.edges) if mask >> i & 1)
-            val_env[atom.name] = members
-        else:
-            views = ctx.views[sort]
-            members = frozenset(v for i, v in enumerate(views) if mask >> i & 1)
-            val_agent[sort][atom.name] = members
-    return build_model(sig, h.views, h.edges, h.proj, val_agent, val_env)
 
 
 def _revalidate(model, point, core, formula_assignment):
@@ -523,37 +579,6 @@ def _revalidate(model, point, core, formula_assignment):
 # --- concrete-formula countermodel search ------------------------------------------
 
 
-def _atom_sorts(f, sort, acc):
-    match f:
-        case EnvAtom(n):
-            acc[n] = "world"
-        case AgentAtom(n):
-            acc[n] = sort
-        case WNot(x) | ANot(x):
-            _atom_sorts(x, sort, acc)
-        case WAnd(l, r) | AAnd(l, r):
-            _atom_sorts(l, sort, acc)
-            _atom_sorts(r, sort, acc)
-        case SomeView(a, x):
-            _atom_sorts(x, a, acc)
-        case PossWorld(x):
-            _atom_sorts(x, "world", acc)
-    return acc
-
-
-def _formula_agents(f, acc):
-    match f:
-        case SomeView(a, x):
-            acc.add(a)
-            _formula_agents(x, acc)
-        case WNot(x) | ANot(x) | PossWorld(x):
-            _formula_agents(x, acc)
-        case WAnd(l, r) | AAnd(l, r):
-            _formula_agents(l, acc)
-            _formula_agents(r, acc)
-    return acc
-
-
 def find_countermodel(f: WorldFormula, b: Bounds) -> Verdict:
     """Bounded validity check for a concrete world formula.
 
@@ -563,52 +588,24 @@ def find_countermodel(f: WorldFormula, b: Bounds) -> Verdict:
     b.validate()
     core = desugar(f)
     agents = default_agents(b.agents)
-    extra = _formula_agents(core, set()) - set(agents)
+    program, sorts = compile_program(core, "world")
+    extra = {step[1] for step in program if step[0] == "some"} - set(agents)
     if extra:
         raise BoundsError(
             f"formula mentions agents {sorted(extra)} outside the bounds alphabet {list(agents)}")
-    atom_sorts = _atom_sorts(core, "world", {})
-    agent_atoms: Dict[str, List[str]] = {a: [] for a in agents}
-    env_atoms: List[str] = []
-    for name, sort in atom_sorts.items():
-        if sort == "world":
-            env_atoms.append(name)
-        else:
-            agent_atoms[sort].append(name)
-    sig = Signature(agents, {a: tuple(v) for a, v in agent_atoms.items()}, tuple(env_atoms))
-
-    names = list(atom_sorts)
+    names = list(sorts)
     checked = 0
-    for h, plain_ctx in _structures(agents, b.views, b.edges):
-        h = ChromaticHypergraph(sig=sig, views=h.views, edges=h.edges, proj=h.proj)
-        ctx = plain_ctx
-        domains = []
-        for name in names:
-            sort = atom_sorts[name]
-            size = len(ctx.edges) if sort == "world" else len(ctx.views[sort])
-            domains.append(range(1 << size))
-        for assignment in itertools.product(*domains):
-            env = dict(zip(names, assignment))
-            checked += 1
-            ext = _wext(core, ctx, env)
-            if ext == ctx.all_edges:
-                continue
-            missing = ctx.all_edges & ~ext
-            idx = (missing & -missing).bit_length() - 1
-            edge = ctx.edges[idx]
-            val_agent = {a: {} for a in agents}
-            val_env = {}
-            for name in names:
-                mask = env[name]
-                sort = atom_sorts[name]
-                if sort == "world":
-                    val_env[name] = frozenset(
-                        e for i, e in enumerate(ctx.edges) if mask >> i & 1)
-                else:
-                    val_agent[sort][name] = frozenset(
-                        v for i, v in enumerate(ctx.views[sort]) if mask >> i & 1)
-            model = build_model(sig, h.views, h.edges, h.proj, val_agent, val_env)
-            model, edge = _minimize(model, edge, core)
+    for st in _structures(agents, b.views, b.edges):
+        count, hit = sweep(program, "world", st, names, sorts)
+        checked += count
+        if hit is not None:
+            assignment, point = hit
+            sig = Signature(
+                agents,
+                {a: tuple(n for n in names if sorts[n] == a) for a in agents},
+                tuple(n for n in names if sorts[n] == "world"))
+            model = witness_model(sig, st, names, sorts, assignment)
+            model, edge = _minimize(model, point.edge, core)
             if Evaluator(model).sat_world(edge, core):
                 raise AssertionError("internal error: minimized countermodel re-checks true")
             return Countermodel(model=model, point=World(edge), assignment={})

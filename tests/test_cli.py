@@ -192,6 +192,25 @@ def test_check_generalized_model(tmp_path, capsys):
     assert code == 2
 
 
+def test_countermodel_has_no_atom_or_depth_flags(capsys):
+    # The search sweeps the formula's own atoms and reads no depth bound.
+    for flag in ("--depth", "--agent-atoms", "--env-atoms"):
+        code, _, err = run(["countermodel", "--formula", "alive(a)", flag, "1"],
+                           capsys=capsys)
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+
+def test_deep_nesting_is_input_error(h3_file, capsys):
+    code, out, err = run(["check", "--model", h3_file, "--world", "e_ab",
+                          "--formula", "~" * 2000 + "true"], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_countermodel_sort_conflict_is_input_error(capsys):
     code, _, err = run(["countermodel", "--formula", "E[a] x & x"], capsys=capsys)
     assert code == 2

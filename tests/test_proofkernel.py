@@ -27,8 +27,9 @@ from hyperknow.proofkernel import (
     is_tautology,
     soundness_spotcheck,
 )
-from hyperknow.search import knowledge_schemes
-from hyperknow.syntax import EnvAtom, desugar, substitute_metas
+from hyperknow.search import Bounds, enumerate_hypergraphs, iter_valuations, knowledge_schemes
+from hyperknow.semantics import Evaluator, View, World
+from hyperknow.syntax import EnvAtom, atoms_of, desugar, substitute_metas
 
 from conftest import CORPUS, random_agent, random_world, taut_oracle
 
@@ -262,3 +263,50 @@ def test_check_line_prefix_independence():
     d = parser.parse_derivation((CORPUS / "locality.deriv").read_text())
     for k in range(1, len(d.lines) + 1):
         check_line(d, k)
+
+
+def _replay_one_valuation_at_a_time(d, bounds):
+    """Reference spot check: every model of iter_valuations, pointwise."""
+    sig = d.sig
+    for line in d.lines:
+        stmt = line.statement
+        names = atoms_of(stmt.formula)
+        vary_agent = {a: tuple(n for n in sig.atoms_for(a) if n in names) for a in sig.agents}
+        vary_env = tuple(n for n in sig.env_atoms if n in names)
+        for h in enumerate_hypergraphs(bounds, sig):
+            for model in iter_valuations(h, vary_agent, vary_env):
+                ev = Evaluator(model)
+                if stmt.sort == "e":
+                    points = [World(e) for e in model.edges]
+                else:
+                    points = [View(stmt.sort, v) for v in model.views_of(stmt.sort)]
+                for p in points:
+                    if not ev.sat(p, stmt.formula):
+                        return line.index, model, p
+    return None
+
+
+def test_spotcheck_reports_the_first_violation_of_the_valuation_stream(monkeypatch):
+    # Unsound lines only reach the spot check past the kernel, so the kernel
+    # is switched off; the first violation must be the one that replaying
+    # one valuation at a time finds first.
+    monkeypatch.setattr(proofkernel, "check_derivation", lambda d: None)
+    sig = hk.Signature(("a", "b"), {"a": ("pa", "qa"), "b": ("pb",)}, ("p", "r"))
+    rng = random.Random("spotcheck")
+    bounds = Bounds(agents=2, views=2, edges=2)
+    violations = 0
+    for _ in range(25):
+        lines = []
+        for k in range(1, 4):
+            sort = rng.choice(("e", "a", "b"))
+            f = random_world(rng, sig, 3) if sort == "e" else random_agent(rng, sig, sort, 3)
+            lines.append(DerivationLine(k, Statement(sort, f), PropTaut()))
+        d = Derivation(sig=sig, lines=tuple(lines))
+        got = soundness_spotcheck(d, bounds)
+        expected = _replay_one_valuation_at_a_time(d, bounds)
+        if expected is None:
+            assert got is None
+        else:
+            violations += 1
+            assert (got.line, got.model, got.point) == expected
+    assert violations > 0

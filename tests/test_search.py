@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -21,7 +22,7 @@ from hyperknow.search import (
     scheme_surjectivity,
     signature_for_bounds,
 )
-from hyperknow.semantics import Evaluator
+from hyperknow.semantics import Evaluator, View, World
 from hyperknow.syntax import (
     AgentAtom,
     EnvAtom,
@@ -31,7 +32,7 @@ from hyperknow.syntax import (
     substitute_metas,
 )
 
-from conftest import naive_hypergraph_count
+from conftest import naive_hypergraph_count, random_agent, random_world
 
 
 def test_forced_single_structure():
@@ -291,3 +292,120 @@ def test_iter_valuations_varies_only_requested_atoms():
     models = list(iter_valuations(h, {"a": ()}, ("q1",)))
     assert len(models) == 2  # q1 in or out of the single edge
     assert all(m.val_agent["a"]["p1_a"] == frozenset() for m in models)
+
+
+# --- the bit-sliced sweep ----------------------------------------------------------
+
+
+def _valuation_order(sig, sorts):
+    """Swept names in iter_valuations order, with its vary arguments."""
+    vary_agent = {a: tuple(n for n in sig.atoms_for(a) if n in sorts) for a in sig.agents}
+    vary_env = tuple(n for n in sig.env_atoms if n in sorts)
+    names = [n for a in sig.agents for n in vary_agent[a]] + list(vary_env)
+    return names, vary_agent, vary_env
+
+
+def _points(model, sort):
+    if sort == "world":
+        return [World(e) for e in model.edges]
+    return [View(sort, v) for v in model.views_of(sort)]
+
+
+@pytest.mark.parametrize("chunk_bits", [14, 2])
+@pytest.mark.parametrize("sort", ["world", "a", "b"])
+def test_bit_sliced_extensions_match_evaluator(sort, chunk_bits, monkeypatch):
+    # Every point, every assignment: bit t of a point's value is the
+    # pointwise evaluator's verdict in the t-th model of iter_valuations.
+    monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(f"bit-sliced/{sort}")
+    sig = hk.Signature(("a", "b"), {"a": ("pa",), "b": ("pb",)}, ("u", "v"))
+    structures = list(enumerate_hypergraphs(Bounds(agents=2, views=2, edges=2), sig))
+    for _ in range(12):
+        f = random_world(rng, sig, 4) if sort == "world" else random_agent(rng, sig, sort, 4)
+        program, sorts = search.compile_program(f, sort)
+        names, vary_agent, vary_env = _valuation_order(sig, sorts)
+        for h in rng.sample(structures, 6):
+            st = search._Structure(h, {})
+            values = {}
+            for first, width, chunk in search.extension_chunks(program, st, names, sorts):
+                for t in range(width):
+                    values[first + t] = [x >> t & 1 == 1 for x in chunk]
+            models = list(iter_valuations(h, vary_agent, vary_env))
+            assert sorted(values) == list(range(len(models)))
+            for t, m in enumerate(models):
+                ev = Evaluator(m)
+                assert values[t] == [ev.sat(p, f) for p in _points(m, sort)], (f, t)
+
+
+# Verdicts and sweep counts at Bounds(edges=3), as the one-valuation-at-a-time
+# sweep gave them: None is a countermodel at World("e1").
+PINNED_AT_THREE_EDGES = {
+    "surjectivity": 1091, "functionality": 1091, "interaction_1": 1091,
+    "interaction_5": 1091, "locality": 1091, "non_emptiness": 335,
+    "interaction_2": 2546, "interaction_3": 2546, "interaction_4": 2546,
+    "interaction_6": 2546, "kunsafe_b": 2546, "kunsafe_4": 2546, "ksafe_t": 2546,
+    "ksafe_4": 2546, "kunsafe_k": 19868, "ksafe_k": 19868,
+    "ksafe_b": None, "ksafe_necessitation": None,
+}
+
+
+def _scheme_library():
+    lib = {
+        "surjectivity": scheme_surjectivity("a"),
+        "functionality": scheme_functionality("a"),
+        "non_emptiness": scheme_non_emptiness(("a", "b")),
+        "locality": search.locality_scheme("a"),
+    }
+    lib.update({f"interaction_{k}": s for k, s in interaction_schemes("a").items()})
+    lib.update(knowledge_schemes("a"))
+    return lib
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AT_THREE_EDGES))
+def test_scheme_library_pinned_at_three_edges(name):
+    scheme = _scheme_library()[name]
+    agent = None if isinstance(scheme, WorldFormula) else "a"
+    v = check_scheme(scheme, Bounds(edges=3), agent=agent)
+    expected = PINNED_AT_THREE_EDGES[name]
+    if expected is None:
+        assert isinstance(v, Countermodel)
+        assert v.point == World("e1")
+    else:
+        assert v == ValidWithinBounds(models_checked=expected)
+
+
+def _first_failure(h, f, sort, vary_agent, vary_env):
+    """Reference: one valuation at a time; the first falsifying model and
+    every point it falsifies, in order."""
+    for t, m in enumerate(iter_valuations(h, vary_agent, vary_env)):
+        ev = Evaluator(m)
+        failing = [p for p in _points(m, sort) if not ev.sat(p, f)]
+        if failing:
+            return t, m, failing
+    return None
+
+
+def test_sweep_witness_past_the_first_chunk(monkeypatch):
+    monkeypatch.setattr(search, "_CHUNK_BITS", 2)
+    sig = hk.Signature(("a", "b"), {"a": ("pa",)}, ("u", "v"))
+    late = several = 0
+    # The second formula's first countermodel can fail at several worlds.
+    for text in ("~(u & v & E[a] pa)", "E[a] pa -> (alive(b) | (u & v & ~u))"):
+        f = desugar(hk.parse_world(text, sig))
+        program, sorts = search.compile_program(f, "world")
+        names, vary_agent, vary_env = _valuation_order(sig, sorts)
+        for h in enumerate_hypergraphs(Bounds(agents=2, views=2, edges=2), sig):
+            st = search._Structure(h, {})
+            count, hit = search.sweep(program, "world", st, names, sorts)
+            expected = _first_failure(h, f, "world", vary_agent, vary_env)
+            if expected is None:
+                assert hit is None
+                continue
+            t, model, failing = expected
+            assert count == t + 1
+            assert hit == (t, failing[0])
+            assert search.witness_model(sig, st, names, sorts, t) == model
+            late += t >= 4
+            several += len(failing) > 1
+    assert late > 0 and several > 0
+
