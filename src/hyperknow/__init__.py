@@ -10,10 +10,14 @@ countermodel search, and a CLI (``hyperknow``).
 from .core import (
     ChromaticHypergraph,
     ChromaticHypergraphModel,
+    GeneralizedChromaticHypergraph,
+    GeneralizedChromaticHypergraphModel,
     Signature,
     SimpleHypergraph,
     SimplicialComplex,
     alive,
+    build_generalized,
+    build_generalized_model,
     build_hypergraph,
     build_model,
     downward_closure,
@@ -53,11 +57,7 @@ from .frames import (
 )
 from .kb4 import check_translation_equiv, sat_kb4, translate
 from .neighborhood import (
-    GeneralizedChromaticHypergraph,
-    GeneralizedChromaticHypergraphModel,
     NeighborhoodFrame,
-    build_generalized,
-    build_generalized_model,
     from_functional,
     sat_generalized,
     shared_memory_example,

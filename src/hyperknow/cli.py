@@ -14,17 +14,12 @@ import sys
 
 from . import parser as pa
 from . import proofkernel, search
-from .core import ChromaticHypergraphModel, example, example_names
+from .core import ChromaticHypergraph, GeneralizedChromaticHypergraph, example, example_names
 from .errors import DerivationCheckError, HyperknowError
 from .frames import eta_model, kappa_model
 from .kb4 import translate
-from .neighborhood import (
-    GeneralizedChromaticHypergraphModel,
-    from_functional,
-    sat_generalized,
-    to_neighborhood,
-)
-from .semantics import Evaluator, View, World
+from .neighborhood import to_neighborhood
+from .semantics import Evaluator
 
 FORMAT_VERSION = 1
 
@@ -54,20 +49,15 @@ def _jsonable(obj):
 
 
 def _model_json(m) -> dict:
-    generalized = isinstance(m, GeneralizedChromaticHypergraphModel)
     h = m.hypergraph
+    generalized = isinstance(h, GeneralizedChromaticHypergraph)
     edges = {}
     for e in h.edges:
         entry = {}
         for a in m.sig.agents:
-            if generalized:
-                vs = h.views_in(e, a)
-                if vs:
-                    entry[a] = list(vs)
-            else:
-                v = h.view_in(e, a)
-                if v is not None:
-                    entry[a] = v
+            vs = h.views_in(e, a)
+            if vs:
+                entry[a] = list(vs) if generalized else vs[0]
         edges[e] = entry
     return {
         "agents": list(m.sig.agents),
@@ -83,21 +73,16 @@ def cmd_check(args) -> int:
         raise HyperknowError("--world and --view are mutually exclusive")
     if args.world is None and args.view is None:
         raise HyperknowError("one of --world or --view is required")
-    generalized = isinstance(model, GeneralizedChromaticHypergraphModel)
     if args.world is not None:
         formula = pa.parse_world(args.formula, model.sig)
-        point = World(args.world)
-        verdict = (sat_generalized(model, point, formula) if generalized
-                   else Evaluator(model).sat_world(args.world, formula))
+        verdict = Evaluator(model).sat_world(args.world, formula)
         where = f"world {args.world}"
     else:
         agent, _, view = args.view.partition(":")
         if not view:
             raise HyperknowError("--view expects AGENT:VIEW")
         formula = pa.parse_agent(args.formula, agent, model.sig)
-        point = View(agent, view)
-        verdict = (sat_generalized(model, point, formula) if generalized
-                   else Evaluator(model).sat_agent(agent, view, formula))
+        verdict = Evaluator(model).sat_agent(agent, view, formula)
         where = f"view {view} of agent {agent}"
     _emit(args, f"{'true' if verdict else 'false'} at {where}",
           {"command": "check", "verdict": bool(verdict), "point": where,
@@ -108,12 +93,8 @@ def cmd_check(args) -> int:
 def cmd_valid(args) -> int:
     model = pa.parse_model(_read(args.model))
     formula = pa.parse_world(args.formula, model.sig)
-    if isinstance(model, GeneralizedChromaticHypergraphModel):
-        failures = [e for e in model.edges
-                    if not sat_generalized(model, World(e), formula)]
-    else:
-        ev = Evaluator(model)
-        failures = [e for e in model.edges if not ev.sat_world(e, formula)]
+    ev = Evaluator(model)
+    failures = [e for e in model.edges if not ev.sat_world(e, formula)]
     ok = not failures
     text = ("valid in the model" if ok
             else "falsified at " + ", ".join(failures))
@@ -124,7 +105,7 @@ def cmd_valid(args) -> int:
 def cmd_convert(args) -> int:
     if args.to == "frame":
         model = pa.parse_model(_read(args.model))
-        if not isinstance(model, ChromaticHypergraphModel):
+        if not isinstance(model.hypergraph, ChromaticHypergraph):
             raise HyperknowError("only ordinary (functional) models convert to frames")
         fm = kappa_model(model)
         text = pa.render_frame(fm).rstrip("\n")
@@ -216,8 +197,6 @@ def cmd_example(args) -> int:
 
 def cmd_neighborhood(args) -> int:
     model = pa.parse_model(_read(args.model))
-    if isinstance(model, ChromaticHypergraphModel):
-        model = from_functional(model)
     frame = to_neighborhood(model.hypergraph)
     lines = ["states: " + ", ".join(frame.states)]
     table = {}

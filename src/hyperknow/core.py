@@ -3,7 +3,9 @@
 A chromatic hypergraph assigns to each agent a set of local *views* and to
 the whole system a set of *worlds* (hyperedges); a partial projection says
 which view, if any, an agent holds in each world.  An agent with no view in
-a world is *dead* (absent) there.
+a world is *dead* (absent) there.  In a *generalized* chromatic hypergraph
+the projection is a relation: an agent may hold several views of one world.
+Both kinds share one model type and one set of checks.
 
 All structures here are immutable after construction and safe to share
 across threads; the builders validate every defining condition and report
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from .errors import UnknownPointError, ValidationError
 
@@ -80,7 +82,57 @@ class Signature:
 
 
 @dataclass(frozen=True)
-class ChromaticHypergraph:
+class _Hypergraph:
+    """What both kinds of chromatic hypergraph share: views per agent,
+    worlds, and the lookups the evaluator reads.
+
+    ``_links`` (defined by each kind) maps (edge, agent) to the views the
+    agent holds there; the fibers, edge set and view sets are computed from
+    it once, at construction.
+    """
+
+    sig: Signature
+    views: Mapping[str, Tuple[str, ...]]
+    edges: Tuple[str, ...]
+
+    def __post_init__(self):
+        links = self._links()
+        fibers = {(a, v): [] for a in self.sig.agents for v in self.views.get(a, ())}
+        for e in self.edges:
+            for a in self.sig.agents:
+                for v in links.get((e, a), ()):
+                    if (a, v) in fibers:
+                        fibers[(a, v)].append(e)
+        object.__setattr__(self, "_views_in", links)
+        object.__setattr__(self, "_fibers", {k: tuple(es) for k, es in fibers.items()})
+        object.__setattr__(self, "_edge_set", frozenset(self.edges))
+        object.__setattr__(
+            self, "_view_sets", {a: frozenset(vs) for a, vs in self.views.items()})
+
+    def views_in(self, edge: str, agent: str) -> Tuple[str, ...]:
+        """The views the agent holds in this world (empty where it is absent)."""
+        return self._views_in.get((edge, agent), ())
+
+    def alive(self, edge: str, agent: str) -> bool:
+        """Is the agent present (does it hold a view) in this world?"""
+        if edge not in self._edge_set:
+            raise UnknownPointError(f"unknown edge '{edge}'")
+        if agent not in self.sig.agents:
+            raise UnknownPointError(f"unknown agent '{agent}'")
+        return bool(self.views_in(edge, agent))
+
+    def worlds_of_view(self, agent: str, view: str) -> Tuple[str, ...]:
+        """All worlds in which the agent holds this view (never empty)."""
+        if view not in self._view_sets.get(agent, frozenset()):
+            raise UnknownPointError(f"unknown view '{view}' of agent '{agent}'")
+        return self._fibers[(agent, view)]
+
+    def views_of(self, agent: str) -> Tuple[str, ...]:
+        return tuple(self.views.get(agent, ()))
+
+
+@dataclass(frozen=True)
+class ChromaticHypergraph(_Hypergraph):
     """Views per agent, worlds, and the partial projection.
 
     Conditions, all validated by :func:`build_hypergraph`:
@@ -92,52 +144,39 @@ class ChromaticHypergraph:
     * every world contains at least one view.
     """
 
-    sig: Signature
-    views: Mapping[str, Tuple[str, ...]]
-    edges: Tuple[str, ...]
     proj: Mapping[Tuple[str, str], str]
 
-    def alive(self, edge: str, agent: str) -> bool:
-        """Is the agent present (does it hold a view) in this world?"""
-        if edge not in self._edge_set:
-            raise UnknownPointError(f"unknown edge '{edge}'")
-        if agent not in self.sig.agents:
-            raise UnknownPointError(f"unknown agent '{agent}'")
-        return (edge, agent) in self.proj
+    def _links(self):
+        return {k: (v,) for k, v in self.proj.items()}
 
     def view_in(self, edge: str, agent: str) -> Optional[str]:
         return self.proj.get((edge, agent))
 
-    def worlds_of_view(self, agent: str, view: str) -> Tuple[str, ...]:
-        """All worlds in which the agent holds this view (never empty)."""
-        if view not in self._view_sets.get(agent, frozenset()):
-            raise UnknownPointError(f"unknown view '{view}' of agent '{agent}'")
-        return self._fibers[(agent, view)]
 
-    def views_of(self, agent: str) -> Tuple[str, ...]:
-        return tuple(self.views.get(agent, ()))
+@dataclass(frozen=True)
+class GeneralizedChromaticHypergraph(_Hypergraph):
+    """Like a chromatic hypergraph, but the projection is a relation.
 
-    @property
-    def _edge_set(self):
-        return self._edge_set_cache
+    ``incidence`` maps (edge, agent) to the tuple of views the agent holds
+    there (absent or empty means the agent is dead in that edge).  Color
+    discipline, surjectivity and non-emptiness still hold; functionality is
+    deliberately absent.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_edge_set_cache", frozenset(self.edges))
-        object.__setattr__(
-            self, "_view_sets", {a: frozenset(vs) for a, vs in self.views.items()})
-        fibers = {}
-        for a in self.sig.agents:
-            for v in self.views.get(a, ()):
-                fibers[(a, v)] = tuple(
-                    e for e in self.edges if self.proj.get((e, a)) == v)
-        object.__setattr__(self, "_fibers", fibers)
+    incidence: Mapping[Tuple[str, str], Tuple[str, ...]]
+
+    def _links(self):
+        return self.incidence
+
+    fiber = _Hypergraph.worlds_of_view
 
 
 @dataclass(frozen=True)
 class ChromaticHypergraphModel:
-    """A chromatic hypergraph plus valuations for both kinds of atoms."""
+    """A chromatic hypergraph of either kind plus valuations for both kinds
+    of atoms."""
 
-    hypergraph: ChromaticHypergraph
+    hypergraph: Union[ChromaticHypergraph, GeneralizedChromaticHypergraph]
     val_agent: Mapping[str, Mapping[str, FrozenSet[str]]]
     val_env: Mapping[str, FrozenSet[str]]
 
@@ -159,6 +198,9 @@ class ChromaticHypergraphModel:
         return self.hypergraph.worlds_of_view(agent, view)
 
 
+GeneralizedChromaticHypergraphModel = ChromaticHypergraphModel
+
+
 def alive(m: ChromaticHypergraphModel, edge: str, agent: str) -> bool:
     return m.alive(edge, agent)
 
@@ -167,16 +209,10 @@ def worlds_of_view(m: ChromaticHypergraphModel, agent: str, view: str):
     return m.worlds_of_view(agent, view)
 
 
-def build_hypergraph(sig, views, edges, proj) -> ChromaticHypergraph:
-    """Validate and freeze a chromatic hypergraph.
-
-    Raises :class:`ValidationError` carrying every violation found.
-    """
-    views = {a: tuple(views.get(a, ())) for a in sig.agents}
-    edges = tuple(edges)
-    proj = dict(proj)
+def _check_structure(sig, views, edges, links) -> None:
+    """Raise :class:`ValidationError` with every violated structural
+    condition; ``links`` maps (edge, agent) to the views held there."""
     problems = []
-
     for a, vs in views.items():
         seen = set()
         for v in vs:
@@ -189,31 +225,56 @@ def build_hypergraph(sig, views, edges, proj) -> ChromaticHypergraph:
             problems.append(f"edges: duplicate edge label '{e}'")
         seen_edges.add(e)
 
-    for (e, a), v in proj.items():
+    hit = set()
+    for (e, a), vs in links.items():
         if e not in seen_edges:
             problems.append(f"projection: unknown edge '{e}'")
         if a not in views:
             problems.append(f"projection: unknown agent '{a}'")
-        elif v not in views[a]:
-            problems.append(
-                f"color discipline: view '{v}' assigned to agent {a} in edge {e} "
-                f"is not one of {a}'s views")
-
-    hit = {(a, v): False for a, vs in views.items() for v in vs}
-    for (e, a), v in proj.items():
-        if (a, v) in hit:
-            hit[(a, v)] = True
-    for (a, v), ok in hit.items():
-        if not ok:
-            problems.append(f"surjectivity: view {v} of agent {a} belongs to no edge")
+            continue
+        if len(set(vs)) != len(vs):
+            problems.append(f"incidence: repeated view of agent {a} in edge {e}")
+        for v in vs:
+            if v in views[a]:
+                hit.add((a, v))
+            else:
+                problems.append(
+                    f"color discipline: view '{v}' assigned to agent {a} in edge {e} "
+                    f"is not one of {a}'s views")
+    for a, vs in views.items():
+        for v in vs:
+            if (a, v) not in hit:
+                problems.append(f"surjectivity: view {v} of agent {a} belongs to no edge")
 
     for e in edges:
-        if not any((e, a) in proj for a in sig.agents):
+        if not any(links.get((e, a)) for a in sig.agents):
             problems.append(f"non-emptiness: edge {e} contains no view of any agent")
 
     if problems:
         raise ValidationError(problems)
+
+
+def build_hypergraph(sig, views, edges, proj) -> ChromaticHypergraph:
+    """Validate and freeze a chromatic hypergraph.
+
+    Raises :class:`ValidationError` carrying every violation found.
+    """
+    views = {a: tuple(views.get(a, ())) for a in sig.agents}
+    edges = tuple(edges)
+    proj = dict(proj)
+    _check_structure(sig, views, edges, {k: (v,) for k, v in proj.items()})
     return ChromaticHypergraph(sig=sig, views=views, edges=edges, proj=proj)
+
+
+def build_generalized(sig, views, edges, incidence) -> GeneralizedChromaticHypergraph:
+    """Validate and freeze a generalized chromatic hypergraph: the checks of
+    :func:`build_hypergraph`, plus no view repeated inside one edge."""
+    views = {a: tuple(views.get(a, ())) for a in sig.agents}
+    edges = tuple(edges)
+    incidence = {k: tuple(v) for k, v in incidence.items()}
+    _check_structure(sig, views, edges, incidence)
+    return GeneralizedChromaticHypergraph(
+        sig=sig, views=views, edges=edges, incidence=incidence)
 
 
 def build_model(sig, views, edges, proj, val_agent=None, val_env=None) -> ChromaticHypergraphModel:
@@ -223,9 +284,20 @@ def build_model(sig, views, edges, proj, val_agent=None, val_env=None) -> Chroma
     map into subsets of the agent's views; ``val_env`` likewise for
     environment atoms and edges.  Missing entries default to the empty set.
     """
+    return _validated_model(build_hypergraph, sig, views, edges, proj, val_agent, val_env)
+
+
+def build_generalized_model(sig, views, edges, incidence, val_agent=None,
+                            val_env=None) -> ChromaticHypergraphModel:
+    """:func:`build_model` on a generalized hypergraph."""
+    return _validated_model(build_generalized, sig, views, edges, incidence,
+                            val_agent, val_env)
+
+
+def _validated_model(build, sig, views, edges, links, val_agent, val_env):
     problems = []
     try:
-        h = build_hypergraph(sig, views, edges, proj)
+        h = build(sig, views, edges, links)
     except ValidationError as err:
         problems.extend(err.violations)
         h = None

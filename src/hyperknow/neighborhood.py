@@ -2,10 +2,12 @@
 
 Dropping the one-view-per-agent-per-world requirement turns the projection
 into a relation: an agent may hold several views of the same world.  The
-satisfaction clauses keep their wording, with the view quantifiers now
-ranging over possibly several views.  Exporting such a structure by swapping
-the roles of views and worlds yields a neighborhood frame in which every
-state belongs to each of its own neighborhoods.
+structure, its checks and its model type live in :mod:`hyperknow.core`, and
+:class:`hyperknow.semantics.Evaluator` evaluates both kinds: its view
+quantifiers range over every view the agent holds in the world.  Exporting
+such a structure by swapping the roles of views and worlds yields a
+neighborhood frame in which every state belongs to each of its own
+neighborhoods.
 """
 
 from __future__ import annotations
@@ -13,162 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Mapping, Tuple
 
-from .core import ChromaticHypergraphModel, Signature
-from .errors import SortError, UnknownPointError, ValidationError
-from .semantics import EvalPoint, View, World
-from .syntax import (
-    AAnd,
-    AFalse,
-    AgentAtom,
-    AImplies,
-    AllViews,
-    ANot,
-    AOr,
-    ATrue,
-    Box,
-    EnvAtom,
-    PossWorld,
-    SomeView,
-    WAnd,
-    WFalse,
-    WImplies,
-    WNot,
-    WOr,
-    WTrue,
+from .core import (  # noqa: F401  (re-exported)
+    ChromaticHypergraphModel,
+    GeneralizedChromaticHypergraph,
+    GeneralizedChromaticHypergraphModel,
+    Signature,
+    build_generalized,
+    build_generalized_model,
 )
+from .semantics import EvalPoint, Evaluator
 
 
-@dataclass(frozen=True)
-class GeneralizedChromaticHypergraph:
-    """Like a chromatic hypergraph, but the projection is a relation.
-
-    ``incidence`` maps (edge, agent) to the tuple of views the agent holds
-    there (absent or empty means the agent is dead in that edge).  Color
-    discipline, surjectivity and non-emptiness still hold; functionality is
-    deliberately absent.
-    """
-
-    sig: Signature
-    views: Mapping[str, Tuple[str, ...]]
-    edges: Tuple[str, ...]
-    incidence: Mapping[Tuple[str, str], Tuple[str, ...]]
-
-    def views_in(self, edge: str, agent: str) -> Tuple[str, ...]:
-        return self.incidence.get((edge, agent), ())
-
-    def fiber(self, agent: str, view: str) -> Tuple[str, ...]:
-        """All edges containing this view of the agent."""
-        if view not in self._view_sets.get(agent, frozenset()):
-            raise UnknownPointError(f"unknown view '{view}' of agent '{agent}'")
-        return tuple(e for e in self.edges if view in self.views_in(e, agent))
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_view_sets", {a: frozenset(vs) for a, vs in self.views.items()})
-        object.__setattr__(self, "_edge_set", frozenset(self.edges))
-
-
-@dataclass(frozen=True)
-class GeneralizedChromaticHypergraphModel:
-    hypergraph: GeneralizedChromaticHypergraph
-    val_agent: Mapping[str, Mapping[str, FrozenSet[str]]]
-    val_env: Mapping[str, FrozenSet[str]]
-
-    @property
-    def sig(self) -> Signature:
-        return self.hypergraph.sig
-
-    @property
-    def edges(self) -> Tuple[str, ...]:
-        return self.hypergraph.edges
-
-    def views_of(self, agent: str) -> Tuple[str, ...]:
-        return tuple(self.hypergraph.views.get(agent, ()))
-
-
-def build_generalized(sig, views, edges, incidence) -> GeneralizedChromaticHypergraph:
-    views = {a: tuple(views.get(a, ())) for a in sig.agents}
-    edges = tuple(edges)
-    incidence = {k: tuple(v) for k, v in incidence.items()}
-    problems = []
-
-    edge_set = set(edges)
-    if len(edge_set) != len(edges):
-        problems.append("edges: duplicate edge label")
-    for a, vs in views.items():
-        if len(set(vs)) != len(vs):
-            problems.append(f"views: duplicate view of agent {a}")
-
-    hit = {(a, v): False for a, vs in views.items() for v in vs}
-    for (e, a), vs in incidence.items():
-        if e not in edge_set:
-            problems.append(f"incidence: unknown edge '{e}'")
-            continue
-        if a not in views:
-            problems.append(f"incidence: unknown agent '{a}'")
-            continue
-        if len(set(vs)) != len(vs):
-            problems.append(f"incidence: repeated view of agent {a} in edge {e}")
-        for v in vs:
-            if v not in views[a]:
-                problems.append(
-                    f"color discipline: view '{v}' in edge {e} is not a view of agent {a}")
-            else:
-                hit[(a, v)] = True
-    for (a, v), ok in hit.items():
-        if not ok:
-            problems.append(f"surjectivity: view {v} of agent {a} belongs to no edge")
-    for e in edges:
-        if not any(incidence.get((e, a)) for a in sig.agents):
-            problems.append(f"non-emptiness: edge {e} contains no view of any agent")
-
-    if problems:
-        raise ValidationError(problems)
-    return GeneralizedChromaticHypergraph(
-        sig=sig, views=views, edges=edges, incidence=incidence)
-
-
-def build_generalized_model(sig, views, edges, incidence, val_agent=None,
-                            val_env=None) -> GeneralizedChromaticHypergraphModel:
-    problems = []
-    try:
-        g = build_generalized(sig, views, edges, incidence)
-    except ValidationError as err:
-        problems.extend(err.violations)
-        g = None
-
-    val_agent = {a: dict((val_agent or {}).get(a, {})) for a in sig.agents}
-    val_env = dict(val_env or {})
-    fixed_agent = {}
-    for a in sig.agents:
-        known = set(views.get(a, ()))
-        table = {}
-        for atom in sig.atoms_for(a):
-            members = frozenset(val_agent[a].get(atom, frozenset()))
-            for v in members - known:
-                problems.append(
-                    f"valuation: atom {atom} of agent {a} mentions unknown view '{v}'")
-            table[atom] = members
-        for atom in set(val_agent[a]) - set(sig.atoms_for(a)):
-            problems.append(f"valuation: atom '{atom}' is not declared for agent {a}")
-        fixed_agent[a] = table
-    fixed_env = {}
-    known_edges = set(edges)
-    for atom in sig.env_atoms:
-        members = frozenset(val_env.get(atom, frozenset()))
-        for e in members - known_edges:
-            problems.append(f"valuation: environment atom {atom} mentions unknown edge '{e}'")
-        fixed_env[atom] = members
-    for atom in set(val_env) - set(sig.env_atoms):
-        problems.append(f"valuation: atom '{atom}' is not a declared environment atom")
-
-    if problems:
-        raise ValidationError(problems)
-    return GeneralizedChromaticHypergraphModel(
-        hypergraph=g, val_agent=fixed_agent, val_env=fixed_env)
-
-
-def from_functional(m: ChromaticHypergraphModel) -> GeneralizedChromaticHypergraphModel:
+def from_functional(m: ChromaticHypergraphModel) -> ChromaticHypergraphModel:
     """Embed an ordinary model as a generalized one (singleton incidences)."""
     h = m.hypergraph
     incidence = {(e, a): (v,) for (e, a), v in h.proj.items()}
@@ -191,14 +49,14 @@ class NeighborhoodFrame:
         return self.neighborhoods[agent][state]
 
 
-def to_neighborhood(g: GeneralizedChromaticHypergraph) -> NeighborhoodFrame:
-    """Swap the roles of views and worlds.
+def to_neighborhood(g) -> NeighborhoodFrame:
+    """Swap the roles of views and worlds, on a hypergraph of either kind.
 
     States are the hyperedges; each view an agent holds in a state
     contributes that view's fiber as one neighborhood of the state.
     """
     fibers = {
-        (a, v): frozenset(g.fiber(a, v))
+        (a, v): frozenset(g.worlds_of_view(a, v))
         for a in g.sig.agents
         for v in g.views.get(a, ())
     }
@@ -211,7 +69,7 @@ def to_neighborhood(g: GeneralizedChromaticHypergraph) -> NeighborhoodFrame:
     return NeighborhoodFrame(states=g.edges, neighborhoods=neighborhoods)
 
 
-def shared_memory_example() -> GeneralizedChromaticHypergraphModel:
+def shared_memory_example() -> ChromaticHypergraphModel:
     """Two processes reading a two-cell binary shared memory.
 
     Each process may be assigned either cell, so it can hold two views of
@@ -245,91 +103,10 @@ def shared_memory_example() -> GeneralizedChromaticHypergraphModel:
     return build_generalized_model(sig, views, edges, incidence, val_agent)
 
 
-class GeneralizedEvaluator:
-    """Same clauses as the functional evaluator, with relational lookup:
-    the view quantifiers range over all views the agent holds in the world,
-    and the world quantifiers over all worlds containing the current view."""
-
-    def __init__(self, model: GeneralizedChromaticHypergraphModel):
-        self.model = model
-        self._memo = {}
-        g = model.hypergraph
-        self._fibers = {
-            (a, v): tuple(g.fiber(a, v))
-            for a in g.sig.agents for v in g.views.get(a, ())
-        }
-
-    def sat_world(self, edge: str, f) -> bool:
-        m = self.model
-        if edge not in m.hypergraph._edge_set:
-            raise UnknownPointError(f"unknown edge '{edge}'")
-        key = (id(f), edge)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[0]
-        match f:
-            case WTrue():
-                out = True
-            case WFalse():
-                out = False
-            case EnvAtom(name):
-                out = edge in m.val_env[name]
-            case WNot(sub):
-                out = not self.sat_world(edge, sub)
-            case WAnd(l, r):
-                out = self.sat_world(edge, l) and self.sat_world(edge, r)
-            case WOr(l, r):
-                out = self.sat_world(edge, l) or self.sat_world(edge, r)
-            case WImplies(l, r):
-                out = (not self.sat_world(edge, l)) or self.sat_world(edge, r)
-            case SomeView(agent, sub):
-                out = any(self.sat_agent(agent, v, sub)
-                          for v in m.hypergraph.views_in(edge, agent))
-            case AllViews(agent, sub):
-                out = all(self.sat_agent(agent, v, sub)
-                          for v in m.hypergraph.views_in(edge, agent))
-            case _:
-                raise SortError(f"not a world formula: {f!r}", node=f)
-        self._memo[key] = (out, f)
-        return out
-
-    def sat_agent(self, agent: str, view: str, f) -> bool:
-        m = self.model
-        if view not in m.hypergraph._view_sets.get(agent, frozenset()):
-            raise UnknownPointError(f"unknown view '{view}' of agent '{agent}'")
-        key = (id(f), agent, view)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[0]
-        match f:
-            case ATrue():
-                out = True
-            case AFalse():
-                out = False
-            case AgentAtom(name):
-                out = view in m.val_agent[agent][name]
-            case ANot(sub):
-                out = not self.sat_agent(agent, view, sub)
-            case AAnd(l, r):
-                out = self.sat_agent(agent, view, l) and self.sat_agent(agent, view, r)
-            case AOr(l, r):
-                out = self.sat_agent(agent, view, l) or self.sat_agent(agent, view, r)
-            case AImplies(l, r):
-                out = (not self.sat_agent(agent, view, l)) or self.sat_agent(agent, view, r)
-            case PossWorld(sub):
-                out = any(self.sat_world(e, sub) for e in self._fibers[(agent, view)])
-            case Box(sub):
-                out = all(self.sat_world(e, sub) for e in self._fibers[(agent, view)])
-            case _:
-                raise SortError(f"not an agent formula: {f!r}", node=f)
-        self._memo[key] = (out, f)
-        return out
+# One evaluator serves both kinds of hypergraph.  This is the same class, not
+# a subclass, so wrapping a method of either name wraps both.
+GeneralizedEvaluator = Evaluator
 
 
-def sat_generalized(m: GeneralizedChromaticHypergraphModel, point: EvalPoint, f) -> bool:
-    ev = GeneralizedEvaluator(m)
-    if isinstance(point, World):
-        return ev.sat_world(point.edge, f)
-    if isinstance(point, View):
-        return ev.sat_agent(point.agent, point.view, f)
-    raise TypeError(f"not an evaluation point: {point!r}")
+def sat_generalized(m: ChromaticHypergraphModel, point: EvalPoint, f) -> bool:
+    return Evaluator(m).sat(point, f)

@@ -26,12 +26,13 @@ from typing import List, Optional, Tuple
 from . import proofkernel
 from .core import (
     ChromaticHypergraphModel,
+    GeneralizedChromaticHypergraph,
     Signature,
+    build_generalized_model,
     build_model,
 )
 from .errors import ParseError, SortError
 from .frames import PartialEpistemicModel, build_frame_model
-from .neighborhood import GeneralizedChromaticHypergraphModel, build_generalized_model
 from .syntax import (
     AAnd,
     AFalse,
@@ -944,21 +945,9 @@ def _quote(name: str) -> str:
 
 def render_model(m) -> str:
     """Canonical model file text; re-parses to an equal model."""
-    if isinstance(m, GeneralizedChromaticHypergraphModel):
-        return _render_model_parts(
-            m.sig, m.hypergraph.views, m.hypergraph.edges,
-            incidence=m.hypergraph.incidence,
-            val_agent=m.val_agent, val_env=m.val_env, generalized=True)
-    if isinstance(m, ChromaticHypergraphModel):
-        h = m.hypergraph
-        incidence = {(e, a): (v,) for (e, a), v in h.proj.items()}
-        return _render_model_parts(
-            m.sig, h.views, h.edges, incidence=incidence,
-            val_agent=m.val_agent, val_env=m.val_env, generalized=False)
-    raise TypeError(f"not a model: {m!r}")
-
-
-def _render_model_parts(sig, views, edges, incidence, val_agent, val_env, generalized):
+    if not isinstance(m, ChromaticHypergraphModel):
+        raise TypeError(f"not a model: {m!r}")
+    sig, h = m.sig, m.hypergraph
     out = []
     out.append("agents: " + ", ".join(sig.agents))
     for a in sig.agents:
@@ -967,22 +956,22 @@ def _render_model_parts(sig, views, edges, incidence, val_agent, val_env, genera
             out.append(f"atoms[{a}]: " + ", ".join(atoms))
     if sig.env_atoms:
         out.append("atoms[env]: " + ", ".join(sig.env_atoms))
-    if generalized:
+    if isinstance(h, GeneralizedChromaticHypergraph):
         out.append("mode: generalized")
     for a in sig.agents:
-        for v in views.get(a, ()):
-            atoms = [atom for atom in sig.atoms_for(a) if v in val_agent[a][atom]]
+        for v in h.views.get(a, ()):
+            atoms = [atom for atom in sig.atoms_for(a) if v in m.val_agent[a][atom]]
             line = f"view {a}: {_quote(v)}"
             if atoms:
                 line += " { " + ", ".join(atoms) + " }"
             out.append(line)
-    for e in edges:
+    for e in h.edges:
         entries = []
         for a in sig.agents:
-            for v in incidence.get((e, a), ()):
+            for v in h.views_in(e, a):
                 entries.append(f"{a}: {_quote(v)}")
         line = f"edge {_quote(e)} {{ " + ", ".join(entries) + " }"
-        env = [atom for atom in sig.env_atoms if e in val_env[atom]]
+        env = [atom for atom in sig.env_atoms if e in m.val_env[atom]]
         if env:
             line += " env { " + ", ".join(env) + " }"
         out.append(line)

@@ -319,17 +319,17 @@ def enumerate_kb4_formulas(atoms, agents, max_size=5, max_modal_depth=2,
 
 
 class _Structure:
-    """One enumerated hypergraph and the tables the sweep reads.
+    """The tables the sweep reads from one enumerated hypergraph, which is
+    not kept.
 
     Per agent: ``view_of[a][i]`` is the index of the agent's view in edge
     ``i`` (None where the agent is absent) and ``fibers[a][j]`` the indices
     of the edges holding its view ``j``.  Equal tables are one shared tuple.
     """
 
-    __slots__ = ("h", "edges", "views", "view_of", "fibers")
+    __slots__ = ("edges", "views", "view_of", "fibers")
 
     def __init__(self, h: ChromaticHypergraph, intern: Dict[tuple, tuple]):
-        self.h = h
         self.edges = h.edges
         self.views = h.views
         self.view_of = {}
@@ -492,7 +492,10 @@ def witness_model(sig: Signature, st: _Structure, swept_names, sorts, assignment
         members = frozenset(p for i, p in enumerate(points) if assignment >> offset + i & 1)
         atom = atom_of[name] if atom_of else name
         (val_env if sort == "world" else val_agent[sort])[atom] = members
-    return build_model(sig, st.views, st.edges, st.h.proj, val_agent, val_env)
+    proj = {(e, a): st.views[a][view_of[i]]
+            for i, e in enumerate(st.edges)
+            for a, view_of in st.view_of.items() if view_of[i] is not None}
+    return build_model(sig, st.views, st.edges, proj, val_agent, val_env)
 
 
 # --- verdicts -----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 World formulas are evaluated at a hyperedge, agent formulas at a view of the
 owning agent; the two recursions call each other through the modal
-constructors.  Evaluation is total: there is no third truth value anywhere,
-including at worlds where an agent is absent.
+constructors.  The view quantifiers ``E[a]``/``A[a]`` range over every view
+the agent holds in the world, so one evaluator serves ordinary and
+generalized hypergraphs alike.  Evaluation is total: there is no third truth
+value anywhere, including at worlds where an agent is absent.
 
 Evaluation is a pure function of (model, point, formula).  Each query uses a
 private memo table keyed by (subformula identity, point), so shared
@@ -103,11 +105,11 @@ class Evaluator:
             case WImplies(l, r):
                 out = (not self.sat_world(edge, l)) or self.sat_world(edge, r)
             case SomeView(agent, sub):
-                v = m.hypergraph.view_in(edge, agent)
-                out = v is not None and self.sat_agent(agent, v, sub)
+                out = any(self.sat_agent(agent, v, sub)
+                          for v in m.hypergraph.views_in(edge, agent))
             case AllViews(agent, sub):
-                v = m.hypergraph.view_in(edge, agent)
-                out = v is None or self.sat_agent(agent, v, sub)
+                out = all(self.sat_agent(agent, v, sub)
+                          for v in m.hypergraph.views_in(edge, agent))
             case WMeta(name):
                 raise SortError(f"cannot evaluate metavariable '?{name}'", node=f)
             case _:
@@ -160,7 +162,9 @@ class Evaluator:
     def sat(self, point: EvalPoint, f) -> bool:
         if isinstance(point, World):
             return self.sat_world(point.edge, f)
-        return self.sat_agent(point.agent, point.view, f)
+        if isinstance(point, View):
+            return self.sat_agent(point.agent, point.view, f)
+        raise TypeError(f"not an evaluation point: {point!r}")
 
 
 def sat_world(m: ChromaticHypergraphModel, edge: str, f: WorldFormula) -> bool:
