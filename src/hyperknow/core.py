@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from .errors import UnknownPointError, ValidationError
@@ -337,10 +337,10 @@ def _validated_model(build, sig, views, edges, links, val_agent, val_env):
 
 
 def strip_agent_atoms(m: ChromaticHypergraphModel) -> ChromaticHypergraphModel:
-    """The same model with every agent atom alphabet emptied."""
+    """The same model, of either kind, with every agent atom alphabet emptied."""
     h = m.hypergraph
     sig = Signature(h.sig.agents, {}, h.sig.env_atoms)
-    return build_model(sig, h.views, h.edges, h.proj, {}, m.val_env)
+    return replace(m, hypergraph=replace(h, sig=sig), val_agent={a: {} for a in sig.agents})
 
 
 # --- simple hypergraphs and simplicial complexes ------------------------------
@@ -391,7 +391,7 @@ class SimplicialComplex(SimpleHypergraph):
         return sum((-1) ** d * n for d, n in self.face_counts().items())
 
 
-def underlying_simple(h: ChromaticHypergraph) -> SimpleHypergraph:
+def underlying_simple(h: _Hypergraph) -> SimpleHypergraph:
     """Forget colors and edge identities.
 
     Vertices are (agent, view) pairs so that views of different agents never
@@ -399,7 +399,7 @@ def underlying_simple(h: ChromaticHypergraph) -> SimpleHypergraph:
     """
     vertices = frozenset((a, v) for a in h.sig.agents for v in h.views.get(a, ()))
     hyperedges = frozenset(
-        frozenset((a, h.proj[(e, a)]) for a in h.sig.agents if (e, a) in h.proj)
+        frozenset((a, v) for a in h.sig.agents for v in h.views_in(e, a))
         for e in h.edges)
     return SimpleHypergraph(vertices=vertices, hyperedges=hyperedges)
 

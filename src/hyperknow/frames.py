@@ -20,6 +20,7 @@ from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 from .core import (
     ChromaticHypergraph,
     ChromaticHypergraphModel,
+    GeneralizedChromaticHypergraph,
     Signature,
     build_hypergraph,
     build_model,
@@ -288,8 +289,12 @@ def is_isomorphic(h1: ChromaticHypergraph,
 
     Exact backtracking over edge bijections; view maps are induced by the
     edge assignment.  Pruned by per-agent view counts, aliveness patterns and
-    fiber sizes; fine at desk scale.
+    fiber sizes; fine at desk scale.  The search assumes at most one view per
+    agent per edge, so generalized hypergraphs raise :class:`ValidationError`.
     """
+    if any(isinstance(h, GeneralizedChromaticHypergraph) for h in (h1, h2)):
+        raise ValidationError(["isomorphism: only functional chromatic hypergraphs "
+                               "(at most one view per agent per edge) are compared"])
     if h1.sig.agents != h2.sig.agents:
         return None
     agents = h1.sig.agents

@@ -3,9 +3,12 @@ into the two-level logic.
 
 ``sat_kb4`` evaluates directly on the frame: the knowledge operator
 quantifies over the worlds related by the agent's partial equivalence
-relation, and is vacuously true where the agent is undefined.  ``translate``
-maps knowledge to the world-level unsafe-knowledge operator.  The two routes
-are deliberately independent implementations so that
+relation, and is vacuously true where the agent is undefined.  Like the
+hypergraph evaluator, ``KB4Evaluator`` computes extensions (frozensets of
+worlds) with a ``syntax.fold`` and keeps them in a memo keyed by subformula
+identity; it shares no clause with ``semantics``.  ``translate`` maps
+knowledge to the world-level unsafe-knowledge operator.  The two routes are
+deliberately independent implementations so that
 :func:`check_translation_equiv` is a meaningful cross-check.
 """
 
@@ -27,48 +30,75 @@ from .syntax import (
     WNot,
     WorldFormula,
     desugar,
+    fold,
     kunsafe,
 )
 
 
 class KB4Evaluator:
-    """Memoizing evaluator for KB4 formulas over one frame model."""
+    """Evaluator over one frame model with a memo of extensions: each
+    subformula's value is the frozenset of worlds satisfying it."""
 
     def __init__(self, model: PartialEpistemicModel):
         self.model = model
+        self._worlds = frozenset(model.frame.worlds)
         self._memo = {}
 
     def sat(self, world: str, f: KB4Formula) -> bool:
-        m = self.model
-        if world not in m.frame.worlds:
+        if world not in self._worlds:
             raise UnknownPointError(f"unknown world '{world}'")
-        key = (id(f), world)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[0]
-        match f:
-            case KB4Atom(name):
-                try:
-                    out = world in m.val[name]
-                except KeyError:
-                    raise SortError(f"atom '{name}' is not declared in this model",
-                                    node=f) from None
-            case KB4Not(sub):
-                out = not self.sat(world, sub)
-            case KB4And(l, r):
-                out = self.sat(world, l) and self.sat(world, r)
-            case KB4Knows(agent, sub):
-                cls = m.frame.class_of(agent, world)
-                # Vacuously true where the agent's relation is undefined.
-                out = cls is None or all(self.sat(w, sub) for w in cls)
-            case _:
-                raise SortError(f"not a KB4 formula: {f!r}", node=f)
-        self._memo[key] = (out, f)
-        return out
+        return world in fold(f, None, self._clause, self._memo)
+
+    def _clause(self, f, sort, subs) -> frozenset:
+        clause = _CLAUSES.get(type(f))
+        if clause is None:
+            raise SortError(f"not a KB4 formula: {f!r}", node=f)
+        return clause(self, f, subs)
+
+
+def _atom(ev, f, x):
+    try:
+        return frozenset(ev.model.val[f.name])
+    except KeyError:
+        raise SortError(f"atom '{f.name}' is not declared in this model", node=f) from None
+
+
+# A clause takes the evaluator, the node and the extensions of its children
+# (frozensets of worlds), and gives the node's.  Knowledge is vacuously true
+# where the agent's relation is undefined.
+_CLAUSES = {
+    KB4Atom: _atom,
+    KB4Not: lambda ev, f, x: ev._worlds - x[0],
+    KB4And: lambda ev, f, x: x[0] & x[1],
+    KB4Knows: lambda ev, f, x: frozenset(
+        w for w in ev.model.frame.worlds
+        if (cls := ev.model.frame.class_of(f.agent, w)) is None or x[0].issuperset(cls)),
+}
 
 
 def sat_kb4(m: PartialEpistemicModel, world: str, f: KB4Formula) -> bool:
     return KB4Evaluator(m).sat(world, f)
+
+
+_TRANSLATE = {
+    KB4Atom: lambda f, x: EnvAtom(f.name, span=f.span),
+    KB4Not: lambda f, x: WNot(x[0], span=f.span),
+    KB4And: lambda f, x: WAnd(x[0], x[1], span=f.span),
+    KB4Knows: lambda f, x: desugar(kunsafe(f.agent, x[0])),
+}
+
+
+def _translate_node(f, sort, x):
+    try:
+        return _TRANSLATE[type(f)](f, x)
+    except KeyError:
+        raise TypeError(f"not a KB4 formula: {f!r}") from None
+
+
+# The translation of every KB4 subformula translated so far, by identity:
+# a subformula object shared by several formulas keeps one translation, so
+# an Evaluator's memo (keyed by identity too) evaluates it once.
+_TRANSLATED = {}
 
 
 @lru_cache(maxsize=None)
@@ -77,16 +107,7 @@ def translate(f: KB4Formula) -> WorldFormula:
 
     Returns a core world formula.
     """
-    match f:
-        case KB4Atom(name):
-            return EnvAtom(name, span=f.span)
-        case KB4Not(sub):
-            return WNot(translate(sub), span=f.span)
-        case KB4And(l, r):
-            return WAnd(translate(l), translate(r), span=f.span)
-        case KB4Knows(agent, sub):
-            return desugar(kunsafe(agent, translate(sub)))
-    raise TypeError(f"not a KB4 formula: {f!r}")
+    return fold(f, None, _translate_node, _TRANSLATED)
 
 
 def check_translation_equiv(m: PartialEpistemicModel, f: KB4Formula) -> bool:

@@ -8,9 +8,17 @@ world, ``<>``/``[]`` quantify over the worlds containing the current view
 ``alive(a)``, ``Ksafe[a]``, ``K[a]`` and ``true``/``false``.  ``?name`` is a
 scheme metavariable where those are allowed.
 
+Each of the three sorts (world, agent, KB4) has an operator table
+(``_GRAMMARS``): its binary operators with precedence, associativity and
+builder, its prefix operators with the sort of their operand, and its
+constants, atoms and metavariables.  One precedence-climbing loop reads all
+three; parentheses and runs of prefix operators go on an explicit stack, so
+nesting depth costs no recursion.
+
 ``parse_*`` return well-sorted core formulas with source spans;
-``render`` prints canonical text whose re-parse is structurally identical
-(derived connectives are re-introduced greedily).
+``render`` prints canonical text whose re-parse is structurally identical:
+one rule table per sort re-introduces the derived connectives greedily, and
+the renderer works through a stack of text pieces and subformulas.
 
 The module also reads and writes the model, frame, and derivation file
 formats.  Files are line-oriented; ``#`` starts a comment.  Names are bare
@@ -21,7 +29,7 @@ produced by the frame-to-hypergraph conversion).
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import proofkernel
 from .core import (
@@ -62,10 +70,12 @@ from .syntax import (
     WorldFormula,
     WOr,
     WTrue,
+    children,
     desugar,
     sort_check_agent,
     sort_check_kb4,
     sort_check_world,
+    walk,
 )
 
 # --- tokenizer ---------------------------------------------------------------
@@ -137,7 +147,102 @@ def tokenize(text: str, keep_newlines: bool = False) -> List[Token]:
 
 # --- formula parsing ----------------------------------------------------------
 
-_MODAL_IDENTS = {"E", "A", "Ksafe", "K"}
+_PREC_IMP = 1
+_PREC_OR = 2
+_PREC_AND = 3
+_PREC_UNARY = 4
+
+
+def _ksafe(agent, sub, span):
+    return SomeView(agent, Box(sub, span=sub.span), span=span)
+
+
+def _knows(agent, sub, span):
+    # K[a]: knowledge transported to worlds, vacuous where the agent is dead.
+    return AllViews(agent, Box(sub, span=sub.span), span=span)
+
+
+def _kb4_or(left, right, span):
+    return KB4Not(KB4And(KB4Not(left, span=left.span), KB4Not(right, span=right.span),
+                         span=span), span=span)
+
+
+def _kb4_implies(left, right, span):
+    return KB4Not(KB4And(left, KB4Not(right, span=right.span), span=span), span=span)
+
+
+def _alive(agent, span):
+    return SomeView(agent.text, ATrue(span=agent.span), span=span)
+
+
+class _Grammar(NamedTuple):
+    """What one sort reads.
+
+    ``binary`` maps a token kind to (precedence, right-associative?,
+    builder); ``prefix`` maps a token kind to (builder, sort of the operand)
+    and ``heads`` does the same for the modal heads written ``NAME[agent]``;
+    ``calls`` maps the leaves written ``NAME(agent)`` to their builders; then
+    come the constants, and the atom and metavariable node types.
+    """
+
+    what: str
+    binary: dict
+    prefix: dict
+    heads: dict
+    calls: dict
+    constants: dict
+    atom: type
+    meta: Optional[type]
+
+
+_GRAMMARS = {
+    "world": _Grammar(
+        "a world formula",
+        {"ARROW": (_PREC_IMP, True, WImplies), "PIPE": (_PREC_OR, False, WOr),
+         "AMP": (_PREC_AND, False, WAnd)},
+        {"TILDE": (WNot, "world")},
+        {"E": (SomeView, "agent"), "A": (AllViews, "agent"),
+         "Ksafe": (_ksafe, "world"), "K": (_knows, "world")},
+        {"alive": _alive}, {"true": WTrue, "false": WFalse}, EnvAtom, WMeta),
+    "agent": _Grammar(
+        "an agent formula",
+        {"ARROW": (_PREC_IMP, True, AImplies), "PIPE": (_PREC_OR, False, AOr),
+         "AMP": (_PREC_AND, False, AAnd)},
+        {"TILDE": (ANot, "agent"), "DIAMOND": (PossWorld, "world"), "BOX": (Box, "world")},
+        {}, {}, {"true": ATrue, "false": AFalse}, AgentAtom, AMeta),
+    "kb4": _Grammar(
+        "a KB4 formula",
+        {"ARROW": (_PREC_IMP, True, _kb4_implies), "PIPE": (_PREC_OR, False, _kb4_or),
+         "AMP": (_PREC_AND, False, KB4And)},
+        {"TILDE": (KB4Not, "kb4")},
+        {"K": (KB4Knows, "kb4")}, {}, {}, KB4Atom, None),
+}
+
+
+class _Frame:
+    """One level of the parse: the top, or the inside of a parenthesis.
+
+    ``operators`` holds the binary operators not yet applied, ``prefixes``
+    the prefix operators waiting for the next operand, innermost last, as
+    (builder, (agent,) or (), first token, sort of the operand).
+    """
+
+    __slots__ = ("sort", "operands", "operators", "prefixes")
+
+    def __init__(self, sort):
+        self.sort = sort
+        self.operands = []
+        self.operators = []
+        self.prefixes = []
+
+    def reduce(self, above):
+        """Apply the pending binary operators that bind tighter than ``above``."""
+        operands, operators = self.operands, self.operators
+        while operators and operators[-1][0] > above:
+            _, build = operators.pop()
+            right = operands.pop()
+            left = operands[-1]
+            operands[-1] = build(left, right, span=_join(left.span, right.span))
 
 
 class _FormulaParser:
@@ -166,190 +271,79 @@ class _FormulaParser:
         if tok.kind != "EOF":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.span)
 
-    # Right-associative implication over left-associative | over &.
-    def world(self) -> WorldFormula:
-        left = self._world_or()
-        if self.peek().kind == "ARROW":
-            self.advance()
-            right = self.world()
-            return WImplies(left, right, span=_join(left.span, right.span))
-        return left
+    def formula(self, sort: str):
+        """Read a formula of ``sort`` (``"world"``, ``"agent"`` or ``"kb4"``)
+        and stop before the first token that cannot continue it.
 
-    def _world_or(self) -> WorldFormula:
-        left = self._world_and()
-        while self.peek().kind == "PIPE":
-            self.advance()
-            right = self._world_and()
-            left = WOr(left, right, span=_join(left.span, right.span))
-        return left
-
-    def _world_and(self) -> WorldFormula:
-        left = self._world_unary()
-        while self.peek().kind == "AMP":
-            self.advance()
-            right = self._world_unary()
-            left = WAnd(left, right, span=_join(left.span, right.span))
-        return left
-
-    def _world_unary(self) -> WorldFormula:
-        tok = self.peek()
-        if tok.kind == "TILDE":
-            self.advance()
-            sub = self._world_unary()
-            return WNot(sub, span=_join(tok.span, sub.span))
-        if tok.kind == "QMARK":
-            self.advance()
-            name = self.expect("IDENT", "metavariable name")
-            return WMeta(name.text, span=_join(tok.span, name.span))
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner = self.world()
-            self.expect("RPAREN", "')'")
-            return inner
-        if tok.kind == "IDENT":
-            if tok.text in _MODAL_IDENTS and self.peek(1).kind == "LBRACK":
-                return self._world_modal()
-            if tok.text == "alive" and self.peek(1).kind == "LPAREN":
+        Precedence climbing: ``~`` and the modal prefixes bind tightest,
+        then ``&``, ``|`` and ``->`` (right-associative).  Parentheses open a
+        new frame on an explicit stack, so nesting depth costs no recursion.
+        """
+        outer = []
+        frame = _Frame(sort)
+        while True:
+            # Operand position: prefix operators, then a leaf or a '('.
+            prefixes = frame.prefixes
+            g = _GRAMMARS[prefixes[-1][3] if prefixes else frame.sort]
+            tok = self.peek()
+            if tok.kind in g.prefix:
                 self.advance()
+                build, operand = g.prefix[tok.kind]
+                prefixes.append((build, (), tok, operand))
+                continue
+            if tok.kind == "IDENT" and tok.text in g.heads and self.peek(1).kind == "LBRACK":
                 self.advance()
-                agent = self.expect("IDENT", "agent name")
-                close = self.expect("RPAREN", "')'")
-                return SomeView(agent.text, ATrue(span=agent.span),
-                                span=_join(tok.span, close.span))
-            self.advance()
-            if tok.text == "true":
-                return WTrue(span=tok.span)
-            if tok.text == "false":
-                return WFalse(span=tok.span)
-            return EnvAtom(tok.text, span=tok.span)
-        raise ParseError("expected a world formula", tok.span)
-
-    def _world_modal(self) -> WorldFormula:
-        head = self.advance()
-        self.expect("LBRACK", "'['")
-        agent = self.expect("IDENT", "agent name")
-        self.expect("RBRACK", "']'")
-        if head.text == "E":
-            sub = self._agent_unary()
-            return SomeView(agent.text, sub, span=_join(head.span, sub.span))
-        if head.text == "A":
-            sub = self._agent_unary()
-            return AllViews(agent.text, sub, span=_join(head.span, sub.span))
-        if head.text == "Ksafe":
-            sub = self._world_unary()
-            box = Box(sub, span=sub.span)
-            return SomeView(agent.text, box, span=_join(head.span, sub.span))
-        # K[a]: knowledge transported to worlds, vacuous where the agent is dead.
-        sub = self._world_unary()
-        box = Box(sub, span=sub.span)
-        return AllViews(agent.text, box, span=_join(head.span, sub.span))
-
-    def agent(self) -> AgentFormula:
-        left = self._agent_or()
-        if self.peek().kind == "ARROW":
-            self.advance()
-            right = self.agent()
-            return AImplies(left, right, span=_join(left.span, right.span))
-        return left
-
-    def _agent_or(self) -> AgentFormula:
-        left = self._agent_and()
-        while self.peek().kind == "PIPE":
-            self.advance()
-            right = self._agent_and()
-            left = AOr(left, right, span=_join(left.span, right.span))
-        return left
-
-    def _agent_and(self) -> AgentFormula:
-        left = self._agent_unary()
-        while self.peek().kind == "AMP":
-            self.advance()
-            right = self._agent_unary()
-            left = AAnd(left, right, span=_join(left.span, right.span))
-        return left
-
-    def _agent_unary(self) -> AgentFormula:
-        tok = self.peek()
-        if tok.kind == "TILDE":
-            self.advance()
-            sub = self._agent_unary()
-            return ANot(sub, span=_join(tok.span, sub.span))
-        if tok.kind == "DIAMOND":
-            self.advance()
-            sub = self._world_unary()
-            return PossWorld(sub, span=_join(tok.span, sub.span))
-        if tok.kind == "BOX":
-            self.advance()
-            sub = self._world_unary()
-            return Box(sub, span=_join(tok.span, sub.span))
-        if tok.kind == "QMARK":
-            self.advance()
-            name = self.expect("IDENT", "metavariable name")
-            return AMeta(name.text, span=_join(tok.span, name.span))
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner = self.agent()
-            self.expect("RPAREN", "')'")
-            return inner
-        if tok.kind == "IDENT":
-            self.advance()
-            if tok.text == "true":
-                return ATrue(span=tok.span)
-            if tok.text == "false":
-                return AFalse(span=tok.span)
-            return AgentAtom(tok.text, span=tok.span)
-        raise ParseError("expected an agent formula", tok.span)
-
-    def kb4(self) -> KB4Formula:
-        left = self._kb4_or()
-        if self.peek().kind == "ARROW":
-            self.advance()
-            right = self.kb4()
-            span = _join(left.span, right.span)
-            return KB4Not(KB4And(left, KB4Not(right, span=right.span), span=span), span=span)
-        return left
-
-    def _kb4_or(self) -> KB4Formula:
-        left = self._kb4_and()
-        while self.peek().kind == "PIPE":
-            self.advance()
-            right = self._kb4_and()
-            span = _join(left.span, right.span)
-            left = KB4Not(
-                KB4And(KB4Not(left, span=left.span), KB4Not(right, span=right.span), span=span),
-                span=span)
-        return left
-
-    def _kb4_and(self) -> KB4Formula:
-        left = self._kb4_unary()
-        while self.peek().kind == "AMP":
-            self.advance()
-            right = self._kb4_unary()
-            left = KB4And(left, right, span=_join(left.span, right.span))
-        return left
-
-    def _kb4_unary(self) -> KB4Formula:
-        tok = self.peek()
-        if tok.kind == "TILDE":
-            self.advance()
-            sub = self._kb4_unary()
-            return KB4Not(sub, span=_join(tok.span, sub.span))
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner = self.kb4()
-            self.expect("RPAREN", "')'")
-            return inner
-        if tok.kind == "IDENT":
-            if tok.text == "K" and self.peek(1).kind == "LBRACK":
-                head = self.advance()
                 self.advance()
                 agent = self.expect("IDENT", "agent name")
                 self.expect("RBRACK", "']'")
-                sub = self._kb4_unary()
-                return KB4Knows(agent.text, sub, span=_join(head.span, sub.span))
+                build, operand = g.heads[tok.text]
+                prefixes.append((build, (agent.text,), tok, operand))
+                continue
+            if tok.kind == "LPAREN":
+                self.advance()
+                outer.append(frame)
+                frame = _Frame(prefixes[-1][3] if prefixes else frame.sort)
+                continue
+            node = self._leaf(g, tok)
+            while True:
+                # A complete operand: apply the waiting prefixes, then look
+                # for a binary operator of the frame's sort.
+                prefixes = frame.prefixes
+                while prefixes:
+                    build, agent, head, _ = prefixes.pop()
+                    node = build(*agent, node, span=_join(head.span, node.span))
+                frame.operands.append(node)
+                op = _GRAMMARS[frame.sort].binary.get(self.peek().kind)
+                if op is not None:
+                    prec, right_assoc, build = op
+                    frame.reduce(prec if right_assoc else prec - 1)
+                    frame.operators.append((prec, build))
+                    self.advance()
+                    break
+                frame.reduce(0)
+                node = frame.operands[0]
+                if not outer:
+                    return node
+                self.expect("RPAREN", "')'")
+                frame = outer.pop()
+
+    def _leaf(self, g: _Grammar, tok: Token):
+        if tok.kind == "QMARK" and g.meta is not None:
             self.advance()
-            return KB4Atom(tok.text, span=tok.span)
-        raise ParseError("expected a KB4 formula", tok.span)
+            name = self.expect("IDENT", "metavariable name")
+            return g.meta(name.text, span=_join(tok.span, name.span))
+        if tok.kind != "IDENT":
+            raise ParseError(f"expected {g.what}", tok.span)
+        if tok.text in g.calls and self.peek(1).kind == "LPAREN":
+            self.advance()
+            self.advance()
+            agent = self.expect("IDENT", "agent name")
+            close = self.expect("RPAREN", "')'")
+            return g.calls[tok.text](agent, _join(tok.span, close.span))
+        self.advance()
+        if tok.text in g.constants:
+            return g.constants[tok.text](span=tok.span)
+        return g.atom(tok.text, span=tok.span)
 
 
 def _join(a: Optional[SourceSpan], b: Optional[SourceSpan]) -> Optional[SourceSpan]:
@@ -360,26 +354,27 @@ def _join(a: Optional[SourceSpan], b: Optional[SourceSpan]) -> Optional[SourceSp
     return SourceSpan(a.start, b.end, a.line, a.column)
 
 
-def parse_world(text: str, sig: Signature, allow_metas: bool = False) -> WorldFormula:
+def _parse(text: str, sort: str):
     p = _FormulaParser(tokenize(text))
-    raw = p.world()
+    raw = p.formula(sort)
     p.expect_eof()
+    return raw
+
+
+def parse_world(text: str, sig: Signature, allow_metas: bool = False) -> WorldFormula:
+    raw = _parse(text, "world")
     sort_check_world(raw, sig, allow_metas=allow_metas)
     return desugar(raw)
 
 
 def parse_agent(text: str, agent: str, sig: Signature, allow_metas: bool = False) -> AgentFormula:
-    p = _FormulaParser(tokenize(text))
-    raw = p.agent()
-    p.expect_eof()
+    raw = _parse(text, "agent")
     sort_check_agent(raw, agent, sig, allow_metas=allow_metas)
     return desugar(raw)
 
 
 def parse_kb4(text: str, sig: Signature) -> KB4Formula:
-    p = _FormulaParser(tokenize(text))
-    raw = p.kb4()
-    p.expect_eof()
+    raw = _parse(text, "kb4")
     sort_check_kb4(raw, sig)
     return raw
 
@@ -390,17 +385,14 @@ def parse_world_inferring(text: str, agents: Tuple[str, ...]):
     Returns ``(formula, signature)``.  Convenient for CLI invocations that
     supply a formula without a model file.
     """
-    p = _FormulaParser(tokenize(text))
-    raw = p.world()
-    p.expect_eof()
+    raw = _parse(text, "world")
     env_atoms: List[str] = []
     agent_atoms = {a: [] for a in agents}
-
-    def collect(f, sort):
+    for f, sort in walk(raw, "world"):
         match f:
             case EnvAtom(n):
                 if n in env_atoms:
-                    return
+                    continue
                 for a, lst in agent_atoms.items():
                     if n in lst:
                         raise SortError(
@@ -418,21 +410,9 @@ def parse_world_inferring(text: str, agents: Tuple[str, ...]):
                         node=f)
                 if n not in agent_atoms[sort]:
                     agent_atoms[sort].append(n)
-            case WNot(x) | ANot(x):
-                collect(x, sort)
-            case WAnd(l, r) | WOr(l, r) | WImplies(l, r) | AAnd(l, r) | AOr(l, r) | AImplies(l, r):
-                collect(l, sort)
-                collect(r, sort)
-            case SomeView(a, x) | AllViews(a, x):
+            case SomeView(a, _) | AllViews(a, _):
                 if a not in agent_atoms:
                     raise SortError(f"unknown agent '{a}'", node=f)
-                collect(x, a)
-            case PossWorld(x) | Box(x):
-                collect(x, "world")
-            case _:
-                pass
-
-    collect(raw, "world")
     sig = Signature(tuple(agents),
                     {a: tuple(v) for a, v in agent_atoms.items()},
                     tuple(env_atoms))
@@ -441,11 +421,69 @@ def parse_world_inferring(text: str, agents: Tuple[str, ...]):
 
 
 # --- rendering ----------------------------------------------------------------
+#
+# Rules per sort and node type, tried in order, greedily re-introduce the
+# derived connectives.  A pattern is (type, sub-pattern, ...) over the node's
+# children; a string names the child found there.  A rule gives the
+# precedence of its text (None: never parenthesized) and its pieces: text, in
+# which "{a}" is the agent of the outermost view quantifier and "{n}" the
+# name of an atom or metavariable, or (child name, precedence of its place).
 
-_PREC_IMP = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
+
+def _connectives(Not, And):
+    return {
+        Not: [
+            ((Not, (And, (Not, "l"), (Not, "r"))), _PREC_OR,
+             (("l", _PREC_OR), " | ", ("r", _PREC_OR + 1))),
+            ((Not, (And, "l", (Not, "r"))), _PREC_IMP,
+             (("l", _PREC_IMP + 1), " -> ", ("r", _PREC_IMP))),
+            ((Not, "x"), None, ("~", ("x", _PREC_UNARY))),
+        ],
+        And: [((And, "l", "r"), _PREC_AND, (("l", _PREC_AND), " & ", ("r", _PREC_AND + 1)))],
+    }
+
+
+def _prefixed(text, pattern):
+    return (pattern, None, (text, ("x", _PREC_UNARY)))
+
+
+def _leaf_rule(cls, text):
+    return {cls: [((cls,), None, (text,))]}
+
+
+_WORLD_RULES = {
+    **_leaf_rule(WTrue, "true"), **_leaf_rule(WFalse, "false"),
+    **_leaf_rule(EnvAtom, "{n}"), **_leaf_rule(WMeta, "?{n}"),
+    **_connectives(WNot, WAnd),
+    SomeView: [
+        ((SomeView, (ATrue,)), None, ("alive({a})",)),
+        _prefixed("Ksafe[{a}] ", (SomeView, (ANot, (PossWorld, (WNot, "x"))))),
+        _prefixed("E[{a}] ", (SomeView, "x")),
+    ],
+}
+_WORLD_RULES[WNot] = [
+    _prefixed("K[{a}] ", (WNot, (SomeView, (ANot, (ANot, (PossWorld, (WNot, "x"))))))),
+    _prefixed("A[{a}] ", (WNot, (SomeView, (ANot, "x")))),
+] + _WORLD_RULES[WNot]
+
+_AGENT_RULES = {
+    **_leaf_rule(ATrue, "true"), **_leaf_rule(AFalse, "false"),
+    **_leaf_rule(AgentAtom, "{n}"), **_leaf_rule(AMeta, "?{n}"),
+    **_connectives(ANot, AAnd),
+    PossWorld: [_prefixed("<> ", (PossWorld, "x"))],
+}
+_AGENT_RULES[ANot] = [_prefixed("[] ", (ANot, (PossWorld, (WNot, "x"))))] + _AGENT_RULES[ANot]
+
+_KB4_RULES = {
+    **_leaf_rule(KB4Atom, "{n}"),
+    **_connectives(KB4Not, KB4And),
+    KB4Knows: [_prefixed("K[{a}] ", (KB4Knows, "x"))],
+}
+
+# Keyed by sort: "world", any agent, and None for KB4 (whose nodes keep it).
+_RULES = {"world": (_WORLD_RULES, "not a core world formula"),
+          "agent": (_AGENT_RULES, "not a core agent formula"),
+          None: (_KB4_RULES, "not a KB4 formula")}
 
 
 def render(f) -> str:
@@ -456,98 +494,51 @@ def render(f) -> str:
     """
     f = desugar(f)
     if isinstance(f, WorldFormula):
-        return _render_w(f, 0)
-    if isinstance(f, AgentFormula):
-        return _render_a(f, 0)
-    if isinstance(f, KB4Formula):
-        return _render_kb4(f, 0)
-    raise TypeError(f"not a formula: {f!r}")
+        sort = "world"
+    elif isinstance(f, AgentFormula):
+        sort = "agent"
+    elif isinstance(f, KB4Formula):
+        sort = None
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    out = []
+    todo = [(f, sort, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, s, ctx = item
+        rules, error = _RULES[s if s is None or s == "world" else "agent"]
+        for pattern, prec, pieces in rules.get(type(node), ()):
+            binds = _match(pattern, node, s)
+            if binds is not None:
+                break
+        else:
+            raise TypeError(f"{error}: {node!r}")
+        parts = [piece.format_map(binds) if isinstance(piece, str)
+                 else (*binds[piece[0]], piece[1]) for piece in pieces]
+        if prec is not None and prec < ctx:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
-def _wrap(text: str, level: int, ctx: int) -> str:
-    return f"({text})" if level < ctx else text
-
-
-def _render_w(f, ctx) -> str:
-    match f:
-        case WTrue():
-            return "true"
-        case WFalse():
-            return "false"
-        case EnvAtom(n):
-            return n
-        case WMeta(n):
-            return f"?{n}"
-        case SomeView(a, ATrue()):
-            return f"alive({a})"
-        case SomeView(a, ANot(PossWorld(WNot(x)))):
-            return f"Ksafe[{a}] {_render_w(x, _PREC_UNARY)}"
-        case SomeView(a, x):
-            return f"E[{a}] {_render_a(x, _PREC_UNARY)}"
-        case WNot(SomeView(a, ANot(ANot(PossWorld(WNot(x)))))):
-            return f"K[{a}] {_render_w(x, _PREC_UNARY)}"
-        case WNot(SomeView(a, ANot(x))):
-            return f"A[{a}] {_render_a(x, _PREC_UNARY)}"
-        case WNot(WAnd(WNot(l), WNot(r))):
-            text = f"{_render_w(l, _PREC_OR)} | {_render_w(r, _PREC_OR + 1)}"
-            return _wrap(text, _PREC_OR, ctx)
-        case WNot(WAnd(l, WNot(r))):
-            text = f"{_render_w(l, _PREC_IMP + 1)} -> {_render_w(r, _PREC_IMP)}"
-            return _wrap(text, _PREC_IMP, ctx)
-        case WNot(x):
-            return f"~{_render_w(x, _PREC_UNARY)}"
-        case WAnd(l, r):
-            text = f"{_render_w(l, _PREC_AND)} & {_render_w(r, _PREC_AND + 1)}"
-            return _wrap(text, _PREC_AND, ctx)
-    raise TypeError(f"not a core world formula: {f!r}")
-
-
-def _render_a(f, ctx) -> str:
-    match f:
-        case ATrue():
-            return "true"
-        case AFalse():
-            return "false"
-        case AgentAtom(n):
-            return n
-        case AMeta(n):
-            return f"?{n}"
-        case ANot(PossWorld(WNot(x))):
-            return f"[] {_render_w(x, _PREC_UNARY)}"
-        case PossWorld(x):
-            return f"<> {_render_w(x, _PREC_UNARY)}"
-        case ANot(AAnd(ANot(l), ANot(r))):
-            text = f"{_render_a(l, _PREC_OR)} | {_render_a(r, _PREC_OR + 1)}"
-            return _wrap(text, _PREC_OR, ctx)
-        case ANot(AAnd(l, ANot(r))):
-            text = f"{_render_a(l, _PREC_IMP + 1)} -> {_render_a(r, _PREC_IMP)}"
-            return _wrap(text, _PREC_IMP, ctx)
-        case ANot(x):
-            return f"~{_render_a(x, _PREC_UNARY)}"
-        case AAnd(l, r):
-            text = f"{_render_a(l, _PREC_AND)} & {_render_a(r, _PREC_AND + 1)}"
-            return _wrap(text, _PREC_AND, ctx)
-    raise TypeError(f"not a core agent formula: {f!r}")
-
-
-def _render_kb4(f, ctx) -> str:
-    match f:
-        case KB4Atom(n):
-            return n
-        case KB4Knows(a, x):
-            return f"K[{a}] {_render_kb4(x, _PREC_UNARY)}"
-        case KB4Not(KB4And(KB4Not(l), KB4Not(r))):
-            text = f"{_render_kb4(l, _PREC_OR)} | {_render_kb4(r, _PREC_OR + 1)}"
-            return _wrap(text, _PREC_OR, ctx)
-        case KB4Not(KB4And(l, KB4Not(r))):
-            text = f"{_render_kb4(l, _PREC_IMP + 1)} -> {_render_kb4(r, _PREC_IMP)}"
-            return _wrap(text, _PREC_IMP, ctx)
-        case KB4Not(x):
-            return f"~{_render_kb4(x, _PREC_UNARY)}"
-        case KB4And(l, r):
-            text = f"{_render_kb4(l, _PREC_AND)} & {_render_kb4(r, _PREC_AND + 1)}"
-            return _wrap(text, _PREC_AND, ctx)
-    raise TypeError(f"not a KB4 formula: {f!r}")
+def _match(pattern, node, sort):
+    """The bindings of a rendering pattern at ``node``, or None."""
+    binds = {"n": getattr(node, "name", None)}
+    todo = [(pattern, node, sort)]
+    while todo:
+        pat, n, s = todo.pop()
+        if isinstance(pat, str):
+            binds[pat] = (n, s)
+            continue
+        if type(n) is not pat[0]:
+            return None
+        if "a" not in binds and isinstance(n, (SomeView, KB4Knows)):
+            binds["a"] = n.agent
+        todo.extend((sub, c, cs) for sub, (c, cs) in zip(pat[1:], children(n, s)))
+    return binds
 
 
 # --- line-oriented files ------------------------------------------------------
@@ -592,6 +583,45 @@ def _name_list(p: _FormulaParser, what: str, allow_empty: bool = False) -> List[
     return names
 
 
+class _Header:
+    """The signature header that model and derivation files share: one
+    ``agents:`` line and at most one ``atoms[owner]:`` line per owner."""
+
+    def __init__(self):
+        self.agents: Optional[List[str]] = None
+        self.atoms = {}     # owner -> (names, span of the line)
+
+    def read(self, p: _FormulaParser, head: Token):
+        """Read the ``agents:`` or ``atoms[...]:`` line that ``head`` starts."""
+        p.advance()
+        if head.text == "agents":
+            p.expect("COLON", "':'")
+            if self.agents is not None:
+                raise ParseError("duplicate 'agents' declaration", head.span)
+            self.agents = _name_list(p, "agent name")
+            p.expect_eof()
+            return
+        p.expect("LBRACK", "'['")
+        owner = p.expect("IDENT", "agent name or 'env'").text
+        p.expect("RBRACK", "']'")
+        p.expect("COLON", "':'")
+        names = _name_list(p, "atom name")
+        p.expect_eof()
+        if owner in self.atoms:
+            raise ParseError(f"duplicate 'atoms[{owner}]' declaration", head.span)
+        self.atoms[owner] = (names, head.span)
+
+    def signature(self) -> Signature:
+        if self.agents is None:
+            raise ParseError("missing 'agents' declaration", SourceSpan(0, 0, 1, 1))
+        for owner, (_, span) in self.atoms.items():
+            if owner != "env" and owner not in self.agents:
+                raise ParseError(f"atoms declared for unknown agent '{owner}'", span)
+        atoms = {owner: tuple(names) for owner, (names, _) in self.atoms.items()}
+        return Signature(tuple(self.agents), {a: atoms.get(a, ()) for a in self.agents},
+                         atoms.get("env", ()))
+
+
 def parse_model(text: str):
     """Read the model file format.
 
@@ -599,9 +629,7 @@ def parse_model(text: str):
     the file declares ``mode: generalized`` (which permits several views of
     one agent in the same edge).
     """
-    agents: Optional[List[str]] = None
-    agent_atoms = {}
-    env_atoms: Optional[List[str]] = None
+    header = _Header()
     generalized = False
     views = {}          # agent -> [view, ...]
     view_atoms = []     # (agent, view, [atom, ...])
@@ -614,29 +642,8 @@ def parse_model(text: str):
         head = p.peek()
         if head.kind != "IDENT":
             raise ParseError("expected a declaration", head.span)
-        if head.text == "agents":
-            p.advance()
-            p.expect("COLON", "':'")
-            if agents is not None:
-                raise ParseError("duplicate 'agents' declaration", head.span)
-            agents = _name_list(p, "agent name")
-            p.expect_eof()
-        elif head.text == "atoms":
-            p.advance()
-            p.expect("LBRACK", "'['")
-            owner = p.expect("IDENT", "agent name or 'env'").text
-            p.expect("RBRACK", "']'")
-            p.expect("COLON", "':'")
-            names = _name_list(p, "atom name")
-            p.expect_eof()
-            if owner == "env":
-                if env_atoms is not None:
-                    raise ParseError("duplicate 'atoms[env]' declaration", head.span)
-                env_atoms = names
-            else:
-                if owner in agent_atoms:
-                    raise ParseError(f"duplicate 'atoms[{owner}]' declaration", head.span)
-                agent_atoms[owner] = names
+        if head.text in ("agents", "atoms"):
+            header.read(p, head)
         elif head.text == "mode":
             p.advance()
             p.expect("COLON", "':'")
@@ -693,23 +700,16 @@ def parse_model(text: str):
         else:
             raise ParseError(f"unknown declaration '{head.text}'", head.span)
 
-    if agents is None:
-        raise ParseError("missing 'agents' declaration",
-                         SourceSpan(0, 0, 1, 1))
+    sig = header.signature()
     for agent, vname, _ in view_atoms:
-        if agent not in agents:
+        if agent not in sig.agents:
             raise ParseError(f"view '{vname}' declared for unknown agent '{agent}'",
                              SourceSpan(0, 0, 1, 1))
     for ename, agent, vname, span in edge_views:
-        if agent not in agents:
+        if agent not in sig.agents:
             raise ParseError(f"edge '{ename}' mentions unknown agent '{agent}'", span)
-    sig = Signature(
-        tuple(agents),
-        {a: tuple(agent_atoms.get(a, ())) for a in agents},
-        tuple(env_atoms or ()),
-    )
 
-    val_agent = {a: {atom: set() for atom in sig.atoms_for(a)} for a in agents}
+    val_agent = {a: {atom: set() for atom in sig.atoms_for(a)} for a in sig.agents}
     for agent, vname, atoms in view_atoms:
         for atom in atoms:
             val_agent.setdefault(agent, {}).setdefault(atom, set()).add(vname)
@@ -736,7 +736,7 @@ def parse_model(text: str):
 def parse_frame(text: str) -> PartialEpistemicModel:
     """Read the frame file format: worlds, per-agent equivalence classes,
     and optional environment valuations."""
-    agents: Optional[List[str]] = None
+    header = _Header()
     worlds: Optional[List[str]] = None
     classes = []      # (agent, [world, ...])
     env_lines = []    # (atom, [world, ...])
@@ -747,12 +747,7 @@ def parse_frame(text: str) -> PartialEpistemicModel:
         if head.kind != "IDENT":
             raise ParseError("expected a declaration", head.span)
         if head.text == "agents":
-            p.advance()
-            p.expect("COLON", "':'")
-            if agents is not None:
-                raise ParseError("duplicate 'agents' declaration", head.span)
-            agents = _name_list(p, "agent name")
-            p.expect_eof()
+            header.read(p, head)
         elif head.text == "worlds":
             p.advance()
             p.expect("COLON", "':'")
@@ -779,6 +774,7 @@ def parse_frame(text: str) -> PartialEpistemicModel:
         else:
             raise ParseError(f"unknown declaration '{head.text}'", head.span)
 
+    agents = header.agents
     if agents is None:
         raise ParseError("missing 'agents' declaration", SourceSpan(0, 0, 1, 1))
     if worlds is None:
@@ -800,53 +796,29 @@ def parse_derivation(text: str) -> proofkernel.Derivation:
     Line format: ``k. <sort>: <formula> ; <rule> [premise indices]`` where
     the sort is ``e`` for world statements or an agent name.
     """
-    sig_agents: Optional[List[str]] = None
-    agent_atoms = {}
-    env_atoms: Optional[List[str]] = None
+    header = _Header()
     lines = []
 
     sig = None
     for raw_line in _Lines(text).lines:
         p = _FormulaParser(raw_line)
         head = p.peek()
-        if head.kind == "IDENT" and head.text == "agents" and p.peek(1).kind == "COLON":
+        if head.kind == "IDENT" and (head.text, p.peek(1).kind) in (
+                ("agents", "COLON"), ("atoms", "LBRACK")):
             if lines:
                 raise ParseError("signature header must precede the numbered lines",
                                  head.span)
-            p.advance()
-            p.advance()
-            sig_agents = _name_list(p, "agent name")
-            if "e" in sig_agents:
+            header.read(p, head)
+            if "e" in (header.agents or ()):
                 raise ParseError(
                     "agent name 'e' conflicts with the world sort marker", head.span)
-            p.expect_eof()
-            continue
-        if head.kind == "IDENT" and head.text == "atoms" and p.peek(1).kind == "LBRACK":
-            if lines:
-                raise ParseError("signature header must precede the numbered lines",
-                                 head.span)
-            p.advance()
-            p.advance()
-            owner = p.expect("IDENT", "agent name or 'env'").text
-            p.expect("RBRACK", "']'")
-            p.expect("COLON", "':'")
-            names = _name_list(p, "atom name")
-            p.expect_eof()
-            if owner == "env":
-                env_atoms = names
-            else:
-                agent_atoms[owner] = names
             continue
         # A numbered derivation line.
-        if sig_agents is None:
+        if header.agents is None:
             raise ParseError("derivation lines must follow an 'agents' declaration",
                              head.span)
         if sig is None:
-            sig = Signature(
-                tuple(sig_agents),
-                {a: tuple(agent_atoms.get(a, ())) for a in sig_agents},
-                tuple(env_atoms or ()),
-            )
+            sig = header.signature()
         idx_tok = p.expect("IDENT", "line number")
         if not idx_tok.text.isdigit():
             raise ParseError("expected a line number", idx_tok.span)
@@ -861,10 +833,10 @@ def parse_derivation(text: str) -> proofkernel.Derivation:
             raise ParseError(f"unknown sort '{sort}'", sort_tok.span)
         p.expect("COLON", "':'")
         if sort == "e":
-            raw = p.world()
+            raw = p.formula("world")
             sort_check_world(raw, sig)
         else:
-            raw = p.agent()
+            raw = p.formula("agent")
             sort_check_agent(raw, sort, sig)
         formula = desugar(raw)
         p.expect("SEMI", "';' before the justification")
@@ -877,14 +849,8 @@ def parse_derivation(text: str) -> proofkernel.Derivation:
             span=idx_tok.span,
         ))
 
-    if sig_agents is None:
-        raise ParseError("missing 'agents' declaration", SourceSpan(0, 0, 1, 1))
     if sig is None:
-        sig = Signature(
-            tuple(sig_agents),
-            {a: tuple(agent_atoms.get(a, ())) for a in sig_agents},
-            tuple(env_atoms or ()),
-        )
+        sig = header.signature()
     return proofkernel.Derivation(sig=sig, lines=tuple(lines))
 
 

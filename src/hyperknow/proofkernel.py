@@ -30,7 +30,8 @@ from .core import Signature
 from .errors import DerivationCheckError, SortError
 # iter_valuations is unused here but stays bound: perfbench/tracing.py
 # counts the spotcheck's models by wrapping proofkernel.iter_valuations.
-from .search import Bounds, _structures, compile_program, iter_valuations, sweep, witness_model
+from .search import (Bounds, _bit_pattern, _structures, compile_program, iter_valuations,
+                     sweep, witness_model)
 from .syntax import (
     AAnd,
     AFalse,
@@ -47,6 +48,7 @@ from .syntax import (
     WMeta,
     WNot,
     WTrue,
+    fold,
 )
 
 WORLD_SORT = "e"
@@ -368,49 +370,58 @@ def _match_non_emptiness(stmt: Statement, sig: Signature):
 PROPTAUT_MAX_VARS = 20
 
 
+_PROP_STEPS = {WTrue: ("const", True), ATrue: ("const", True), WFalse: ("const", False),
+               AFalse: ("const", False), WNot: ("not",), ANot: ("not",),
+               WAnd: ("and",), AAnd: ("and",)}
+_PROP_VARIABLES = (EnvAtom, AgentAtom, SomeView, PossWorld, WMeta, AMeta)
+
+
 def abstract_propositional(f):
     """Propositional skeleton: maximal modal subformulas and atoms become
-    variables.  Returns (skeleton, variable count)."""
+    variables, numbered by first occurrence.  Returns (skeleton, variable
+    count); the skeleton is a postfix program of ``("const", value)``,
+    ``("var", k)``, ``("not",)`` and ``("and",)`` steps."""
+    steps = []
+
+    def emit(g, sort, starts):
+        # A node's value is the index of its first step; a variable drops
+        # the steps of everything under it.
+        start = starts[0] if starts else len(steps)
+        if isinstance(g, _PROP_VARIABLES):
+            del steps[start:]
+            steps.append(("var", g))
+        else:
+            steps.append(_PROP_STEPS.get(type(g), ("bad", g)))
+        return start
+
+    fold(f, None, emit)
     table: Dict[object, int] = {}
-
-    def walk(g):
-        match g:
-            case WTrue() | ATrue():
-                return ("const", True)
-            case WFalse() | AFalse():
-                return ("const", False)
-            case WNot(x) | ANot(x):
-                return ("not", walk(x))
-            case WAnd(l, r) | AAnd(l, r):
-                return ("and", walk(l), walk(r))
-            case EnvAtom(_) | AgentAtom(_) | SomeView(_, _) | PossWorld(_) | WMeta(_) | AMeta(_):
-                if g not in table:
-                    table[g] = len(table)
-                return ("var", table[g])
-        raise _RuleError("SortError", f"not a core formula: {g!r}")
-
-    return walk(f), len(table)
-
-
-def _eval_skeleton(sk, bits) -> bool:
-    tag = sk[0]
-    if tag == "const":
-        return sk[1]
-    if tag == "var":
-        return bool(bits >> sk[1] & 1)
-    if tag == "not":
-        return not _eval_skeleton(sk[1], bits)
-    return _eval_skeleton(sk[1], bits) and _eval_skeleton(sk[2], bits)
+    for i, (op, *arg) in enumerate(steps):
+        if op == "bad":
+            raise _RuleError("SortError", f"not a core formula: {arg[0]!r}")
+        if op == "var":
+            steps[i] = ("var", table.setdefault(arg[0], len(table)))
+    return tuple(steps), len(table)
 
 
 def is_tautology(f) -> bool:
-    """Exact truth-table decision on the propositional abstraction."""
-    sk, n = abstract_propositional(f)
+    """Exact truth-table decision on the propositional abstraction, all rows
+    at once: bit ``t`` of a value is its truth under row ``t``."""
+    skeleton, n = abstract_propositional(f)
     if n > PROPTAUT_MAX_VARS:
         raise _RuleError(
             "PropTautTooLarge",
             f"{n} abstracted variables exceed the cap of {PROPTAUT_MAX_VARS}")
-    return all(_eval_skeleton(sk, bits) for bits in range(1 << n))
+    full = (1 << (1 << n)) - 1
+    stack = []
+    for op, *arg in skeleton:
+        if op == "not":
+            stack[-1] ^= full
+        elif op == "and":
+            stack.append(stack.pop() & stack.pop())
+        else:
+            stack.append(_bit_pattern(n, arg[0]) if op == "var" else full if arg[0] else 0)
+    return stack[0] == full
 
 
 # --- the checker ------------------------------------------------------------------

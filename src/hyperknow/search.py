@@ -80,6 +80,7 @@ from .syntax import (
     alive,
     desugar,
     disj,
+    fold,
     ksafe,
     kunsafe,
     scheme_meta_sorts,
@@ -350,9 +351,17 @@ def _structures(agents: Tuple[str, ...], views: int, edges: int) -> Tuple[_Struc
     return tuple(_Structure(h, intern) for h in enumerate_hypergraphs(b, Signature(agents)))
 
 
+_STEPS = {
+    WTrue: "top", ATrue: "top", WFalse: "bot", AFalse: "bot",
+    EnvAtom: "atom", WMeta: "atom", AgentAtom: "atom", AMeta: "atom",
+    WNot: "not", ANot: "not", WAnd: "and", AAnd: "and",
+    SomeView: "some", PossWorld: "poss",
+}
+
+
 def compile_program(core, sort: str):
     """Compile a core formula of ``sort`` (``"world"`` or an agent) into a
-    postfix program, walking it with an explicit stack.
+    postfix program, one step per node in post-order.
 
     Returns the program and the sort of each atom or metavariable name, in
     order of first occurrence.  Steps: ``("top"|"bot", sort)``, ``("atom",
@@ -361,33 +370,23 @@ def compile_program(core, sort: str):
     """
     program = []
     leaves: Dict[str, str] = {}
-    todo = [(core, sort)]
-    while todo:
-        node, ctx = todo.pop()
-        if node is None:          # an operator whose operands are emitted
-            program.append(ctx)
-            continue
-        if isinstance(node, WorldFormula) != (ctx == "world"):
+
+    def emit(node, ctx, _):
+        op = _STEPS.get(type(node))
+        if op is None or isinstance(node, WorldFormula) != (ctx == "world"):
             raise SortError(f"not a core formula of sort {ctx}: {node!r}", node=node)
-        match node:
-            case WTrue() | ATrue():
-                program.append(("top", ctx))
-            case WFalse() | AFalse():
-                program.append(("bot", ctx))
-            case EnvAtom(n) | WMeta(n) | AgentAtom(n) | AMeta(n):
-                if leaves.setdefault(n, ctx) != ctx:
-                    raise SortError(f"'{n}' occurs at two sorts", node=node)
-                program.append(("atom", n))
-            case WNot(x) | ANot(x):
-                todo += [(None, ("not",)), (x, ctx)]
-            case WAnd(l, r) | AAnd(l, r):
-                todo += [(None, ("and",)), (r, ctx), (l, ctx)]
-            case SomeView(a, x):
-                todo += [(None, ("some", a)), (x, a)]
-            case PossWorld(x):
-                todo += [(None, ("poss", ctx)), (x, "world")]
-            case _:
-                raise SortError(f"not a core formula of sort {ctx}: {node!r}", node=node)
+        if op == "atom":
+            if leaves.setdefault(node.name, ctx) != ctx:
+                raise SortError(f"'{node.name}' occurs at two sorts", node=node)
+            program.append((op, node.name))
+        elif op == "some":
+            program.append((op, node.agent))
+        elif op in ("not", "and"):
+            program.append((op,))
+        else:
+            program.append((op, ctx))
+
+    fold(core, sort, emit)
     return tuple(program), leaves
 
 

@@ -1,15 +1,18 @@
 """Satisfaction for world and agent formulas over chromatic hypergraph models.
 
 World formulas are evaluated at a hyperedge, agent formulas at a view of the
-owning agent; the two recursions call each other through the modal
-constructors.  The view quantifiers ``E[a]``/``A[a]`` range over every view
+owning agent.  The view quantifiers ``E[a]``/``A[a]`` range over every view
 the agent holds in the world, so one evaluator serves ordinary and
 generalized hypergraphs alike.  Evaluation is total: there is no third truth
 value anywhere, including at worlds where an agent is absent.
 
-Evaluation is a pure function of (model, point, formula).  Each query uses a
-private memo table keyed by (subformula identity, point), so shared
-subformula objects are evaluated once per point.
+Evaluation is a pure function of (model, point, formula).  The evaluator
+computes the extension of a formula, the frozenset of points of its sort
+that satisfy it, as a ``syntax.fold`` over the formula: each clause in the
+module-level tables maps a node and the extensions of its children to the
+node's extension.  An ``Evaluator`` keeps the extensions in a memo keyed by
+(subformula identity, sort), so a query at any further point of the same
+formula, or of a formula sharing subformula objects, is a set lookup.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .syntax import (
     WorldFormula,
     WOr,
     WTrue,
+    fold,
 )
 
 
@@ -64,7 +68,7 @@ EvalPoint = Union[World, View]
 
 
 class Evaluator:
-    """Reusable evaluator with a shared memo table.
+    """Reusable evaluator with a shared memo of extensions.
 
     Safe for repeated queries against one model; results are independent of
     query order.
@@ -72,92 +76,19 @@ class Evaluator:
 
     def __init__(self, model: ChromaticHypergraphModel):
         self.model = model
+        h = model.hypergraph
+        self._edges, self._views, self._fibers = h._edge_set, h._view_sets, h._fibers
         self._memo = {}
 
     def sat_world(self, edge: str, f: WorldFormula) -> bool:
-        m = self.model
-        if edge not in m.hypergraph._edge_set:
+        if edge not in self._edges:
             raise UnknownPointError(f"unknown edge '{edge}'")
-        # The memo stores the node alongside the verdict: keeping it alive is
-        # what makes the id-based key sound across queries.
-        key = (id(f), edge)
-        memo = self._memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
-        match f:
-            case WTrue():
-                out = True
-            case WFalse():
-                out = False
-            case EnvAtom(name):
-                try:
-                    out = edge in m.val_env[name]
-                except KeyError:
-                    raise SortError(f"atom '{name}' is not an environment atom of this model",
-                                    node=f) from None
-            case WNot(sub):
-                out = not self.sat_world(edge, sub)
-            case WAnd(l, r):
-                out = self.sat_world(edge, l) and self.sat_world(edge, r)
-            case WOr(l, r):
-                out = self.sat_world(edge, l) or self.sat_world(edge, r)
-            case WImplies(l, r):
-                out = (not self.sat_world(edge, l)) or self.sat_world(edge, r)
-            case SomeView(agent, sub):
-                out = any(self.sat_agent(agent, v, sub)
-                          for v in m.hypergraph.views_in(edge, agent))
-            case AllViews(agent, sub):
-                out = all(self.sat_agent(agent, v, sub)
-                          for v in m.hypergraph.views_in(edge, agent))
-            case WMeta(name):
-                raise SortError(f"cannot evaluate metavariable '?{name}'", node=f)
-            case _:
-                raise SortError(f"not a world formula: {f!r}", node=f)
-        memo[key] = (out, f)
-        return out
+        return edge in fold(f, "world", self._clause, self._memo)
 
     def sat_agent(self, agent: str, view: str, f: AgentFormula) -> bool:
-        m = self.model
-        if view not in m.hypergraph._view_sets.get(agent, frozenset()):
+        if view not in self._views.get(agent, ()):
             raise UnknownPointError(f"unknown view '{view}' of agent '{agent}'")
-        key = (id(f), agent, view)
-        memo = self._memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
-        match f:
-            case ATrue():
-                out = True
-            case AFalse():
-                out = False
-            case AgentAtom(name):
-                try:
-                    out = view in m.val_agent[agent][name]
-                except KeyError:
-                    raise SortError(
-                        f"atom '{name}' is not an atom of agent {agent} in this model",
-                        node=f) from None
-            case ANot(sub):
-                out = not self.sat_agent(agent, view, sub)
-            case AAnd(l, r):
-                out = self.sat_agent(agent, view, l) and self.sat_agent(agent, view, r)
-            case AOr(l, r):
-                out = self.sat_agent(agent, view, l) or self.sat_agent(agent, view, r)
-            case AImplies(l, r):
-                out = (not self.sat_agent(agent, view, l)) or self.sat_agent(agent, view, r)
-            case PossWorld(sub):
-                out = any(self.sat_world(e, sub)
-                          for e in m.hypergraph.worlds_of_view(agent, view))
-            case Box(sub):
-                out = all(self.sat_world(e, sub)
-                          for e in m.hypergraph.worlds_of_view(agent, view))
-            case AMeta(name):
-                raise SortError(f"cannot evaluate metavariable '?{name}'", node=f)
-            case _:
-                raise SortError(f"not an agent formula: {f!r}", node=f)
-        memo[key] = (out, f)
-        return out
+        return view in fold(f, agent, self._clause, self._memo)
 
     def sat(self, point: EvalPoint, f) -> bool:
         if isinstance(point, World):
@@ -165,6 +96,66 @@ class Evaluator:
         if isinstance(point, View):
             return self.sat_agent(point.agent, point.view, f)
         raise TypeError(f"not an evaluation point: {point!r}")
+
+    def _clause(self, f, sort, subs) -> frozenset:
+        clause = (_WORLD_CLAUSES if sort == "world" else _AGENT_CLAUSES).get(type(f))
+        if clause is None:
+            kind = "a world" if sort == "world" else "an agent"
+            raise SortError(f"not {kind} formula: {f!r}", node=f)
+        return clause(self, f, sort, subs)
+
+
+_NOTHING = frozenset()
+
+
+def _valuation(table, f, what):
+    try:
+        return frozenset(table[f.name])
+    except KeyError:
+        raise SortError(f"atom '{f.name}' is not {what}", node=f) from None
+
+
+def _meta(ev, f, s, x):
+    raise SortError(f"cannot evaluate metavariable '?{f.name}'", node=f)
+
+
+def _some_view(ev, f, s, x):
+    """The worlds where the agent holds some view in the extension."""
+    return frozenset(e for v in x[0] for e in ev._fibers.get((f.agent, v), ()))
+
+
+# A clause takes the evaluator, the node, its sort and the extensions of its
+# children (frozensets of points of their sorts), and gives the node's.
+_WORLD_CLAUSES = {
+    WTrue: lambda ev, f, s, x: ev._edges,
+    WFalse: lambda ev, f, s, x: _NOTHING,
+    EnvAtom: lambda ev, f, s, x: _valuation(
+        ev.model.val_env, f, "an environment atom of this model"),
+    WMeta: _meta,
+    WNot: lambda ev, f, s, x: ev._edges - x[0],
+    WAnd: lambda ev, f, s, x: x[0] & x[1],
+    WOr: lambda ev, f, s, x: x[0] | x[1],
+    WImplies: lambda ev, f, s, x: (ev._edges - x[0]) | x[1],
+    SomeView: _some_view,
+    AllViews: lambda ev, f, s, x: ev._edges - _some_view(
+        ev, f, s, (ev._views.get(f.agent, _NOTHING) - x[0],)),
+}
+_AGENT_CLAUSES = {
+    ATrue: lambda ev, f, s, x: ev._views.get(s, _NOTHING),
+    AFalse: lambda ev, f, s, x: _NOTHING,
+    AgentAtom: lambda ev, f, s, x: _valuation(
+        ev.model.val_agent.get(s, {}), f, f"an atom of agent {s} in this model"),
+    AMeta: _meta,
+    ANot: lambda ev, f, s, x: ev._views.get(s, _NOTHING) - x[0],
+    AAnd: lambda ev, f, s, x: x[0] & x[1],
+    AOr: lambda ev, f, s, x: x[0] | x[1],
+    AImplies: lambda ev, f, s, x: (ev._views.get(s, _NOTHING) - x[0]) | x[1],
+    # The views some (every) world of which is in the extension.
+    PossWorld: lambda ev, f, s, x: frozenset(
+        v for v in ev._views.get(s, _NOTHING) if not x[0].isdisjoint(ev._fibers[(s, v)])),
+    Box: lambda ev, f, s, x: frozenset(
+        v for v in ev._views.get(s, _NOTHING) if x[0].issuperset(ev._fibers[(s, v)])),
+}
 
 
 def sat_world(m: ChromaticHypergraphModel, edge: str, f: WorldFormula) -> bool:

@@ -13,6 +13,16 @@ The core fragment is: atoms, ``true``/``false``, negation, conjunction and
 the two modal constructors.  Everything else (``or``, ``->``, the universal
 modalities, knowledge sugar) is derived; ``desugar`` rewrites a formula into
 the core fragment.
+
+Which sort each child has is stated once, in the table behind
+``children(node, sort)``, and every traversal of a formula in the package is
+built on it with an explicit stack, so nesting depth costs no recursion:
+``walk`` yields the nodes in pre-order (the checks and collectors), and
+``fold`` combines values bottom-up (everything that rebuilds a formula or
+computes a value from it).  ``fold`` memoizes by node identity only when it
+is given a memo, because a shared subformula object (as ``substitute_metas``
+puts at every occurrence of a metavariable) must otherwise be visited at
+each place it occurs.
 """
 
 from __future__ import annotations
@@ -288,56 +298,127 @@ def conj(left, right):
     return AAnd(left, right)
 
 
+# --- traversal -----------------------------------------------------------------
+
+# The one place that knows which sort each child has.  A sort is "world" or
+# the name of the agent whose views an agent formula is evaluated at.
+_CHILDREN = {node_type: kids for node_types, kids in (
+    ((WTrue, WFalse, EnvAtom, WMeta, ATrue, AFalse, AgentAtom, AMeta, KB4Atom),
+     lambda f, s: ()),
+    ((WNot, ANot, KB4Not, KB4Knows), lambda f, s: ((f.sub, s),)),
+    ((WAnd, AAnd, WOr, AOr, WImplies, AImplies, KB4And),
+     lambda f, s: ((f.left, s), (f.right, s))),
+    ((SomeView, AllViews), lambda f, s: ((f.sub, f.agent),)),
+    ((PossWorld, Box), lambda f, s: ((f.sub, "world"),)),
+) for node_type in node_types}
+
+_MODAL = (SomeView, AllViews, PossWorld, Box, KB4Knows)
+_ATOMS = (EnvAtom, AgentAtom, KB4Atom)
+_METAS = (WMeta, AMeta)
+
+
+def children(node, sort):
+    """``((child, child_sort), ...)`` of a node at ``sort``, left to right.
+
+    ``E[a]``/``A[a]`` put their child at agent ``a``, ``<>``/``[]`` at
+    ``"world"``; every other node keeps its own sort.  KB4 nodes ignore it.
+    """
+    try:
+        return _CHILDREN[type(node)](node, sort)
+    except KeyError:
+        raise TypeError(f"not a formula: {node!r}") from None
+
+
+def walk(f, sort):
+    """Yield ``(node, sort)`` for every node of ``f``, in pre-order, left to
+    right.  A node's children are looked up only after it has been yielded,
+    so a consumer that raises on a node never reaches its children."""
+    todo = [(f, sort)]
+    while todo:
+        node, s = todo.pop()
+        yield node, s
+        todo.extend(reversed(children(node, s)))
+
+
+def fold(f, sort, combine, memo=None):
+    """Post-order fold: ``combine(node, sort, values)`` gets the values of
+    the node's children, left to right, and returns the node's value.
+
+    Without a memo every occurrence of a node is combined anew, so a
+    subformula shared by several places is visited at each place.  With a
+    memo (a dict), each ``(id(node), sort)`` is combined once and stored as
+    ``(node, value)``: keeping the node alive is what makes the id key sound.
+    """
+    if memo is not None and (id(f), sort) in memo:     # a repeated query
+        return memo[(id(f), sort)][1]
+    values = []
+    # (node, sort) pairs to expand, and (node, sort, children, memo key)
+    # entries to combine once their children's values top ``values``.
+    todo = [(f, sort)]
+    while todo:
+        entry = todo.pop()
+        if len(entry) == 2:
+            node, s = entry
+            key = None if memo is None else (id(node), s)
+            if key is not None and key in memo:
+                values.append(memo[key][1])
+                continue
+            try:    # children(), inlined: this is the evaluators' inner loop
+                kids = _CHILDREN[type(node)](node, s)
+            except KeyError:
+                raise TypeError(f"not a formula: {node!r}") from None
+            if kids:
+                todo.append((node, s, kids, key))
+                todo.extend(reversed(kids))
+                continue
+            args = ()
+        else:
+            node, s, kids, key = entry
+            args = values[-len(kids):]
+            del values[-len(kids):]
+        value = combine(node, s, args)
+        if key is not None:
+            memo[key] = (node, value)
+        values.append(value)
+    return values[0]
+
+
+# The node with its children replaced (same span), or the node itself when
+# they are its own children, so that rebuilding shares unchanged subtrees.
+_REBUILD = {node_type: build for node_types, build in (
+    ((WTrue, WFalse, EnvAtom, WMeta, ATrue, AFalse, AgentAtom, AMeta, KB4Atom),
+     lambda f, k: f),
+    ((WNot, ANot, KB4Not, PossWorld, Box),
+     lambda f, k: f if k[0] is f.sub else type(f)(k[0], span=f.span)),
+    ((WAnd, AAnd, WOr, AOr, WImplies, AImplies, KB4And),
+     lambda f, k: f if k[0] is f.left and k[1] is f.right
+     else type(f)(k[0], k[1], span=f.span)),
+    ((SomeView, AllViews, KB4Knows),
+     lambda f, k: f if k[0] is f.sub else type(f)(f.agent, k[0], span=f.span)),
+) for node_type in node_types}
+
+
 # --- desugaring -------------------------------------------------------------
+
+_DESUGAR = {
+    **_REBUILD,
+    WOr: lambda f, k: WNot(WAnd(WNot(k[0]), WNot(k[1])), span=f.span),
+    AOr: lambda f, k: ANot(AAnd(ANot(k[0]), ANot(k[1])), span=f.span),
+    WImplies: lambda f, k: WNot(WAnd(k[0], WNot(k[1])), span=f.span),
+    AImplies: lambda f, k: ANot(AAnd(k[0], ANot(k[1])), span=f.span),
+    AllViews: lambda f, k: WNot(SomeView(f.agent, ANot(k[0])), span=f.span),
+    Box: lambda f, k: ANot(PossWorld(WNot(k[0])), span=f.span),
+}
+
+
+def _desugar_node(f, sort, kids):
+    return _DESUGAR[type(f)](f, kids)
 
 
 def desugar(f):
-    """Rewrite into the core fragment. Idempotent; preserves spans."""
-    match f:
-        case WTrue() | WFalse() | EnvAtom() | WMeta():
-            return f
-        case ATrue() | AFalse() | AgentAtom() | AMeta():
-            return f
-        case WNot(x):
-            return WNot(desugar(x), span=f.span)
-        case ANot(x):
-            return ANot(desugar(x), span=f.span)
-        case WAnd(l, r):
-            return WAnd(desugar(l), desugar(r), span=f.span)
-        case AAnd(l, r):
-            return AAnd(desugar(l), desugar(r), span=f.span)
-        case SomeView(a, x):
-            return SomeView(a, desugar(x), span=f.span)
-        case PossWorld(x):
-            return PossWorld(desugar(x), span=f.span)
-        case WOr(l, r):
-            return WNot(WAnd(WNot(desugar(l)), WNot(desugar(r))), span=f.span)
-        case AOr(l, r):
-            return ANot(AAnd(ANot(desugar(l)), ANot(desugar(r))), span=f.span)
-        case WImplies(l, r):
-            return WNot(WAnd(desugar(l), WNot(desugar(r))), span=f.span)
-        case AImplies(l, r):
-            return ANot(AAnd(desugar(l), ANot(desugar(r))), span=f.span)
-        case AllViews(a, x):
-            return WNot(SomeView(a, ANot(desugar(x))), span=f.span)
-        case Box(x):
-            return ANot(PossWorld(WNot(desugar(x))), span=f.span)
-        case KB4Atom() | KB4Not() | KB4And() | KB4Knows():
-            return _desugar_kb4(f)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _desugar_kb4(f):
-    match f:
-        case KB4Atom():
-            return f
-        case KB4Not(x):
-            return KB4Not(_desugar_kb4(x), span=f.span)
-        case KB4And(l, r):
-            return KB4And(_desugar_kb4(l), _desugar_kb4(r), span=f.span)
-        case KB4Knows(a, x):
-            return KB4Knows(a, _desugar_kb4(x), span=f.span)
-    raise TypeError(f"not a KB4 formula: {f!r}")
+    """Rewrite into the core fragment. Idempotent; preserves spans, and
+    returns core subformulas themselves rather than copies."""
+    return fold(f, None, _desugar_node)
 
 
 _CORE_TYPES = (
@@ -347,89 +428,31 @@ _CORE_TYPES = (
 
 
 def is_core(f) -> bool:
-    match f:
-        case WNot(x) | ANot(x) | SomeView(_, x) | PossWorld(x):
-            return is_core(x)
-        case WAnd(l, r) | AAnd(l, r):
-            return is_core(l) and is_core(r)
-        case _:
-            return type(f) in _CORE_TYPES
+    return all(type(node) in _CORE_TYPES for node, _ in walk(f, None))
 
 
 def modal_depth(f) -> int:
     """Nesting depth of the modal constructors (the two sorts alternate)."""
-    match f:
-        case WTrue() | WFalse() | EnvAtom() | WMeta() | ATrue() | AFalse() | AgentAtom() | AMeta():
-            return 0
-        case KB4Atom():
-            return 0
-        case WNot(x) | ANot(x) | KB4Not(x):
-            return modal_depth(x)
-        case WAnd(l, r) | AAnd(l, r) | WOr(l, r) | AOr(l, r) | WImplies(l, r) | AImplies(l, r) | KB4And(l, r):
-            return max(modal_depth(l), modal_depth(r))
-        case SomeView(_, x) | AllViews(_, x) | PossWorld(x) | Box(x) | KB4Knows(_, x):
-            return 1 + modal_depth(x)
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, None, lambda node, sort, depths:
+                isinstance(node, _MODAL) + max(depths, default=0))
 
 
 def atoms_of(f) -> set:
     """Names of all atoms occurring in the formula."""
-    match f:
-        case EnvAtom(n) | AgentAtom(n) | KB4Atom(n):
-            return {n}
-        case WTrue() | WFalse() | ATrue() | AFalse() | WMeta() | AMeta():
-            return set()
-        case WNot(x) | ANot(x) | KB4Not(x) | SomeView(_, x) | AllViews(_, x) | PossWorld(x) | Box(x) | KB4Knows(_, x):
-            return atoms_of(x)
-        case WAnd(l, r) | AAnd(l, r) | WOr(l, r) | AOr(l, r) | WImplies(l, r) | AImplies(l, r) | KB4And(l, r):
-            return atoms_of(l) | atoms_of(r)
-    raise TypeError(f"not a formula: {f!r}")
+    return {node.name for node, _ in walk(f, None) if isinstance(node, _ATOMS)}
 
 
 def metavars_of(f) -> set:
-    match f:
-        case WMeta(n) | AMeta(n):
-            return {n}
-        case WTrue() | WFalse() | ATrue() | AFalse() | EnvAtom() | AgentAtom():
-            return set()
-        case WNot(x) | ANot(x) | SomeView(_, x) | AllViews(_, x) | PossWorld(x) | Box(x):
-            return metavars_of(x)
-        case WAnd(l, r) | AAnd(l, r) | WOr(l, r) | AOr(l, r) | WImplies(l, r) | AImplies(l, r):
-            return metavars_of(l) | metavars_of(r)
-    raise TypeError(f"not a formula: {f!r}")
+    return {node.name for node, _ in walk(f, None) if isinstance(node, _METAS)}
 
 
 def substitute_metas(f, assignment):
     """Replace metavariable leaves by the formulas in ``assignment``."""
-    match f:
-        case WMeta(n) | AMeta(n):
-            return assignment.get(n, f)
-        case WNot(x):
-            return WNot(substitute_metas(x, assignment), span=f.span)
-        case ANot(x):
-            return ANot(substitute_metas(x, assignment), span=f.span)
-        case WAnd(l, r):
-            return WAnd(substitute_metas(l, assignment), substitute_metas(r, assignment), span=f.span)
-        case AAnd(l, r):
-            return AAnd(substitute_metas(l, assignment), substitute_metas(r, assignment), span=f.span)
-        case WOr(l, r):
-            return WOr(substitute_metas(l, assignment), substitute_metas(r, assignment), span=f.span)
-        case AOr(l, r):
-            return AOr(substitute_metas(l, assignment), substitute_metas(r, assignment), span=f.span)
-        case WImplies(l, r):
-            return WImplies(substitute_metas(l, assignment), substitute_metas(r, assignment), span=f.span)
-        case AImplies(l, r):
-            return AImplies(substitute_metas(l, assignment), substitute_metas(r, assignment), span=f.span)
-        case SomeView(a, x):
-            return SomeView(a, substitute_metas(x, assignment), span=f.span)
-        case AllViews(a, x):
-            return AllViews(a, substitute_metas(x, assignment), span=f.span)
-        case PossWorld(x):
-            return PossWorld(substitute_metas(x, assignment), span=f.span)
-        case Box(x):
-            return Box(substitute_metas(x, assignment), span=f.span)
-        case _:
-            return f
+    def substitute(node, sort, kids):
+        if isinstance(node, _METAS):
+            return assignment.get(node.name, node)
+        return _REBUILD[type(node)](node, kids)
+    return fold(f, None, substitute)
 
 
 # --- sort checking ----------------------------------------------------------
@@ -454,68 +477,42 @@ def sort_check_agent(f, agent, sig, allow_metas=False):
 
 
 def _check(f, sig, sort, allow_metas, meta_sorts):
-    world = sort == "world"
-    match f:
-        case WTrue() | WFalse() if world:
-            return
-        case ATrue() | AFalse() if not world:
-            return
-        case EnvAtom(n) if world:
-            owner = sig.sort_of_atom(n)
-            if owner == "env":
-                return
-            if owner is None:
-                raise UnknownAtomError(f"unknown atom '{n}'", node=f)
-            raise WrongSortAtomError(
-                f"atom '{n}' belongs to agent {owner} but occurs in world position", node=f)
-        case AgentAtom(n) if not world:
-            owner = sig.sort_of_atom(n)
-            if owner == sort:
-                return
-            if owner is None:
-                raise UnknownAtomError(f"unknown atom '{n}'", node=f)
-            if owner == "env":
-                raise WrongSortAtomError(
-                    f"environment atom '{n}' occurs in an agent-{sort} position", node=f)
-            raise AgentMismatchError(
-                f"atom '{n}' belongs to agent {owner} but occurs under agent {sort}", node=f)
-        case WMeta(n) if world:
-            _bind_meta(f, n, "world", allow_metas, meta_sorts)
-            return
-        case AMeta(n) if not world:
-            _bind_meta(f, n, sort, allow_metas, meta_sorts)
-            return
-        case WNot(x) if world:
-            _check(x, sig, sort, allow_metas, meta_sorts)
-            return
-        case ANot(x) if not world:
-            _check(x, sig, sort, allow_metas, meta_sorts)
-            return
-        case (WAnd(l, r) | WOr(l, r) | WImplies(l, r)) if world:
-            _check(l, sig, sort, allow_metas, meta_sorts)
-            _check(r, sig, sort, allow_metas, meta_sorts)
-            return
-        case (AAnd(l, r) | AOr(l, r) | AImplies(l, r)) if not world:
-            _check(l, sig, sort, allow_metas, meta_sorts)
-            _check(r, sig, sort, allow_metas, meta_sorts)
-            return
-        case (SomeView(a, x) | AllViews(a, x)) if world:
-            if a not in sig.agents:
-                raise UnknownAgentError(f"unknown agent '{a}'", node=f)
-            _check(x, sig, a, allow_metas, meta_sorts)
-            return
-        case (PossWorld(x) | Box(x)) if not world:
-            _check(x, sig, "world", allow_metas, meta_sorts)
-            return
-    # A node of the other sort in this position.
-    if isinstance(f, (WorldFormula, AgentFormula)):
-        if world:
-            raise SortError(f"agent formula used in world position: {f!r}", node=f)
-        raise SortError(f"world formula used in agent position: {f!r}", node=f)
-    raise TypeError(f"not a formula: {f!r}")
+    """Check every node in pre-order, so the first error is the outermost,
+    leftmost one (an unknown agent before the atoms under it)."""
+    for node, s in walk(f, sort):
+        world = s == "world"
+        if not isinstance(node, WorldFormula if world else AgentFormula):
+            if not isinstance(node, (WorldFormula, AgentFormula)):
+                raise TypeError(f"not a formula: {node!r}")
+            if world:
+                raise SortError(f"agent formula used in world position: {node!r}", node=node)
+            raise SortError(f"world formula used in agent position: {node!r}", node=node)
+        if type(node) in _CHECKED:
+            _CHECKED[type(node)](node, sig, s, allow_metas, meta_sorts)
 
 
-def _bind_meta(node, name, sort, allow_metas, meta_sorts):
+def _check_atom(f, sig, sort, allow_metas, meta_sorts):
+    owner = sig.sort_of_atom(f.name)
+    if owner is None:
+        raise UnknownAtomError(f"unknown atom '{f.name}'", node=f)
+    if sort == "world" and owner != "env":
+        raise WrongSortAtomError(
+            f"atom '{f.name}' belongs to agent {owner} but occurs in world position", node=f)
+    if sort != "world" and owner == "env":
+        raise WrongSortAtomError(
+            f"environment atom '{f.name}' occurs in an agent-{sort} position", node=f)
+    if sort not in ("world", owner):
+        raise AgentMismatchError(
+            f"atom '{f.name}' belongs to agent {owner} but occurs under agent {sort}", node=f)
+
+
+def _check_agent(f, sig, sort, allow_metas, meta_sorts):
+    if f.agent not in sig.agents:
+        raise UnknownAgentError(f"unknown agent '{f.agent}'", node=f)
+
+
+def _bind_meta(node, sig, sort, allow_metas, meta_sorts):
+    name = node.name
     if not allow_metas:
         raise SortError(f"metavariable '?{name}' not allowed here", node=node)
     seen = meta_sorts.get(name)
@@ -524,6 +521,12 @@ def _bind_meta(node, name, sort, allow_metas, meta_sorts):
     elif seen != sort:
         raise SortError(
             f"metavariable '?{name}' used at sorts {seen} and {sort}", node=node)
+
+
+# The nodes that need more than the sort of their position checked.
+_CHECKED = {EnvAtom: _check_atom, AgentAtom: _check_atom,
+            WMeta: _bind_meta, AMeta: _bind_meta,
+            SomeView: _check_agent, AllViews: _check_agent}
 
 
 def scheme_meta_sorts(f, sig, agent=None):
@@ -543,26 +546,21 @@ def scheme_meta_sorts(f, sig, agent=None):
 
 def sort_check_kb4(f, sig):
     """KB4 atoms live in the environment sort; agents must be declared."""
-    match f:
-        case KB4Atom(n):
-            owner = sig.sort_of_atom(n)
-            if owner == "env":
-                return f
-            if owner is None:
-                raise UnknownAtomError(f"unknown atom '{n}'", node=f)
-            raise WrongSortAtomError(
-                f"atom '{n}' belongs to agent {owner}; KB4 atoms must be environment atoms",
-                node=f)
-        case KB4Not(x):
-            sort_check_kb4(x, sig)
-            return f
-        case KB4And(l, r):
-            sort_check_kb4(l, sig)
-            sort_check_kb4(r, sig)
-            return f
-        case KB4Knows(a, x):
-            if a not in sig.agents:
-                raise UnknownAgentError(f"unknown agent '{a}'", node=f)
-            sort_check_kb4(x, sig)
-            return f
-    raise TypeError(f"not a KB4 formula: {f!r}")
+    for node, _ in walk(f, None):
+        match node:
+            case KB4Atom(n):
+                owner = sig.sort_of_atom(n)
+                if owner is None:
+                    raise UnknownAtomError(f"unknown atom '{n}'", node=node)
+                if owner != "env":
+                    raise WrongSortAtomError(
+                        f"atom '{n}' belongs to agent {owner}; KB4 atoms must be "
+                        "environment atoms", node=node)
+            case KB4Knows(a, _):
+                if a not in sig.agents:
+                    raise UnknownAgentError(f"unknown agent '{a}'", node=node)
+            case KB4Not() | KB4And():
+                pass
+            case _:
+                raise TypeError(f"not a KB4 formula: {node!r}")
+    return f

@@ -196,6 +196,34 @@ def test_generalized_duplicate_edge_label_is_named():
     assert any("duplicate edge label" in v and "'e1'" in v for v in err.value.violations)
 
 
+
+def test_strip_agent_atoms_keeps_a_generalized_model(shared):
+    stripped = hk.strip_agent_atoms(shared)
+    assert stripped.hypergraph.incidence == shared.hypergraph.incidence
+    assert all(not stripped.sig.atoms_for(a) for a in stripped.sig.agents)
+    assert stripped.val_env == shared.val_env
+    assert Evaluator(stripped).sat_world("01", SomeView("a", PossWorld(WTrue())))
+
+
+def test_underlying_simple_of_a_generalized_hypergraph(shared):
+    simple = hk.underlying_simple(shared.hypergraph)
+    assert len(simple.hyperedges) == 4
+    # Edge 01: both agents read 0 on the left and 1 on the right.
+    assert frozenset({("a", "a_L0"), ("a", "a_R1"), ("b", "b_L0"), ("b", "b_R1")}) \
+        in simple.hyperedges
+    assert all(len(edge) == 4 for edge in simple.hyperedges)
+
+
+def test_is_isomorphic_rejects_several_views_in_one_edge(shared, h1):
+    with pytest.raises(ValidationError) as err:
+        hk.is_isomorphic(shared.hypergraph, h1.hypergraph)
+    assert any("at most one view per agent per edge" in v for v in err.value.violations)
+    with pytest.raises(ValidationError):
+        hk.is_isomorphic(h1.hypergraph, shared.hypergraph)
+    with pytest.raises(ValidationError):
+        kappa(shared.hypergraph)
+
+
 # --- an independent oracle: the neighborhood frame ----------------------------------
 
 

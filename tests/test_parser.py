@@ -241,3 +241,26 @@ def test_derivation_file_errors():
         parser.parse_derivation("agents: a\n1. q: true ; taut")  # unknown sort
     with pytest.raises(ParseError):
         parser.parse_derivation("agents: a\n1. e: true ; zap")  # unknown rule
+
+
+_MODEL_HEAD = "agents: a\natoms[a]: pa\natoms[env]: p\n"
+_MODEL_BODY = "view a: a1 { pa }\nedge e1 { a: a1 } env { p }\n"
+_DERIVATION_BODY = "1. e: p -> p ; taut\n"
+
+
+@pytest.mark.parametrize("read, body", [(parser.parse_model, _MODEL_BODY),
+                                        (parser.parse_derivation, _DERIVATION_BODY)])
+def test_signature_header_rejects_undeclared_owner_and_duplicates(read, body):
+    # Both file formats read their header with one reader.
+    assert read(_MODEL_HEAD + body).sig.atoms_for("a") == ("pa",)
+    for extra, message in (("atoms[zz]: s\n", "unknown agent 'zz'"),
+                           ("atoms[env]: q\n", "duplicate 'atoms[env]'"),
+                           ("atoms[a]: qa\n", "duplicate 'atoms[a]'"),
+                           ("agents: b\n", "duplicate 'agents'")):
+        text = _MODEL_HEAD + extra + body
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert message in str(err.value)
+        line = text.count("\n", 0, text.index(extra)) + 1
+        assert err.value.span.line == line
+        assert text[err.value.span.start:err.value.span.end] == extra.split("[")[0].split(":")[0]

@@ -90,6 +90,12 @@ def test_metavariable_rejected(h1):
         sat_world(h1, "e_a", hk.syntax.WMeta("x"))
 
 
+def test_undeclared_atom_is_a_sort_error_in_every_branch(h1):
+    # Extensions are computed for every subformula, so no branch is skipped.
+    with pytest.raises(SortError):
+        sat_world(h1, "e_a", disj(hk.syntax.WTrue(), hk.syntax.EnvAtom("nowhere")))
+
+
 def test_safe_unsafe_agreement_when_alive():
     rng = random.Random(13)
     for m in small_model_pool():

@@ -109,6 +109,9 @@ def test_sort_check_errors(sig):
         sort_check_world(EnvAtom("zz"), sig)
     with pytest.raises(UnknownAgentError):
         sort_check_world(SomeView("z", ATrue()), sig)
+    with pytest.raises(UnknownAgentError, match="'zz'"):
+        # Checked outermost first: the agent, not the atom under it.
+        sort_check_world(SomeView("zz", AgentAtom("nowhere")), sig)
     with pytest.raises(SortError):
         sort_check_world(ATrue(), sig)
 
