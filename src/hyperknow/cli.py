@@ -14,12 +14,14 @@ import sys
 
 from . import parser as pa
 from . import proofkernel, search
-from .core import ChromaticHypergraph, GeneralizedChromaticHypergraph, example, example_names
+from .core import (ChromaticHypergraph, GeneralizedChromaticHypergraph, Signature, example,
+                   example_names)
 from .errors import DerivationCheckError, HyperknowError
 from .frames import eta_model, kappa_model
 from .kb4 import translate
 from .neighborhood import to_neighborhood
 from .semantics import Evaluator
+from .syntax import atoms_of
 
 FORMAT_VERSION = 1
 
@@ -30,7 +32,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise HyperknowError(f"cannot read {path}: {err}") from None
 
 
@@ -126,16 +128,7 @@ def cmd_translate_kb4(args) -> int:
         sig = pa.parse_model(_read(args.model)).sig
     else:
         # Atoms are implicitly environment atoms of the translation target.
-        tokens = pa.tokenize(args.formula)
-        names = []
-        for i, tok in enumerate(tokens):
-            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            if (tok.kind == "IDENT" and tok.text not in ("K",)
-                    and not (nxt is not None and nxt.kind == "LBRACK")
-                    and tok.text not in names and tok.text not in agents):
-                names.append(tok.text)
-        from .core import Signature
-        sig = Signature(agents, {}, tuple(names))
+        sig = Signature(agents, {}, tuple(sorted(atoms_of(pa._parse(args.formula, "kb4")))))
     kf = pa.parse_kb4(args.formula, sig)
     out = translate(kf)
     _emit(args, pa.render(out), {"command": "translate-kb4",

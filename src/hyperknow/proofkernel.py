@@ -30,8 +30,8 @@ from .core import Signature
 from .errors import DerivationCheckError, SortError
 # iter_valuations is unused here but stays bound: perfbench/tracing.py
 # counts the spotcheck's models by wrapping proofkernel.iter_valuations.
-from .search import (Bounds, _bit_pattern, _structures, compile_program, iter_valuations,
-                     sweep, witness_model)
+from .search import (Bounds, _bit_pattern, _structures, assignment_values, compile_program,
+                     iter_valuations, sweep, witness_model)
 from .syntax import (
     AAnd,
     AFalse,
@@ -551,6 +551,7 @@ def soundness_spotcheck(d: Derivation, bounds: Optional[Bounds] = None
             _, hit = sweep(program, sort, st, names, sorts)
             if hit is not None:
                 assignment, point = hit
+                values = assignment_values(st, names, sorts, assignment)
                 return SoundnessCounterexample(
-                    line.index, witness_model(sig, st, names, sorts, assignment), point)
+                    line.index, witness_model(sig, st, sorts, values), point)
     return None

@@ -1,9 +1,9 @@
 """Bounded enumeration of models, validity sweeps, and countermodel search.
 
 ``enumerate_hypergraphs``/``enumerate_models`` stream every structure within
-the bounds, deterministically, with no isomorphism elimination (duplicates
-are harmless for validity sweeps and canonicalization would cost more than
-it saves at these sizes).
+the bounds, deterministically, with no isomorphism elimination: duplicates
+are harmless for validity sweeps, though at the default bounds the 3,292
+structures are only 298 up to edge order.
 
 Every validity sweep (``check_scheme``, ``find_countermodel`` and the proof
 kernel's ``soundness_spotcheck``) runs through ``sweep``: the formula is
@@ -28,8 +28,9 @@ assigned a fresh atom whose valuation is the falsifying extension, and the
 verdict is re-checked through the ordinary evaluator before being returned.
 
 ``find_countermodel`` sweeps the valuations of a concrete formula's own
-atoms, then greedily minimizes the witness (drop edges, then views, while
-the formula stays false) and re-checks it through the evaluator.
+atoms and greedily minimizes the witness on the structure's tables (drop
+edges, then views, while the program stays false); only the minimal witness
+becomes a model, and the evaluator only re-validates it.
 """
 
 from __future__ import annotations
@@ -320,8 +321,7 @@ def enumerate_kb4_formulas(atoms, agents, max_size=5, max_modal_depth=2,
 
 
 class _Structure:
-    """The tables the sweep reads from one enumerated hypergraph, which is
-    not kept.
+    """The tables the sweep reads from one structure.
 
     Per agent: ``view_of[a][i]`` is the index of the agent's view in edge
     ``i`` (None where the agent is absent) and ``fibers[a][j]`` the indices
@@ -330,17 +330,15 @@ class _Structure:
 
     __slots__ = ("edges", "views", "view_of", "fibers")
 
-    def __init__(self, h: ChromaticHypergraph, intern: Dict[tuple, tuple]):
-        self.edges = h.edges
-        self.views = h.views
+    def __init__(self, edges, views, view_of: Dict[str, tuple], intern: Dict[tuple, tuple]):
+        self.edges = edges
+        self.views = views
         self.view_of = {}
         self.fibers = {}
-        for a in h.sig.agents:
-            index = {v: j for j, v in enumerate(h.views[a])}
-            view_of = tuple(index.get(h.proj.get((e, a))) for e in h.edges)
-            fibers = tuple(tuple(i for i, j in enumerate(view_of) if j == k)
-                           for k in range(len(index)))
-            self.view_of[a] = intern.setdefault(view_of, view_of)
+        for a, col in view_of.items():
+            fibers = tuple(tuple(i for i, j in enumerate(col) if j == k)
+                           for k in range(len(views[a])))
+            self.view_of[a] = intern.setdefault(col, col)
             self.fibers[a] = intern.setdefault(fibers, fibers)
 
 
@@ -348,7 +346,14 @@ class _Structure:
 def _structures(agents: Tuple[str, ...], views: int, edges: int) -> Tuple[_Structure, ...]:
     b = Bounds(agents=len(agents), views=views, edges=edges)
     intern: Dict[tuple, tuple] = {}
-    return tuple(_Structure(h, intern) for h in enumerate_hypergraphs(b, Signature(agents)))
+    out = []
+    for h in enumerate_hypergraphs(b, Signature(agents)):
+        view_of = {}
+        for a in agents:
+            index = {v: j for j, v in enumerate(h.views[a])}
+            view_of[a] = tuple(index.get(h.proj.get((e, a))) for e in h.edges)
+        out.append(_Structure(h.edges, h.views, view_of, intern))
+    return tuple(out)
 
 
 _STEPS = {
@@ -407,6 +412,33 @@ def _widths(st: _Structure, swept_names, sorts) -> List[int]:
             for n in swept_names]
 
 
+def _evaluate(program, st: _Structure, env: Dict[str, List[int]], full: int) -> List[int]:
+    """Run a compiled program on one structure: ``env[name]`` gives each
+    point of the name's sort an int, ``full`` is the all-true int, and the
+    result is the formula's int at each point of its sort."""
+    view_of, fibers = st.view_of, st.fibers
+    stack = []
+    for step in program:
+        op = step[0]
+        if op == "atom":
+            stack.append(env[step[1]])
+        elif op == "not":
+            stack[-1] = [full ^ x for x in stack[-1]]
+        elif op == "and":
+            right = stack.pop()
+            stack[-1] = [x & y for x, y in zip(stack[-1], right)]
+        elif op == "some":
+            sub = stack[-1]
+            stack[-1] = [0 if j is None else sub[j] for j in view_of[step[1]]]
+        elif op == "poss":
+            sub = stack[-1]
+            stack[-1] = [reduce(or_, [sub[i] for i in fiber]) for fiber in fibers[step[1]]]
+        else:
+            points = len(st.edges) if step[1] == "world" else len(st.views[step[1]])
+            stack.append([full if op == "top" else 0] * points)
+    return stack[0]
+
+
 def extension_chunks(program, st: _Structure, swept_names, sorts
                      ) -> Iterator[Tuple[int, int, List[int]]]:
     """Evaluate a compiled program on one structure under every assignment.
@@ -423,7 +455,6 @@ def extension_chunks(program, st: _Structure, swept_names, sorts
     chunk = min(total, _CHUNK_BITS)
     width = 1 << chunk
     full = (1 << width) - 1
-    view_of, fibers = st.view_of, st.fibers
     for first in range(0, 1 << total, width):
         # Point j of the name at ``offset`` holds iff bit offset + j of the
         # assignment number is set.
@@ -434,26 +465,7 @@ def extension_chunks(program, st: _Structure, swept_names, sorts
             env[name] = [_bit_pattern(chunk, m) if m < chunk
                          else full if first >> m & 1 else 0
                          for m in range(offset, offset + k)]
-        stack = []
-        for step in program:
-            op = step[0]
-            if op == "atom":
-                stack.append(env[step[1]])
-            elif op == "not":
-                stack[-1] = [full ^ x for x in stack[-1]]
-            elif op == "and":
-                right = stack.pop()
-                stack[-1] = [x & y for x, y in zip(stack[-1], right)]
-            elif op == "some":
-                sub = stack[-1]
-                stack[-1] = [0 if j is None else sub[j] for j in view_of[step[1]]]
-            elif op == "poss":
-                sub = stack[-1]
-                stack[-1] = [reduce(or_, [sub[i] for i in fiber]) for fiber in fibers[step[1]]]
-            else:
-                points = len(st.edges) if step[1] == "world" else len(st.views[step[1]])
-                stack.append([full if op == "top" else 0] * points)
-        yield first, width, stack[0]
+        yield first, width, _evaluate(program, st, env, full)
 
 
 def sweep(program, sort: str, st: _Structure, swept_names, sorts):
@@ -475,22 +487,32 @@ def sweep(program, sort: str, st: _Structure, swept_names, sorts):
     return first + width, None
 
 
-def witness_model(sig: Signature, st: _Structure, swept_names, sorts, assignment,
-                  atom_of=None) -> ChromaticHypergraphModel:
-    """The model over ``sig`` on structure ``st`` under the numbered
-    assignment: each swept name's atom (``atom_of[name]``, by default the
-    name) holds at the points of its mask, every other atom nowhere."""
-    val_agent = {a: {} for a in sig.agents}
-    val_env = {}
+def assignment_values(st: _Structure, swept_names, sorts, assignment: int
+                      ) -> Dict[str, List[int]]:
+    """Each swept name's value (0 or 1) at each point of its sort under the
+    assignment numbered as in ``extension_chunks``."""
     widths = _widths(st, swept_names, sorts)
     offset = sum(widths)
+    values = {}
     for name, k in zip(swept_names, widths):
         offset -= k
+        values[name] = [assignment >> offset + i & 1 for i in range(k)]
+    return values
+
+
+def witness_model(sig: Signature, st: _Structure, sorts, values,
+                  atom_of=None) -> ChromaticHypergraphModel:
+    """The model over ``sig`` on structure ``st`` where each name in
+    ``values`` gives its atom (``atom_of[name]``, by default the name) the
+    points at which its value is 1; every other atom holds nowhere."""
+    val_agent = {a: {} for a in sig.agents}
+    val_env = {}
+    for name, bits in values.items():
         sort = sorts[name]
         points = st.edges if sort == "world" else st.views[sort]
-        members = frozenset(p for i, p in enumerate(points) if assignment >> offset + i & 1)
         atom = atom_of[name] if atom_of else name
-        (val_env if sort == "world" else val_agent[sort])[atom] = members
+        (val_env if sort == "world" else val_agent[sort])[atom] = frozenset(
+            p for p, bit in zip(points, bits) if bit)
     proj = {(e, a): st.views[a][view_of[i]]
             for i, e in enumerate(st.edges)
             for a, view_of in st.view_of.items() if view_of[i] is not None}
@@ -562,18 +584,18 @@ def check_scheme(scheme, b: Bounds, agent: Optional[str] = None) -> Verdict:
         checked += count
         if hit is not None:
             assignment, point = hit
-            model = witness_model(sig, st, swept_names, sorts, assignment, atom_of)
+            values = assignment_values(st, swept_names, sorts, assignment)
+            model = witness_model(sig, st, sorts, values, atom_of)
             formula_assignment = {
                 n: EnvAtom(atom_of[n]) if sorts[n] == "world" else AgentAtom(atom_of[n])
                 for n in metas}
-            _revalidate(model, point, core, formula_assignment)
+            _revalidate(model, point, substitute_metas(core, formula_assignment))
             return Countermodel(model=model, point=point, assignment=formula_assignment)
     return ValidWithinBounds(models_checked=checked)
 
 
-def _revalidate(model, point, core, formula_assignment):
-    instance = substitute_metas(core, formula_assignment)
-    if Evaluator(model).sat(point, instance):
+def _revalidate(model, point, formula):
+    if Evaluator(model).sat(point, formula):
         raise AssertionError(
             "internal error: extension sweep and evaluator disagree on a countermodel")
 
@@ -606,82 +628,59 @@ def find_countermodel(f: WorldFormula, b: Bounds) -> Verdict:
                 agents,
                 {a: tuple(n for n in names if sorts[n] == a) for a in agents},
                 tuple(n for n in names if sorts[n] == "world"))
-            model = witness_model(sig, st, names, sorts, assignment)
-            model, edge = _minimize(model, point.edge, core)
-            if Evaluator(model).sat_world(edge, core):
-                raise AssertionError("internal error: minimized countermodel re-checks true")
-            return Countermodel(model=model, point=World(edge), assignment={})
+            st, values, edge = _minimize(
+                program, st, sorts, assignment_values(st, names, sorts, assignment),
+                st.edges.index(point.edge))
+            model, point = witness_model(sig, st, sorts, values), World(st.edges[edge])
+            _revalidate(model, point, core)
+            return Countermodel(model=model, point=point, assignment={})
     return ValidWithinBounds(models_checked=checked)
 
 
-def _drop_edge(m: ChromaticHypergraphModel, edge: str) -> Optional[ChromaticHypergraphModel]:
-    h = m.hypergraph
-    edges = tuple(e for e in h.edges if e != edge)
-    proj = {(e, a): v for (e, a), v in h.proj.items() if e != edge}
-    views = {}
-    for a in h.sig.agents:
-        keep = tuple(v for v in h.views.get(a, ())
-                     if any(proj.get((e, a)) == v for e in edges))
-        views[a] = keep
-    val_agent = {
-        a: {atom: frozenset(v for v in members if v in views[a])
-            for atom, members in m.val_agent[a].items()}
-        for a in h.sig.agents
-    }
-    val_env = {atom: frozenset(e for e in members if e != edge)
-               for atom, members in m.val_env.items()}
-    try:
-        return build_model(h.sig, views, edges, proj, val_agent, val_env)
-    except Exception:
-        return None
-
-
-def _drop_view(m: ChromaticHypergraphModel, agent: str, view: str
-               ) -> Optional[ChromaticHypergraphModel]:
-    h = m.hypergraph
-    proj = {(e, a): v for (e, a), v in h.proj.items()
-            if not (a == agent and v == view)}
-    for e in h.edges:
-        if not any((e, a) in proj for a in h.sig.agents):
-            return None  # would orphan a world
-    views = dict(h.views)
-    views[agent] = tuple(v for v in h.views.get(agent, ()) if v != view)
-    val_agent = {
-        a: {atom: frozenset(v for v in members if v != view or a != agent)
-            for atom, members in m.val_agent[a].items()}
-        for a in h.sig.agents
-    }
-    try:
-        return build_model(h.sig, views, h.edges, proj, val_agent, m.val_env)
-    except Exception:
-        return None
-
-
-def _minimize(model, edge, core):
-    """Greedy local minimization: edges first, then views, until fixpoint."""
-    changed = True
-    while changed:
-        changed = False
-        for e in model.edges:
-            if e == edge:
-                continue
-            reduced = _drop_edge(model, e)
-            if reduced is not None and not Evaluator(reduced).sat_world(edge, core):
-                model = reduced
-                changed = True
+def _minimize(program, st: _Structure, sorts, values, edge: int):
+    """Greedy local minimization of a witness false at edge index ``edge``:
+    try dropping each other edge in order, then each view by agent, and
+    restart after every drop that keeps the program false there."""
+    while True:
+        for kept_edges, kept_views in _deletions(st, edge):
+            sub, sub_values = _restrict(st, sorts, values, kept_edges, kept_views)
+            sub_edge = kept_edges.index(edge)
+            if not _evaluate(program, sub, sub_values, 1)[sub_edge]:
+                st, values, edge = sub, sub_values, sub_edge
                 break
-        if changed:
-            continue
-        for a in model.sig.agents:
-            for v in model.views_of(a):
-                reduced = _drop_view(model, a, v)
-                if reduced is not None and not Evaluator(reduced).sat_world(edge, core):
-                    model = reduced
-                    changed = True
-                    break
-            if changed:
-                break
-    return model, edge
+        else:
+            return st, values, edge
+
+
+def _restrict(st: _Structure, sorts, values, kept_edges, kept_views):
+    """The structure and point values on the kept edge and view indices;
+    points keep their names and order."""
+    renumber = {a: {j: k for k, j in enumerate(kept)} for a, kept in kept_views.items()}
+    sub = _Structure(
+        tuple(st.edges[i] for i in kept_edges),
+        {a: tuple(st.views[a][j] for j in kept) for a, kept in kept_views.items()},
+        {a: tuple(renumber[a].get(col[i]) for i in kept_edges) for a, col in st.view_of.items()},
+        {})
+    kept = {"world": kept_edges, **kept_views}
+    return sub, {n: [bits[k] for k in kept[sorts[n]]] for n, bits in values.items()}
+
+
+def _deletions(st: _Structure, edge: int):
+    """The candidate deletions, as (kept edge indices, kept view indices per
+    agent): each edge but ``edge`` with the views only it held, then each
+    view whose edges all hold another view."""
+    edges = range(len(st.edges))
+    views = {a: range(len(fibers)) for a, fibers in st.fibers.items()}
+    for i in edges:
+        if i != edge:
+            kept = [k for k in edges if k != i]
+            yield kept, {a: sorted({col[k] for k in kept} - {None})
+                         for a, col in st.view_of.items()}
+    held = [sum(col[i] is not None for col in st.view_of.values()) for i in edges]
+    for a, fibers in st.fibers.items():
+        for j, fiber in enumerate(fibers):
+            if all(held[i] > 1 for i in fiber):
+                yield edges, {**views, a: [k for k in views[a] if k != j]}
 
 
 # --- the scheme library --------------------------------------------------------------

@@ -160,6 +160,31 @@ def test_translate_kb4(capsys):
     assert out.strip() == "K[a] (p -> q)"
 
 
+def test_translate_kb4_atoms_named_like_agents(capsys):
+    # Atoms are read off the parsed formula, so an atom may share an
+    # agent's name.
+    code, out, err = run(["translate-kb4", "--formula", "K[a] b"], capsys=capsys)
+    assert (code, out, err) == (0, "K[a] b\n", "")
+    code, out, err = run(["translate-kb4", "--formula", "K[a] a", "--agents", "a"],
+                         capsys=capsys)
+    assert (code, out, err) == (0, "K[a] a\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--world", "e", "--formula", "true", "--model"],
+    ["convert", "--to", "hypergraph", "--model"],
+    ["prove", "--check"],
+])
+def test_undecodable_file_is_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff")
+    code, out, err = run(argv + [str(path)], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_neighborhood_command(capsys, monkeypatch):
     code, out, _ = run(["example", "binary-input"], capsys=capsys)
     code, out, _ = run(["neighborhood", "--model", "-"],

@@ -256,6 +256,39 @@ def test_find_countermodel_alive_minimal():
     assert not v.model.alive(v.point.edge, "a")
 
 
+def _smaller_models(m, edge):
+    """Model-level oracle for local minimality: every model one deletion
+    smaller than ``m`` that keeps ``edge``, in the minimizer's order.  An
+    edge goes with the views only it held; a view goes only if every edge
+    keeps some view."""
+    h, agents = m.hypergraph, m.sig.agents
+
+    def rebuild(edges, proj):
+        held = {(a, v) for (_, a), v in proj.items()}
+        views = {a: tuple(v for v in h.views[a] if (a, v) in held) for a in agents}
+        return hk.build_model(
+            m.sig, views, edges, proj,
+            {a: {p: s & set(views[a]) for p, s in m.val_agent[a].items()} for a in agents},
+            {p: s & set(edges) for p, s in m.val_env.items()})
+
+    for e in h.edges:
+        if e != edge:
+            yield rebuild(tuple(x for x in h.edges if x != e),
+                          {k: v for k, v in h.proj.items() if k[0] != e})
+    for a in agents:
+        for v in h.views[a]:
+            proj = {k: w for k, w in h.proj.items() if (k[1], w) != (a, v)}
+            if all(any((e, b) in proj for b in agents) for e in h.edges):
+                yield rebuild(h.edges, proj)
+
+
+def _assert_locally_minimal(v, core):
+    edge = v.point.edge
+    assert not Evaluator(v.model).sat_world(edge, core)
+    for smaller in _smaller_models(v.model, edge):
+        assert Evaluator(smaller).sat_world(edge, core)
+
+
 def test_find_countermodel_safe_unsafe_gap():
     b = Bounds()
     sig = signature_for_bounds(b)
@@ -263,20 +296,72 @@ def test_find_countermodel_safe_unsafe_gap():
     v = find_countermodel(f, b)
     assert isinstance(v, Countermodel)
     assert not v.model.alive(v.point.edge, "a")
-    assert not Evaluator(v.model).sat_world(v.point.edge, desugar(f))
-    # Local minimality: no single deletion keeps the formula false.
-    core = desugar(f)
-    for e in v.model.edges:
-        if e == v.point.edge:
-            continue
-        reduced = search._drop_edge(v.model, e)
-        if reduced is not None:
-            assert Evaluator(reduced).sat_world(v.point.edge, core)
-    for a in v.model.sig.agents:
-        for view in v.model.views_of(a):
-            reduced = search._drop_view(v.model, a, view)
-            if reduced is not None:
-                assert Evaluator(reduced).sat_world(v.point.edge, core)
+    _assert_locally_minimal(v, desugar(f))
+
+
+def test_find_countermodel_witnesses_locally_minimal():
+    sig = hk.Signature(("a", "b"), {"a": ("pa",), "b": ("pb",)}, ("q",))
+    rng = random.Random("minimal-witnesses")
+    found = 0
+    for _ in range(50):
+        f = random_world(rng, sig, 4)
+        v = find_countermodel(f, Bounds())
+        if isinstance(v, Countermodel):
+            found += 1
+            _assert_locally_minimal(v, f)
+    assert found >= 30
+
+
+def test_minimize_on_tables_matches_model_level_greedy():
+    # find_countermodel's first falsifying structure is already minimal, so
+    # minimize random falsifying assignments and points on random structures:
+    # the table minimizer must reach the model that greedy deletion on
+    # validated models reaches.
+    sig = hk.Signature(("a", "b"), {"a": ("pa",), "b": ("pb",)}, ("q",))
+    b = Bounds(agents=2, views=2, edges=3)
+    pairs = list(zip(enumerate_hypergraphs(b, sig),
+                     search._structures(sig.agents, b.views, b.edges)))
+    rng = random.Random("table-minimizer")
+    chosen = [desugar(hk.parse_world(text, sig)) for text in (
+        "~E[a] <> q", "~E[a] <> (q & E[b] pb)", "E[a] [] ~E[b] <> q", "~(E[a] pa & E[b] <> ~q)")]
+    shrunk = 0
+    for f in chosen + [random_world(rng, sig, 4) for _ in range(30)]:
+        program, sorts = search.compile_program(f, "world")
+        names = list(sorts)
+        for h, st in rng.sample(pairs, 8):
+            chunks = search.extension_chunks(program, st, names, sorts)
+            falsified = [(first + t, i) for first, width, chunk in chunks
+                         for t in range(width) for i, x in enumerate(chunk) if not x >> t & 1]
+            if not falsified:
+                continue
+            t, i = rng.choice(falsified)
+            values = search.assignment_values(st, names, sorts, t)
+            expected = model = search.witness_model(sig, st, sorts, values)
+            while True:
+                smaller = next((m for m in _smaller_models(expected, st.edges[i])
+                                if not Evaluator(m).sat_world(st.edges[i], f)), None)
+                if smaller is None:
+                    break
+                expected = smaller
+            sub, sub_values, j = search._minimize(program, st, sorts, values, i)
+            assert sub.edges[j] == st.edges[i]
+            assert search.witness_model(sig, sub, sorts, sub_values) == expected
+            shrunk += expected != model
+    assert shrunk >= 100
+
+
+def test_minimize_deletion_order():
+    # Edges in order, then views agent by agent; the first deletion that
+    # keeps the formula false is taken, and the search restarts after it.
+    sig = hk.Signature(("a", "b"), {}, ("q",))
+    st = search._Structure(("e1", "e2", "e3"), {"a": ("a1",), "b": ("b1",)},
+                           {"a": (0, 0, 0), "b": (0, None, None)}, {})
+    for text, values, edges, views in (
+            ("~E[a] <> q", {"q": [0, 1, 1]}, ("e1", "e3"), {"a": ("a1",), "b": ()}),
+            ("~(alive(a) | alive(b))", {}, ("e1",), {"a": (), "b": ("b1",)})):
+        program, sorts = search.compile_program(desugar(hk.parse_world(text, sig)), "world")
+        sub, _, j = search._minimize(program, st, sorts, values, 0)
+        assert (sub.edges, sub.views, sub.edges[j]) == (edges, views, "e1")
 
 
 def test_find_countermodel_rejects_unknown_agents():
@@ -319,13 +404,15 @@ def test_bit_sliced_extensions_match_evaluator(sort, chunk_bits, monkeypatch):
     monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
     rng = random.Random(f"bit-sliced/{sort}")
     sig = hk.Signature(("a", "b"), {"a": ("pa",), "b": ("pb",)}, ("u", "v"))
-    structures = list(enumerate_hypergraphs(Bounds(agents=2, views=2, edges=2), sig))
+    b = Bounds(agents=2, views=2, edges=2)
+    # The cached table stream is the labelled stream, in the same order.
+    structures = list(zip(enumerate_hypergraphs(b, sig), search._structures(sig.agents, 2, 2)))
+    assert all((h.edges, h.views) == (st.edges, st.views) for h, st in structures)
     for _ in range(12):
         f = random_world(rng, sig, 4) if sort == "world" else random_agent(rng, sig, sort, 4)
         program, sorts = search.compile_program(f, sort)
         names, vary_agent, vary_env = _valuation_order(sig, sorts)
-        for h in rng.sample(structures, 6):
-            st = search._Structure(h, {})
+        for h, st in rng.sample(structures, 6):
             values = {}
             for first, width, chunk in search.extension_chunks(program, st, names, sorts):
                 for t in range(width):
@@ -394,8 +481,8 @@ def test_sweep_witness_past_the_first_chunk(monkeypatch):
         f = desugar(hk.parse_world(text, sig))
         program, sorts = search.compile_program(f, "world")
         names, vary_agent, vary_env = _valuation_order(sig, sorts)
-        for h in enumerate_hypergraphs(Bounds(agents=2, views=2, edges=2), sig):
-            st = search._Structure(h, {})
+        b = Bounds(agents=2, views=2, edges=2)
+        for h, st in zip(enumerate_hypergraphs(b, sig), search._structures(sig.agents, 2, 2)):
             count, hit = search.sweep(program, "world", st, names, sorts)
             expected = _first_failure(h, f, "world", vary_agent, vary_env)
             if expected is None:
@@ -404,7 +491,8 @@ def test_sweep_witness_past_the_first_chunk(monkeypatch):
             t, model, failing = expected
             assert count == t + 1
             assert hit == (t, failing[0])
-            assert search.witness_model(sig, st, names, sorts, t) == model
+            values = search.assignment_values(st, names, sorts, t)
+            assert search.witness_model(sig, st, sorts, values) == model
             late += t >= 4
             several += len(failing) > 1
     assert late > 0 and several > 0
