@@ -11,14 +11,17 @@ All matching is structural on desugared core formulas: each rule computes
 the expected conclusion from its premise and compares it with the stated
 line.  ``PropTaut`` abstracts maximal modal subformulas and atoms into
 propositional variables and decides by truth table (exact, capped at 20
-variables).
+variables).  Formulas are compared, and variables numbered, through
+``structural_id``, so deep nesting costs no recursion.
 
 ``soundness_spotcheck`` replays every accepted statement against all
 enumerated models within bounds; a violation would indicate a kernel bug,
 so it is reported as a result rather than raised.  It runs on the search
-module's ``sweep`` over valuations numbered as ``iter_valuations`` lists
-them (agent atoms, then environment atoms, in declaration order), so the
-counterexample is the first one that stream gives.
+module's ``first_witness`` over valuations numbered as ``iter_valuations``
+lists them (agent atoms, then environment atoms, in declaration order), so
+the counterexample is the first one that stream gives, and like every
+sweep's witness it is re-validated through the evaluator before it is
+returned.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .core import Signature
 from .errors import DerivationCheckError, SortError
 # iter_valuations is unused here but stays bound: perfbench/tracing.py
 # counts the spotcheck's models by wrapping proofkernel.iter_valuations.
-from .search import (Bounds, _bit_pattern, _structures, assignment_values, compile_program,
-                     iter_valuations, sweep, witness_model)
+from .search import (Bounds, _bit_pattern, _revalidate, _structures, compile_program,
+                     first_witness, iter_valuations)
 from .syntax import (
     AAnd,
     AFalse,
@@ -49,6 +52,7 @@ from .syntax import (
     WNot,
     WTrue,
     fold,
+    structural_id,
 )
 
 WORLD_SORT = "e"
@@ -205,6 +209,12 @@ def _as_box(f):
     return None
 
 
+def _same(f, g) -> bool:
+    """Structural equality, spans ignored, without recursion."""
+    table = {}
+    return structural_id(f, table) == structural_id(g, table)
+
+
 class _RuleError(Exception):
     def __init__(self, kind, message):
         self.kind = kind
@@ -332,7 +342,7 @@ def _match_surjectivity(stmt: Statement):
         _mismatch("surjectivity axiom must be an implication")
     phi, r = pair
     match r:
-        case PossWorld(SomeView(a, phi2)) if a == stmt.sort and phi2 == phi:
+        case PossWorld(SomeView(a, phi2)) if a == stmt.sort and _same(phi2, phi):
             return
     _mismatch("surjectivity axiom must have the shape phi -> <> E[a] phi")
 
@@ -345,7 +355,7 @@ def _match_functionality(stmt: Statement):
         _mismatch("functionality axiom must be an implication")
     l, phi = pair
     match l:
-        case PossWorld(SomeView(a, phi2)) if a == stmt.sort and phi2 == phi:
+        case PossWorld(SomeView(a, phi2)) if a == stmt.sort and _same(phi2, phi):
             return
     _mismatch("functionality axiom must have the shape <> E[a] phi -> phi")
 
@@ -360,7 +370,7 @@ def _ne_formula(sig: Signature):
 def _match_non_emptiness(stmt: Statement, sig: Signature):
     if stmt.sort != WORLD_SORT:
         _sort_error("the non-emptiness axiom is world-sorted")
-    if stmt.formula != _ne_formula(sig):
+    if not _same(stmt.formula, _ne_formula(sig)):
         _mismatch("non-emptiness axiom must be the disjunction of alive(a) "
                   "over all declared agents, in declaration order")
 
@@ -395,13 +405,14 @@ def abstract_propositional(f):
         return start
 
     fold(f, None, emit)
-    table: Dict[object, int] = {}
+    ids: Dict[tuple, int] = {}
+    numbers: Dict[int, int] = {}
     for i, (op, *arg) in enumerate(steps):
         if op == "bad":
             raise _RuleError("SortError", f"not a core formula: {arg[0]!r}")
         if op == "var":
-            steps[i] = ("var", table.setdefault(arg[0], len(table)))
-    return tuple(steps), len(table)
+            steps[i] = ("var", numbers.setdefault(structural_id(arg[0], ids), len(numbers)))
+    return tuple(steps), len(numbers)
 
 
 def is_tautology(f) -> bool:
@@ -459,9 +470,9 @@ def check_line(d: Derivation, k: int) -> None:
                 if pair is None:
                     _mismatch(f"line {i} is not an implication")
                 l, r = pair
-                if ante.formula != l:
+                if not _same(ante.formula, l):
                     _mismatch(f"line {j} is not the antecedent of line {i}")
-                if stmt.formula != r:
+                if not _same(stmt.formula, r):
                     _mismatch("stated formula is not the consequent of the implication")
             case NecA(i):
                 expected = nec_a(_premise(d.lines, k, i), stmt.sort)
@@ -504,7 +515,7 @@ def check_line(d: Derivation, k: int) -> None:
 def _expect(stmt: Statement, expected: Statement):
     if stmt.sort != expected.sort:
         _sort_error(f"expected sort {expected.sort}, stated sort {stmt.sort}")
-    if stmt.formula != expected.formula:
+    if not _same(stmt.formula, expected.formula):
         _mismatch("stated formula differs from the rule's conclusion")
 
 
@@ -547,11 +558,9 @@ def soundness_spotcheck(d: Derivation, bounds: Optional[Bounds] = None
         names += [n for n in sig.env_atoms if sorts.get(n) == "world"]
         if len(names) != len(sorts):
             raise SortError(f"line {line.index} mentions a name outside its sort's atoms")
-        for st in structures:
-            _, hit = sweep(program, sort, st, names, sorts)
-            if hit is not None:
-                assignment, point = hit
-                values = assignment_values(st, names, sorts, assignment)
-                return SoundnessCounterexample(
-                    line.index, witness_model(sig, st, sorts, values), point)
+        _, hit = first_witness(program, sort, structures, names, sorts, sig)
+        if hit is not None:
+            model, point = hit
+            _revalidate(model, point, stmt.formula)
+            return SoundnessCounterexample(line.index, model, point)
     return None

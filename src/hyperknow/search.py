@@ -23,14 +23,19 @@ satisfying it, and every set of points is realized by some atom under some
 valuation within bounds.  The quotient is therefore exact (and independent
 of any instantiation-depth cutoff) as soon as the atom alphabet offers one
 atom per metavariable of each sort, which ``check_scheme`` enforces.
-Returned countermodels carry a concrete witness: each metavariable is
-assigned a fresh atom whose valuation is the falsifying extension, and the
-verdict is re-checked through the ordinary evaluator before being returned.
+Every caller's witness comes from one loop, ``first_witness``: the first
+falsifying assignment on the first structure that has one, decoded into a
+model, which the caller re-validates through the ordinary evaluator before
+returning it.  ``check_scheme``'s countermodels carry a concrete witness:
+each metavariable is assigned a fresh atom whose valuation is the
+falsifying extension.
 
 ``find_countermodel`` sweeps the valuations of a concrete formula's own
-atoms and greedily minimizes the witness on the structure's tables (drop
-edges, then views, while the program stays false); only the minimal witness
-becomes a model, and the evaluator only re-validates it.
+atoms and returns the first witness as it is, which is already locally
+minimal: a one-deletion substructure (one view of some agent fewer, or the
+same views and one edge fewer) is, up to renaming, a structure that comes
+earlier in the ``enumerate_hypergraphs`` stream, and that structure's
+exhaustive sweep found nothing.
 """
 
 from __future__ import annotations
@@ -519,6 +524,26 @@ def witness_model(sig: Signature, st: _Structure, sorts, values,
     return build_model(sig, st.views, st.edges, proj, val_agent, val_env)
 
 
+def first_witness(program, sort: str, structures, names, sorts, sig: Signature,
+                  atom_of=None):
+    """Sweep the program over a structure stream until an assignment
+    falsifies it at a point of ``sort``.
+
+    Returns ``(assignments swept, None)`` when none does, else ``(assignments
+    swept, (model, point))``: the witness ``witness_model`` builds from the
+    first falsifying assignment of the first structure that has one.
+    """
+    checked = 0
+    for st in structures:
+        count, hit = sweep(program, sort, st, names, sorts)
+        checked += count
+        if hit is not None:
+            assignment, point = hit
+            values = assignment_values(st, names, sorts, assignment)
+            return checked, (witness_model(sig, st, sorts, values, atom_of), point)
+    return checked, None
+
+
 # --- verdicts -----------------------------------------------------------------------
 
 
@@ -578,20 +603,16 @@ def check_scheme(scheme, b: Bounds, agent: Optional[str] = None) -> Verdict:
                 f"scheme checking needs one atom of agent {sorts[name]} per metavariable")
         atom_of[name] = pool.pop(0)
 
-    checked = 0
-    for st in _structures(sig.agents, b.views, b.edges):
-        count, hit = sweep(program, sort, st, swept_names, sorts)
-        checked += count
-        if hit is not None:
-            assignment, point = hit
-            values = assignment_values(st, swept_names, sorts, assignment)
-            model = witness_model(sig, st, sorts, values, atom_of)
-            formula_assignment = {
-                n: EnvAtom(atom_of[n]) if sorts[n] == "world" else AgentAtom(atom_of[n])
-                for n in metas}
-            _revalidate(model, point, substitute_metas(core, formula_assignment))
-            return Countermodel(model=model, point=point, assignment=formula_assignment)
-    return ValidWithinBounds(models_checked=checked)
+    checked, hit = first_witness(program, sort, _structures(sig.agents, b.views, b.edges),
+                                 swept_names, sorts, sig, atom_of)
+    if hit is None:
+        return ValidWithinBounds(models_checked=checked)
+    model, point = hit
+    formula_assignment = {
+        n: EnvAtom(atom_of[n]) if sorts[n] == "world" else AgentAtom(atom_of[n])
+        for n in metas}
+    _revalidate(model, point, substitute_metas(core, formula_assignment))
+    return Countermodel(model=model, point=point, assignment=formula_assignment)
 
 
 def _revalidate(model, point, formula):
@@ -607,7 +628,10 @@ def find_countermodel(f: WorldFormula, b: Bounds) -> Verdict:
     """Bounded validity check for a concrete world formula.
 
     A returned countermodel is locally minimal: no single edge or view
-    deletion keeps the formula false at the witness world.
+    deletion keeps the formula false at the witness world.  It is the first
+    witness of the structure stream, and every one-deletion substructure is,
+    up to renaming, an earlier structure of that stream, which the sweep
+    found no witness on.
     """
     b.validate()
     core = desugar(f)
@@ -618,69 +642,17 @@ def find_countermodel(f: WorldFormula, b: Bounds) -> Verdict:
         raise BoundsError(
             f"formula mentions agents {sorted(extra)} outside the bounds alphabet {list(agents)}")
     names = list(sorts)
-    checked = 0
-    for st in _structures(agents, b.views, b.edges):
-        count, hit = sweep(program, "world", st, names, sorts)
-        checked += count
-        if hit is not None:
-            assignment, point = hit
-            sig = Signature(
-                agents,
-                {a: tuple(n for n in names if sorts[n] == a) for a in agents},
-                tuple(n for n in names if sorts[n] == "world"))
-            st, values, edge = _minimize(
-                program, st, sorts, assignment_values(st, names, sorts, assignment),
-                st.edges.index(point.edge))
-            model, point = witness_model(sig, st, sorts, values), World(st.edges[edge])
-            _revalidate(model, point, core)
-            return Countermodel(model=model, point=point, assignment={})
-    return ValidWithinBounds(models_checked=checked)
-
-
-def _minimize(program, st: _Structure, sorts, values, edge: int):
-    """Greedy local minimization of a witness false at edge index ``edge``:
-    try dropping each other edge in order, then each view by agent, and
-    restart after every drop that keeps the program false there."""
-    while True:
-        for kept_edges, kept_views in _deletions(st, edge):
-            sub, sub_values = _restrict(st, sorts, values, kept_edges, kept_views)
-            sub_edge = kept_edges.index(edge)
-            if not _evaluate(program, sub, sub_values, 1)[sub_edge]:
-                st, values, edge = sub, sub_values, sub_edge
-                break
-        else:
-            return st, values, edge
-
-
-def _restrict(st: _Structure, sorts, values, kept_edges, kept_views):
-    """The structure and point values on the kept edge and view indices;
-    points keep their names and order."""
-    renumber = {a: {j: k for k, j in enumerate(kept)} for a, kept in kept_views.items()}
-    sub = _Structure(
-        tuple(st.edges[i] for i in kept_edges),
-        {a: tuple(st.views[a][j] for j in kept) for a, kept in kept_views.items()},
-        {a: tuple(renumber[a].get(col[i]) for i in kept_edges) for a, col in st.view_of.items()},
-        {})
-    kept = {"world": kept_edges, **kept_views}
-    return sub, {n: [bits[k] for k in kept[sorts[n]]] for n, bits in values.items()}
-
-
-def _deletions(st: _Structure, edge: int):
-    """The candidate deletions, as (kept edge indices, kept view indices per
-    agent): each edge but ``edge`` with the views only it held, then each
-    view whose edges all hold another view."""
-    edges = range(len(st.edges))
-    views = {a: range(len(fibers)) for a, fibers in st.fibers.items()}
-    for i in edges:
-        if i != edge:
-            kept = [k for k in edges if k != i]
-            yield kept, {a: sorted({col[k] for k in kept} - {None})
-                         for a, col in st.view_of.items()}
-    held = [sum(col[i] is not None for col in st.view_of.values()) for i in edges]
-    for a, fibers in st.fibers.items():
-        for j, fiber in enumerate(fibers):
-            if all(held[i] > 1 for i in fiber):
-                yield edges, {**views, a: [k for k in views[a] if k != j]}
+    sig = Signature(
+        agents,
+        {a: tuple(n for n in names if sorts[n] == a) for a in agents},
+        tuple(n for n in names if sorts[n] == "world"))
+    checked, hit = first_witness(program, "world", _structures(agents, b.views, b.edges),
+                                 names, sorts, sig)
+    if hit is None:
+        return ValidWithinBounds(models_checked=checked)
+    model, point = hit
+    _revalidate(model, point, core)
+    return Countermodel(model=model, point=point, assignment={})
 
 
 # --- the scheme library --------------------------------------------------------------

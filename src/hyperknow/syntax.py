@@ -22,7 +22,8 @@ built on it with an explicit stack, so nesting depth costs no recursion:
 computes a value from it).  ``fold`` memoizes by node identity only when it
 is given a memo, because a shared subformula object (as ``substitute_metas``
 puts at every occurrence of a metavariable) must otherwise be visited at
-each place it occurs.
+each place it occurs.  ``structural_id`` numbers formulas on ``fold`` so that
+deep ones can be compared without the recursive generated ``__eq__``.
 """
 
 from __future__ import annotations
@@ -381,6 +382,18 @@ def fold(f, sort, combine, memo=None):
             memo[key] = (node, value)
         values.append(value)
     return values[0]
+
+
+def structural_id(f, table):
+    """An int naming ``f`` up to structure in ``table`` (a dict shared by
+    every formula to be compared): equal formulas, spans ignored, get equal
+    ints, distinct ones distinct ints.  A node's key is its type, its name
+    or agent and its children's ints, so unlike the generated ``__eq__`` and
+    ``__hash__`` this costs no recursion."""
+    def number(node, sort, kids):
+        key = (type(node), getattr(node, "name", None) or getattr(node, "agent", None), *kids)
+        return table.setdefault(key, len(table))
+    return fold(f, None, number)
 
 
 # The node with its children replaced (same span), or the node itself when

@@ -237,6 +237,16 @@ def test_deep_nesting_is_input_error(h3_file, capsys):
     assert "Traceback" not in out
 
 
+def test_prove_deep_derivation(tmp_path, capsys):
+    # The kernel numbers and compares formulas by structure, without the
+    # recursive __eq__ and __hash__ that dataclass generates.
+    x = "E[a] <> " * 1500 + "p"
+    path = tmp_path / "deep.deriv"
+    path.write_text(f"agents: a\natoms[env]: p\n1. e: ({x}) -> ({x}) ; taut\n")
+    code, out, err = run(["prove", "--check", str(path)], capsys=capsys)
+    assert (code, out, err) == (0, "ok (1 lines)\n", "")
+
+
 def test_translate_kb4_too_deep_to_hash_is_input_error(capsys):
     # The lru_cache on translate hashes the formula, and the hash that
     # dataclass generates recurses: cli.run turns that into one error line.

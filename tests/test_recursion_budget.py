@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import sys
 
+import pytest
+
 import hyperknow as hk
 from hyperknow import parser, search
+from hyperknow.errors import DerivationCheckError
 from hyperknow.kb4 import KB4Evaluator
+from hyperknow.proofkernel import check_derivation
 from hyperknow.semantics import Evaluator
 from hyperknow.syntax import (
     EnvAtom,
@@ -33,7 +37,7 @@ def _stack_depth() -> int:
 
 def _through_every_layer(k):
     """Verdicts on k nested '~' and on k nested modal pairs, checking the
-    syntax layers on the way."""
+    syntax layers and the proof kernel on the way."""
     h = hk.example("h1").hypergraph
     sig = hk.Signature(h.sig.agents, {"a": ("pa",)}, ("p",))
     m = hk.build_model(sig, h.views, h.edges, h.proj, {"a": {"pa": {h.views["a"][0]}}})
@@ -63,6 +67,11 @@ def _through_every_layer(k):
         verdicts += [ev.sat_world(e, world) for e in m.edges]
         verdicts += [ev.sat_agent("a", v, agent) for v in m.views_of("a")]
         verdicts += [KB4Evaluator(frame).sat(w, kb4) for w in frame.worlds]
+        x = f"({world_text}) -> ({world_text})"
+        derivation = f"agents: a\n1. e: {x} ; taut\n2. e: ({x}) -> ({x}) ; taut\n"
+        check_derivation(parser.parse_derivation(derivation + f"3. e: {x} ; mp 2 1\n"))
+        with pytest.raises(DerivationCheckError):
+            check_derivation(parser.parse_derivation(derivation + f"3. e: {world_text} ; mp 2 1\n"))
     return verdicts
 
 

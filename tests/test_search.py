@@ -258,7 +258,7 @@ def test_find_countermodel_alive_minimal():
 
 def _smaller_models(m, edge):
     """Model-level oracle for local minimality: every model one deletion
-    smaller than ``m`` that keeps ``edge``, in the minimizer's order.  An
+    smaller than ``m`` that keeps ``edge``.  An
     edge goes with the views only it held; a view goes only if every edge
     keeps some view."""
     h, agents = m.hypergraph, m.sig.agents
@@ -299,69 +299,38 @@ def test_find_countermodel_safe_unsafe_gap():
     _assert_locally_minimal(v, desugar(f))
 
 
-def test_find_countermodel_witnesses_locally_minimal():
-    sig = hk.Signature(("a", "b"), {"a": ("pa",), "b": ("pb",)}, ("q",))
+@pytest.mark.parametrize("b", [Bounds(), Bounds(agents=3, views=2, edges=3),
+                               Bounds(agents=2, views=3, edges=3)],
+                         ids=lambda b: f"{b.agents}-{b.views}-{b.edges}")
+def test_find_countermodel_witnesses_locally_minimal(b):
+    # The first witness of the structure stream is returned as it is: every
+    # one-deletion substructure comes earlier in the stream, up to renaming.
+    agents = search.default_agents(b.agents)
+    sig = hk.Signature(agents, {a: (f"p{a}",) for a in agents}, ("q",))
     rng = random.Random("minimal-witnesses")
     found = 0
     for _ in range(50):
         f = random_world(rng, sig, 4)
-        v = find_countermodel(f, Bounds())
+        v = find_countermodel(f, b)
         if isinstance(v, Countermodel):
             found += 1
             _assert_locally_minimal(v, f)
     assert found >= 30
 
 
-def test_minimize_on_tables_matches_model_level_greedy():
-    # find_countermodel's first falsifying structure is already minimal, so
-    # minimize random falsifying assignments and points on random structures:
-    # the table minimizer must reach the model that greedy deletion on
-    # validated models reaches.
-    sig = hk.Signature(("a", "b"), {"a": ("pa",), "b": ("pb",)}, ("q",))
-    b = Bounds(agents=2, views=2, edges=3)
-    pairs = list(zip(enumerate_hypergraphs(b, sig),
-                     search._structures(sig.agents, b.views, b.edges)))
-    rng = random.Random("table-minimizer")
-    chosen = [desugar(hk.parse_world(text, sig)) for text in (
-        "~E[a] <> q", "~E[a] <> (q & E[b] pb)", "E[a] [] ~E[b] <> q", "~(E[a] pa & E[b] <> ~q)")]
-    shrunk = 0
-    for f in chosen + [random_world(rng, sig, 4) for _ in range(30)]:
-        program, sorts = search.compile_program(f, "world")
-        names = list(sorts)
-        for h, st in rng.sample(pairs, 8):
-            chunks = search.extension_chunks(program, st, names, sorts)
-            falsified = [(first + t, i) for first, width, chunk in chunks
-                         for t in range(width) for i, x in enumerate(chunk) if not x >> t & 1]
-            if not falsified:
-                continue
-            t, i = rng.choice(falsified)
-            values = search.assignment_values(st, names, sorts, t)
-            expected = model = search.witness_model(sig, st, sorts, values)
-            while True:
-                smaller = next((m for m in _smaller_models(expected, st.edges[i])
-                                if not Evaluator(m).sat_world(st.edges[i], f)), None)
-                if smaller is None:
-                    break
-                expected = smaller
-            sub, sub_values, j = search._minimize(program, st, sorts, values, i)
-            assert sub.edges[j] == st.edges[i]
-            assert search.witness_model(sig, sub, sorts, sub_values) == expected
-            shrunk += expected != model
-    assert shrunk >= 100
-
-
-def test_minimize_deletion_order():
-    # Edges in order, then views agent by agent; the first deletion that
-    # keeps the formula false is taken, and the search restarts after it.
-    sig = hk.Signature(("a", "b"), {}, ("q",))
-    st = search._Structure(("e1", "e2", "e3"), {"a": ("a1",), "b": ("b1",)},
-                           {"a": (0, 0, 0), "b": (0, None, None)}, {})
-    for text, values, edges, views in (
-            ("~E[a] <> q", {"q": [0, 1, 1]}, ("e1", "e3"), {"a": ("a1",), "b": ()}),
-            ("~(alive(a) | alive(b))", {}, ("e1",), {"a": (), "b": ("b1",)})):
-        program, sorts = search.compile_program(desugar(hk.parse_world(text, sig)), "world")
-        sub, _, j = search._minimize(program, st, sorts, values, 0)
-        assert (sub.edges, sub.views, sub.edges[j]) == (edges, views, "e1")
+def test_every_sweep_revalidates_its_witness(monkeypatch):
+    # A sweep that reports a point where the formula holds is caught by the
+    # evaluator in each of its callers.
+    monkeypatch.setattr(search, "sweep", lambda program, sort, st, names, sorts:
+                        (1, (0, World(st.edges[0]))))
+    b = Bounds(edges=2)
+    sig = signature_for_bounds(b)
+    derivation = hk.parse_derivation("agents: a\natoms[env]: p\n1. e: p -> p ; taut\n")
+    for verdict in (lambda: check_scheme(hk.parse_world("?PHI -> ?PHI", sig, allow_metas=True), b),
+                    lambda: find_countermodel(hk.parse_world("q1 | ~q1", sig), b),
+                    lambda: hk.soundness_spotcheck(derivation)):
+        with pytest.raises(AssertionError, match="extension sweep and evaluator disagree"):
+            verdict()
 
 
 def test_find_countermodel_rejects_unknown_agents():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from hyperknow.syntax import (
     modal_depth,
     sort_check_agent,
     sort_check_world,
+    structural_id,
 )
 
 from conftest import random_world
@@ -88,6 +90,21 @@ def test_desugar_idempotent_and_core(sig):
         once = desugar(f)
         assert is_core(once)
         assert desugar(once) == once
+
+
+def test_structural_id_agrees_with_equality(sig):
+    # Equal ints exactly for equal formulas; reparsed copies carry spans,
+    # which equality ignores.
+    rng = random.Random("structural-id")
+    formulas = [_random_sugared(rng, sig, 3) for _ in range(200)]
+    formulas += [hk.parse_world(hk.render(f), sig) for f in formulas[:50]]
+    table = {}
+    ids = [structural_id(f, table) for f in formulas]
+    equal = 0
+    for (f, i), (g, j) in itertools.combinations(zip(formulas, ids), 2):
+        assert (i == j) == (f == g), (f, g)
+        equal += f == g
+    assert equal >= 50
 
 
 def test_sort_check_crosslevel_example(sig):
