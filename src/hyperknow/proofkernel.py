@@ -11,8 +11,8 @@ All matching is structural on desugared core formulas: each rule computes
 the expected conclusion from its premise and compares it with the stated
 line.  ``PropTaut`` abstracts maximal modal subformulas and atoms into
 propositional variables and decides by truth table (exact, capped at 20
-variables).  Formulas are compared, and variables numbered, through
-``structural_id``, so deep nesting costs no recursion.
+variables).  Variables are numbered through ``structural_id``, and formulas
+compared by a lockstep walk (``_same``), so deep nesting costs no recursion.
 
 ``soundness_spotcheck`` replays every accepted statement against all
 enumerated models within bounds; a violation would indicate a kernel bug,
@@ -51,6 +51,7 @@ from .syntax import (
     WMeta,
     WNot,
     WTrue,
+    children,
     fold,
     structural_id,
 )
@@ -210,9 +211,20 @@ def _as_box(f):
 
 
 def _same(f, g) -> bool:
-    """Structural equality, spans ignored, without recursion."""
-    table = {}
-    return structural_id(f, table) == structural_id(g, table)
+    """Structural equality, spans ignored, without recursion: both formulas
+    are walked in lockstep, skipping shared subformulas, up to the first
+    node whose type, name or agent differs."""
+    todo = [(f, g)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y) or getattr(x, "name", None) != getattr(y, "name", None) \
+                or getattr(x, "agent", None) != getattr(y, "agent", None):
+            return False
+        for (cx, _), (cy, _) in zip(children(x, None), children(y, None)):
+            todo.append((cx, cy))
+    return True
 
 
 class _RuleError(Exception):

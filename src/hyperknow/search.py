@@ -1,9 +1,19 @@
 """Bounded enumeration of models, validity sweeps, and countermodel search.
 
-``enumerate_hypergraphs``/``enumerate_models`` stream every structure within
-the bounds, deterministically, with no isomorphism elimination: duplicates
-are harmless for validity sweeps, though at the default bounds the 3,292
-structures are only 298 up to edge order.
+``enumerate_hypergraphs``/``enumerate_models`` stream every labelled
+structure within the bounds, deterministically.  The semantics depends
+neither on the order of the edges nor on the names of an agent's views
+(agents are named by formulas, so they are not symmetries), and the sweeps
+read the class stream ``_structures`` instead: one structure per
+isomorphism class under those two symmetries, in labelled-stream order,
+with a ``weight``, the number of labelled structures it stands for.  At the
+default bounds that is 146 classes for 3,292 structures, at 3 agents, 2
+views and 3 edges 567 for 7,583.  Each class is represented by its first
+labelled structure, so the first labelled structure with a falsifying
+assignment is a representative, and the first witness (structure, edge and
+view names, assignment and point) is the labelled sweep's.  A fully swept
+class counts its assignments once per labelled structure, so
+``models_checked`` is the labelled total.
 
 Every validity sweep (``check_scheme``, ``find_countermodel`` and the proof
 kernel's ``soundness_spotcheck``) runs through ``sweep``: the formula is
@@ -33,14 +43,14 @@ falsifying extension.
 ``find_countermodel`` sweeps the valuations of a concrete formula's own
 atoms and returns the first witness as it is, which is already locally
 minimal: a one-deletion substructure (one view of some agent fewer, or the
-same views and one edge fewer) is, up to renaming, a structure that comes
-earlier in the ``enumerate_hypergraphs`` stream, and that structure's
-exhaustive sweep found nothing.
+same views and one edge fewer) is, up to renaming, in an earlier class of
+the stream, and that class's exhaustive sweep found nothing.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -106,7 +116,7 @@ def hard_caps() -> Dict[str, int]:
     raw = os.environ.get("HYPERKNOW_MAX_BOUNDS", "")
     for part in filter(None, (p.strip() for p in raw.split(","))):
         key, _, value = part.partition("=")
-        if key.strip() in caps and value.strip().isdigit():
+        if key.strip() in caps and value.strip().isdecimal():
             caps[key.strip()] = int(value.strip())
     return caps
 
@@ -331,13 +341,16 @@ class _Structure:
     Per agent: ``view_of[a][i]`` is the index of the agent's view in edge
     ``i`` (None where the agent is absent) and ``fibers[a][j]`` the indices
     of the edges holding its view ``j``.  Equal tables are one shared tuple.
+    ``weight`` is the number of labelled structures the structure stands for.
     """
 
-    __slots__ = ("edges", "views", "view_of", "fibers")
+    __slots__ = ("edges", "views", "view_of", "fibers", "weight")
 
-    def __init__(self, edges, views, view_of: Dict[str, tuple], intern: Dict[tuple, tuple]):
+    def __init__(self, edges, views, view_of: Dict[str, tuple], intern: Dict[tuple, tuple],
+                 weight: int):
         self.edges = edges
         self.views = views
+        self.weight = weight
         self.view_of = {}
         self.fibers = {}
         for a, col in view_of.items():
@@ -347,17 +360,64 @@ class _Structure:
             self.fibers[a] = intern.setdefault(fibers, fibers)
 
 
+def _orderings(seq) -> int:
+    """The number of distinct orderings of a sorted sequence."""
+    out = math.factorial(len(seq))
+    for _, run in itertools.groupby(seq):
+        out //= math.factorial(len(list(run)))
+    return out
+
+
 @lru_cache(maxsize=8)
 def _structures(agents: Tuple[str, ...], views: int, edges: int) -> Tuple[_Structure, ...]:
-    b = Bounds(agents=len(agents), views=views, edges=edges)
+    """One structure per isomorphism class of ``enumerate_hypergraphs`` over
+    ``agents``, in that stream's order, weighted by the size of its class.
+
+    Two labelled structures are isomorphic when a permutation of the edges
+    and a renaming of each agent's views maps one onto the other.  For given
+    view counts and edge count, a structure is a sequence of rows (each
+    agent's view index, or None), and the labelled stream lists the
+    sequences in lexicographic order of row indices.  Its first member of a
+    class is therefore the least one: a sorted sequence that no view
+    renaming turns into a smaller sorted sequence.  That member is kept, with
+    the same edge and view names; its weight sums the orderings of the
+    class's distinct sorted sequences.
+    """
+    Bounds(agents=len(agents), views=views, edges=edges).validate()
     intern: Dict[tuple, tuple] = {}
     out = []
-    for h in enumerate_hypergraphs(b, Signature(agents)):
-        view_of = {}
-        for a in agents:
-            index = {v: j for j, v in enumerate(h.views[a])}
-            view_of[a] = tuple(index.get(h.proj.get((e, a))) for e in h.edges)
-        out.append(_Structure(h.edges, h.views, view_of, intern))
+    for view_counts in itertools.product(range(views + 1), repeat=len(agents)):
+        names = {a: tuple(f"{a}{i + 1}" for i in range(c))
+                 for a, c in zip(agents, view_counts)}
+        rows = [row for row in itertools.product(*[(None, *range(c)) for c in view_counts])
+                if any(v is not None for v in row)]
+        index = {row: r for r, row in enumerate(rows)}
+        offsets = list(itertools.accumulate(view_counts, initial=0))
+        cover = [sum(1 << offsets[i] + v for i, v in enumerate(row) if v is not None)
+                 for row in rows]
+        everything = (1 << offsets[-1]) - 1
+        # Row indices under each view renaming but the identity, which
+        # itertools lists first.
+        renamings = [
+            tuple(index[tuple(None if v is None else perm[v] for v, perm in zip(row, perms))]
+                  for row in rows)
+            for perms in itertools.product(*[itertools.permutations(range(c))
+                                             for c in view_counts])][1:]
+        for k in range(1, edges + 1):
+            edge_names = tuple(f"e{i + 1}" for i in range(k))
+            for seq in itertools.combinations_with_replacement(range(len(rows)), k):
+                if reduce(or_, [cover[r] for r in seq]) != everything:
+                    continue
+                images = {seq}
+                for renaming in renamings:
+                    image = tuple(sorted([renaming[r] for r in seq]))
+                    if image < seq:
+                        break
+                    images.add(image)
+                else:
+                    view_of = {a: tuple(rows[r][i] for r in seq) for i, a in enumerate(agents)}
+                    out.append(_Structure(edge_names, names, view_of, intern,
+                                          sum(map(_orderings, images))))
     return tuple(out)
 
 
@@ -531,16 +591,17 @@ def first_witness(program, sort: str, structures, names, sorts, sig: Signature,
 
     Returns ``(assignments swept, None)`` when none does, else ``(assignments
     swept, (model, point))``: the witness ``witness_model`` builds from the
-    first falsifying assignment of the first structure that has one.
+    first falsifying assignment of the first structure that has one.  A
+    fully swept structure counts its assignments ``weight`` times.
     """
     checked = 0
     for st in structures:
         count, hit = sweep(program, sort, st, names, sorts)
-        checked += count
         if hit is not None:
             assignment, point = hit
             values = assignment_values(st, names, sorts, assignment)
-            return checked, (witness_model(sig, st, sorts, values, atom_of), point)
+            return checked + count, (witness_model(sig, st, sorts, values, atom_of), point)
+        checked += count * st.weight
     return checked, None
 
 
@@ -629,9 +690,9 @@ def find_countermodel(f: WorldFormula, b: Bounds) -> Verdict:
 
     A returned countermodel is locally minimal: no single edge or view
     deletion keeps the formula false at the witness world.  It is the first
-    witness of the structure stream, and every one-deletion substructure is,
-    up to renaming, an earlier structure of that stream, which the sweep
-    found no witness on.
+    witness of the class stream, and every one-deletion substructure is, up
+    to renaming, in an earlier class of the stream, which the sweep found no
+    witness on.
     """
     b.validate()
     core = desugar(f)

@@ -247,6 +247,17 @@ def test_prove_deep_derivation(tmp_path, capsys):
     assert (code, out, err) == (0, "ok (1 lines)\n", "")
 
 
+@pytest.mark.parametrize("argv", [["countermodel", "--formula", "alive(a)"],
+                                  ["prove", "--check", str(CORPUS / "k_axiom.deriv"),
+                                   "--soundness"]], ids=["countermodel", "prove"])
+def test_non_decimal_max_bounds_is_skipped(argv, monkeypatch, capsys):
+    # "²" passes str.isdigit but not int(); the part is skipped as malformed.
+    monkeypatch.setenv("HYPERKNOW_MAX_BOUNDS", "edges=²")
+    code, out, err = run(argv, capsys=capsys)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+
+
 def test_translate_kb4_too_deep_to_hash_is_input_error(capsys):
     # The lru_cache on translate hashes the formula, and the hash that
     # dataclass generates recurses: cli.run turns that into one error line.

@@ -90,6 +90,13 @@ def test_bounds_env_override(monkeypatch):
     Bounds(edges=6).validate()
 
 
+def test_bounds_env_skips_parts_that_are_not_decimal(monkeypatch):
+    # "²".isdigit() holds but int("²") raises; such parts are malformed.
+    monkeypatch.setenv("HYPERKNOW_MAX_BOUNDS", "edges=², views=4, agents=x")
+    assert search.hard_caps() == {**search._ENV_CAPS, "views": 4}
+    Bounds().validate()
+
+
 SMALL = Bounds(agents=2, views=1, edges=2, agent_atoms=1, env_atoms=1, depth=1)
 
 
@@ -365,6 +372,22 @@ def _points(model, sort):
     return [View(sort, v) for v in model.views_of(sort)]
 
 
+def _tables(h, intern):
+    """The sweep's tables for one labelled hypergraph, standing for itself."""
+    view_of = {}
+    for a in h.sig.agents:
+        index = {v: j for j, v in enumerate(h.views[a])}
+        view_of[a] = tuple(index.get(h.proj.get((e, a))) for e in h.edges)
+    return search._Structure(h.edges, h.views, view_of, intern, 1)
+
+
+def _labelled_structures(agents, views, edges):
+    """Tables of every structure of the labelled stream, in its order."""
+    b = Bounds(agents=len(agents), views=views, edges=edges)
+    intern = {}
+    return [_tables(h, intern) for h in enumerate_hypergraphs(b, hk.Signature(agents))]
+
+
 @pytest.mark.parametrize("chunk_bits", [14, 2])
 @pytest.mark.parametrize("sort", ["world", "a", "b"])
 def test_bit_sliced_extensions_match_evaluator(sort, chunk_bits, monkeypatch):
@@ -374,8 +397,8 @@ def test_bit_sliced_extensions_match_evaluator(sort, chunk_bits, monkeypatch):
     rng = random.Random(f"bit-sliced/{sort}")
     sig = hk.Signature(("a", "b"), {"a": ("pa",), "b": ("pb",)}, ("u", "v"))
     b = Bounds(agents=2, views=2, edges=2)
-    # The cached table stream is the labelled stream, in the same order.
-    structures = list(zip(enumerate_hypergraphs(b, sig), search._structures(sig.agents, 2, 2)))
+    intern = {}
+    structures = [(h, _tables(h, intern)) for h in enumerate_hypergraphs(b, sig)]
     assert all((h.edges, h.views) == (st.edges, st.views) for h, st in structures)
     for _ in range(12):
         f = random_world(rng, sig, 4) if sort == "world" else random_agent(rng, sig, sort, 4)
@@ -451,7 +474,9 @@ def test_sweep_witness_past_the_first_chunk(monkeypatch):
         program, sorts = search.compile_program(f, "world")
         names, vary_agent, vary_env = _valuation_order(sig, sorts)
         b = Bounds(agents=2, views=2, edges=2)
-        for h, st in zip(enumerate_hypergraphs(b, sig), search._structures(sig.agents, 2, 2)):
+        intern = {}
+        for h in enumerate_hypergraphs(b, sig):
+            st = _tables(h, intern)
             count, hit = search.sweep(program, "world", st, names, sorts)
             expected = _first_failure(h, f, "world", vary_agent, vary_env)
             if expected is None:
@@ -466,3 +491,91 @@ def test_sweep_witness_past_the_first_chunk(monkeypatch):
             several += len(failing) > 1
     assert late > 0 and several > 0
 
+
+# --- the class stream ---------------------------------------------------------------
+
+
+_GRID = [(a, v, e) for a in (1, 2, 3) for v in (1, 2, 3) for e in (1, 2, 3)
+         if (a, v) != (3, 3)]
+
+
+@pytest.mark.parametrize("agents,views,edges", _GRID, ids=["-".join(map(str, g)) for g in _GRID])
+def test_class_weights_sum_to_labelled_count(agents, views, edges):
+    b = Bounds(agents=agents, views=views, edges=edges)
+    classes = search._structures(search.default_agents(agents), views, edges)
+    assert sum(st.weight for st in classes) == len(list(enumerate_hypergraphs(b)))
+
+
+def _key(st, order=None, perms=None):
+    """A labelled structure as per-agent view counts and view-index columns,
+    its edges taken in ``order`` and each agent's views renamed by ``perms``."""
+    order = order or range(len(st.edges))
+    perms = perms or [range(len(st.views[a])) for a in sorted(st.view_of)]
+    return tuple(
+        (len(st.views[a]),
+         tuple(None if st.view_of[a][i] is None else perm[st.view_of[a][i]] for i in order))
+        for a, perm in zip(sorted(st.view_of), perms))
+
+
+def _orbit(st):
+    """Every labelled structure isomorphic to ``st``."""
+    renamings = itertools.product(*[itertools.permutations(range(len(st.views[a])))
+                                    for a in sorted(st.view_of)])
+    orders = list(itertools.permutations(range(len(st.edges))))
+    return {_key(st, order, perms) for perms in renamings for order in orders}
+
+
+@pytest.mark.parametrize("agents,views,edges", [(2, 2, 3), (3, 2, 2), (2, 3, 3), (1, 3, 3)])
+def test_class_representatives_are_distinct_and_cover_the_stream(agents, views, edges):
+    # Brute force: the orbits of the representatives under edge permutation
+    # and view renaming are disjoint, each as large as its weight, and
+    # together they are the labelled stream.
+    agent_names = search.default_agents(agents)
+    seen = set()
+    for st in search._structures(agent_names, views, edges):
+        orbit = _orbit(st)
+        assert len(orbit) == st.weight
+        assert not orbit & seen
+        seen |= orbit
+    assert seen == {_key(st) for st in _labelled_structures(agent_names, views, edges)}
+
+
+def _labelled_sweep(monkeypatch, verdict):
+    """The verdict computed over the labelled stream instead of the classes."""
+    with monkeypatch.context() as m:
+        m.setattr(search, "_structures", _labelled_structures)
+        return verdict()
+
+
+def _same_verdict(fast, slow):
+    if isinstance(slow, ValidWithinBounds):
+        assert fast == slow
+    else:
+        assert isinstance(fast, Countermodel)
+        assert fast.point == slow.point
+        assert fast.assignment == slow.assignment
+        assert hk.parser.render_model(fast.model) == hk.parser.render_model(slow.model)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AT_THREE_EDGES))
+def test_scheme_library_matches_the_labelled_sweep(name, monkeypatch):
+    scheme = _scheme_library()[name]
+    agent = None if isinstance(scheme, WorldFormula) else "a"
+    b = Bounds(edges=3)
+    _same_verdict(check_scheme(scheme, b, agent=agent),
+                  _labelled_sweep(monkeypatch, lambda: check_scheme(scheme, b, agent=agent)))
+
+
+@pytest.mark.parametrize("b", [Bounds(agents=2, views=2, edges=3),
+                               Bounds(agents=3, views=2, edges=2)], ids=["2-2-3", "3-2-2"])
+def test_find_countermodel_matches_the_labelled_sweep(b, monkeypatch):
+    rng = random.Random(f"class-stream/{b.agents}")
+    sig = hk.Signature(search.default_agents(b.agents),
+                       {"a": ("pa",), "b": ("pb",)}, ("u", "v"))
+    kinds = set()
+    for _ in range(50):
+        f = random_world(rng, sig, 4)
+        fast = find_countermodel(f, b)
+        _same_verdict(fast, _labelled_sweep(monkeypatch, lambda: find_countermodel(f, b)))
+        kinds.add(type(fast))
+    assert kinds == {ValidWithinBounds, Countermodel}
