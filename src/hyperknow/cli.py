@@ -130,10 +130,8 @@ def cmd_translate_kb4(args) -> int:
         # Atoms are implicitly environment atoms of the translation target.
         sig = Signature(agents, {}, tuple(sorted(atoms_of(pa._parse(args.formula, "kb4")))))
     kf = pa.parse_kb4(args.formula, sig)
-    out = translate(kf)
-    _emit(args, pa.render(out), {"command": "translate-kb4",
-                                 "input": args.formula,
-                                 "output": pa.render(out)})
+    out = pa.render(translate(kf))
+    _emit(args, out, {"command": "translate-kb4", "input": args.formula, "output": out})
     return 0
 
 

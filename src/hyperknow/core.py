@@ -523,41 +523,63 @@ def _example_card_game(cards=4, agents=3):
     return build_model(sig, views, tuple(edges), proj, val_agent)
 
 
-def _example_shared_memory_functionalized():
-    """Two processes reading one of two shared binary memory cells.
+_CELLS = ("L", "R")
+_BITS = ("0", "1")
 
-    The relational version (a process can be assigned either cell, so it can
-    hold two views of the same memory state) lives in the neighborhood
-    module.  Here the cell assignment is part of the world, which restores
-    one view per agent per world: worlds are (memory contents, assignment)
-    pairs.
+
+def _shared_memory_parts():
+    """The signature, views and valuation of both shared-memory models.
+
+    Two processes ``a`` and ``b`` read a two-cell binary memory; the view
+    ``<agent>_<cell><bit>`` reads that bit in that cell, and the atoms
+    ``reads0_<agent>``/``reads1_<agent>`` hold at the views reading 0/1.
     """
     names = ("a", "b")
-    cells = ("L", "R")
-    bits = ("0", "1")
-    views = {ag: tuple(f"{ag}_{c}{b}" for c in cells for b in bits) for ag in names}
-    sig = Signature(
-        names,
-        {ag: (f"reads0_{ag}", f"reads1_{ag}") for ag in names},
-    )
+    views = {ag: tuple(f"{ag}_{c}{b}" for c in _CELLS for b in _BITS) for ag in names}
+    sig = Signature(names, {ag: tuple(f"reads{b}_{ag}" for b in _BITS) for ag in names})
+    val_agent = {
+        ag: {f"reads{b}_{ag}": frozenset(v for v in views[ag] if v.endswith(b))
+             for b in _BITS}
+        for ag in names
+    }
+    return sig, views, val_agent
+
+
+def shared_memory_example() -> ChromaticHypergraphModel:
+    """Two processes reading a two-cell binary shared memory.
+
+    Each process may be assigned either cell, so it can hold two views of
+    the same memory state: the view (agent, cell, bit) belongs to the state
+    (xL, xR) exactly when the assigned cell stores that bit.
+    """
+    sig, views, val_agent = _shared_memory_parts()
+    edges = tuple(f"{xl}{xr}" for xl in _BITS for xr in _BITS)
+    incidence = {}
+    for xl in _BITS:
+        for xr in _BITS:
+            mem = {"L": xl, "R": xr}
+            for ag in sig.agents:
+                incidence[(f"{xl}{xr}", ag)] = tuple(f"{ag}_{c}{mem[c]}" for c in _CELLS)
+    return build_generalized_model(sig, views, edges, incidence, val_agent)
+
+
+def _example_shared_memory_functionalized():
+    """The shared memory of :func:`shared_memory_example`, with the cell
+    assignment made part of the world: worlds are (memory contents,
+    assignment) pairs, which restores one view per agent per world.
+    """
+    sig, views, val_agent = _shared_memory_parts()
     edges = []
     proj = {}
-    for xl in bits:
-        for xr in bits:
-            for ca in cells:
-                for cb in cells:
+    for xl in _BITS:
+        for xr in _BITS:
+            for ca in _CELLS:
+                for cb in _CELLS:
                     name = f"x{xl}{xr}_{ca}{cb}"
                     edges.append(name)
                     mem = {"L": xl, "R": xr}
                     proj[(name, "a")] = f"a_{ca}{mem[ca]}"
                     proj[(name, "b")] = f"b_{cb}{mem[cb]}"
-    val_agent = {
-        ag: {
-            f"reads0_{ag}": frozenset(v for v in views[ag] if v.endswith("0")),
-            f"reads1_{ag}": frozenset(v for v in views[ag] if v.endswith("1")),
-        }
-        for ag in names
-    }
     return build_model(sig, views, tuple(edges), proj, val_agent)
 
 

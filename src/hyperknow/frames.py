@@ -8,12 +8,18 @@ related to itself for at least one agent.
 ``eta`` turns a frame into a hypergraph (worlds become hyperedges, the
 equivalence classes of an agent become its views); ``kappa`` goes the other
 way (two hyperedges are equivalent for an agent when they share one of its
-views).  The two constructions are mutually inverse up to isomorphism, which
-:func:`is_isomorphic` decides exactly by backtracking.
+views).  The two constructions are mutually inverse up to isomorphism.
+
+An agent's view of an edge and its class of a world are the same kind of
+data: a per-agent *block* holding the point.  So :func:`is_isomorphic` and
+:func:`is_isomorphic_frames` are one search, for a bijection of points that
+carries each agent's blocks bijectively onto blocks.  It backtracks on an
+explicit stack, so no input size meets Python's recursion limit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
@@ -212,10 +218,18 @@ class FrameMorphism:
     world_map: Mapping[str, str]
 
 
+def _functional_only(*hypergraphs) -> None:
+    if any(isinstance(h, GeneralizedChromaticHypergraph) for h in hypergraphs):
+        raise ValidationError(["morphisms: only functional chromatic hypergraphs "
+                               "(at most one view per agent per edge) are compared"])
+
+
 def check_hypergraph_morphism(mor: HypergraphMorphism,
                               source: ChromaticHypergraph,
                               target: ChromaticHypergraph) -> bool:
-    """Pointwise check of the commutation condition."""
+    """Pointwise check of the commutation condition (functional
+    hypergraphs only, as for :func:`is_isomorphic`)."""
+    _functional_only(source, target)
     for a in source.sig.agents:
         vm = mor.view_maps.get(a, {})
         for v in source.views.get(a, ()):
@@ -287,138 +301,112 @@ def is_isomorphic(h1: ChromaticHypergraph,
                   h2: ChromaticHypergraph) -> Optional[HypergraphMorphism]:
     """An invertible morphism h1 -> h2, or None.
 
-    Exact backtracking over edge bijections; view maps are induced by the
-    edge assignment.  Pruned by per-agent view counts, aliveness patterns and
-    fiber sizes; fine at desk scale.  The search assumes at most one view per
-    agent per edge, so generalized hypergraphs raise :class:`ValidationError`.
+    The blocks of the search are views: the view maps are the block maps.
+    The search assumes at most one view per agent per edge, so generalized
+    hypergraphs raise :class:`ValidationError`.
     """
-    if any(isinstance(h, GeneralizedChromaticHypergraph) for h in (h1, h2)):
-        raise ValidationError(["isomorphism: only functional chromatic hypergraphs "
-                               "(at most one view per agent per edge) are compared"])
+    _functional_only(h1, h2)
     if h1.sig.agents != h2.sig.agents:
         return None
-    agents = h1.sig.agents
-    if len(h1.edges) != len(h2.edges):
+    found = _isomorphism(h1.sig.agents, h1.edges, h2.edges, h1.view_in, h2.view_in)
+    if found is None:
         return None
-    for a in agents:
-        if len(h1.views.get(a, ())) != len(h2.views.get(a, ())):
-            return None
-
-    def signature_of(h, e):
-        return tuple(
-            (a, len(h.worlds_of_view(a, h.proj[(e, a)])) if (e, a) in h.proj else None)
-            for a in agents)
-
-    sig2_pool: Dict[tuple, list] = {}
-    for e in h2.edges:
-        sig2_pool.setdefault(signature_of(h2, e), []).append(e)
-
-    edge_map: Dict[str, str] = {}
-    used = set()
-    view_map: Dict[Tuple[str, str], str] = {}
-    view_map_inv: Dict[Tuple[str, str], str] = {}
-
-    order = sorted(h1.edges, key=lambda e: len(sig2_pool.get(signature_of(h1, e), [])))
-
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
-        e = order[i]
-        for cand in sig2_pool.get(signature_of(h1, e), []):
-            if cand in used:
-                continue
-            added = []
-            ok = True
-            for a in agents:
-                v = h1.view_in(e, a)
-                w = h2.view_in(cand, a)
-                if (v is None) != (w is None):
-                    ok = False
-                    break
-                if v is None:
-                    continue
-                if (a, v) in view_map:
-                    if view_map[(a, v)] != w:
-                        ok = False
-                        break
-                elif (a, w) in view_map_inv:
-                    ok = False
-                    break
-                else:
-                    view_map[(a, v)] = w
-                    view_map_inv[(a, w)] = v
-                    added.append((a, v, w))
-            if ok:
-                edge_map[e] = cand
-                used.add(cand)
-                if assign(i + 1):
-                    return True
-                used.discard(cand)
-                del edge_map[e]
-            for a, v, w in added:
-                del view_map[(a, v)]
-                del view_map_inv[(a, w)]
-        return False
-
-    if not assign(0):
-        return None
-    view_maps = {a: {} for a in agents}
-    for (a, v), w in view_map.items():
-        view_maps[a][v] = w
-    return HypergraphMorphism(view_maps=view_maps, edge_map=dict(edge_map))
+    edge_map, block_maps = found
+    return HypergraphMorphism(view_maps=dict(zip(h1.sig.agents, block_maps)),
+                              edge_map=edge_map)
 
 
 def is_isomorphic_frames(f1: PartialEpistemicFrame,
                          f2: PartialEpistemicFrame) -> Optional[FrameMorphism]:
-    """An invertible frame morphism f1 -> f2, or None."""
+    """An invertible frame morphism f1 -> f2, or None.
+
+    The blocks of the search are equivalence classes, each named by its
+    first world.
+    """
     if f1.agents != f2.agents:
         return None
-    if len(f1.worlds) != len(f2.worlds):
+    found = _isomorphism(f1.agents, f1.worlds, f2.worlds,
+                         _first_of_class(f1), _first_of_class(f2))
+    return None if found is None else FrameMorphism(world_map=found[0])
+
+
+def _first_of_class(fr: PartialEpistemicFrame):
+    return lambda w, a: (cls := fr.class_of(a, w)) and cls[0]
+
+
+def _isomorphism(agents, points1, points2, block1, block2):
+    """A bijection of points that carries each agent's blocks bijectively
+    onto blocks, as ``(point map, [block map per agent])``; or None.
+
+    ``block(x, a)`` names agent ``a``'s block holding point ``x`` (its view
+    of an edge, its class of a world), or is None where ``a`` has none.  A
+    point's profile is its block size per agent, and points map only within
+    a profile.  The first structure's points are taken smallest pool first,
+    the candidates in declaration order.  The backtracking keeps one
+    candidate iterator per depth on an explicit stack, and extends and
+    undoes per-agent forward and backward block maps.
+    """
+    rows1, profiles1 = _rows_and_profiles(agents, points1, block1)
+    rows2, profiles2 = _rows_and_profiles(agents, points2, block2)
+    if Counter(profiles1) != Counter(profiles2):
         return None
-    for a in f1.agents:
-        sizes1 = sorted(len(c) for c in f1.classes.get(a, ()))
-        sizes2 = sorted(len(c) for c in f2.classes.get(a, ()))
-        if sizes1 != sizes2:
-            return None
-
-    def profile(fr, w):
-        out = []
-        for a in fr.agents:
-            cls = fr.class_of(a, w)
-            out.append(None if cls is None else len(cls))
-        return tuple(out)
-
-    pool: Dict[tuple, list] = {}
-    for w in f2.worlds:
-        pool.setdefault(profile(f2, w), []).append(w)
-
-    mapping: Dict[str, str] = {}
+    pools: Dict[tuple, list] = {}
+    for y, row, p in zip(points2, rows2, profiles2):
+        pools.setdefault(p, []).append((y, row))
+    order = sorted(range(len(points1)), key=lambda i: len(pools[profiles1[i]]))
+    forward = [{} for _ in agents]
+    backward = [{} for _ in agents]
+    taken = []          # (candidate, block pairs it added) per assigned depth
+    candidates = []     # the rest of each depth's pool, still to try
     used = set()
-    worlds = list(f1.worlds)
+    while len(taken) < len(order):
+        i = order[len(taken)]
+        if len(candidates) == len(taken):
+            candidates.append(iter(pools[profiles1[i]]))
+        for y, row2 in candidates[-1]:
+            if y not in used:
+                added = _extend(forward, backward, rows1[i], row2)
+                if added is not None:
+                    taken.append((y, added))
+                    used.add(y)
+                    break
+        else:                                   # pool exhausted: backtrack
+            candidates.pop()
+            if not taken:
+                return None
+            y, added = taken.pop()
+            used.discard(y)
+            _undo(forward, backward, added)
+    return {points1[i]: y for i, (y, _) in zip(order, taken)}, forward
 
-    def compatible(w, cand):
-        # Already-assigned worlds must agree on every agent's relation.
-        for a in f1.agents:
-            for w2, c2 in mapping.items():
-                if f1.related(a, w, w2) != f2.related(a, cand, c2):
-                    return False
-        return True
 
-    def assign(i: int) -> bool:
-        if i == len(worlds):
-            return True
-        w = worlds[i]
-        for cand in pool.get(profile(f1, w), []):
-            if cand in used or not compatible(w, cand):
-                continue
-            mapping[w] = cand
-            used.add(cand)
-            if assign(i + 1):
-                return True
-            used.discard(cand)
-            del mapping[w]
-        return False
+def _rows_and_profiles(agents, points, block):
+    rows = [tuple(block(x, a) for a in agents) for x in points]
+    sizes = [Counter(column) for column in zip(*rows)]
+    profiles = [tuple(None if b is None else size[b] for b, size in zip(row, sizes))
+                for row in rows]
+    return rows, profiles
 
-    if not assign(0):
-        return None
-    return FrameMorphism(world_map=dict(mapping))
+
+def _extend(forward, backward, row1, row2):
+    """Map each agent's block in row1 to its block in row2; the pairs added,
+    or None (with nothing added) where that breaks a block map."""
+    added = []
+    for k, (b, c) in enumerate(zip(row1, row2)):
+        if b is None:
+            continue
+        known = forward[k].get(b)
+        if known is None and c not in backward[k]:
+            forward[k][b] = c
+            backward[k][c] = b
+            added.append((k, b, c))
+        elif known != c:
+            _undo(forward, backward, added)
+            return None
+    return added
+
+
+def _undo(forward, backward, added):
+    for k, b, c in added:
+        del forward[k][b]
+        del backward[k][c]

@@ -14,8 +14,6 @@ deliberately independent implementations so that
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import SortError, UnknownPointError
 from .frames import PartialEpistemicModel, eta_model
 from .semantics import Evaluator
@@ -95,19 +93,14 @@ def _translate_node(f, sort, x):
         raise TypeError(f"not a KB4 formula: {f!r}") from None
 
 
-# The translation of every KB4 subformula translated so far, by identity:
-# a subformula object shared by several formulas keeps one translation, so
-# an Evaluator's memo (keyed by identity too) evaluates it once.
-_TRANSLATED = {}
-
-
-@lru_cache(maxsize=None)
 def translate(f: KB4Formula) -> WorldFormula:
     """Knowledge becomes unsafe knowledge; everything else is homomorphic.
 
-    Returns a core world formula.
+    Returns a core world formula.  A subformula object shared within ``f``
+    is translated once, into one object, so an Evaluator's memo (keyed by
+    identity) evaluates it once.
     """
-    return fold(f, None, _translate_node, _TRANSLATED)
+    return fold(f, None, _translate_node, {})
 
 
 def check_translation_equiv(m: PartialEpistemicModel, f: KB4Formula) -> bool:

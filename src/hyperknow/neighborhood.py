@@ -2,7 +2,8 @@
 
 Dropping the one-view-per-agent-per-world requirement turns the projection
 into a relation: an agent may hold several views of the same world.  The
-structure, its checks and its model type live in :mod:`hyperknow.core`, and
+structure, its checks, its model type and the shared-memory example live in
+:mod:`hyperknow.core`, and
 :class:`hyperknow.semantics.Evaluator` evaluates both kinds: its view
 quantifiers range over every view the agent holds in the world.  Exporting
 such a structure by swapping the roles of views and worlds yields a
@@ -19,9 +20,9 @@ from .core import (  # noqa: F401  (re-exported)
     ChromaticHypergraphModel,
     GeneralizedChromaticHypergraph,
     GeneralizedChromaticHypergraphModel,
-    Signature,
     build_generalized,
     build_generalized_model,
+    shared_memory_example,
 )
 from .semantics import EvalPoint, Evaluator
 
@@ -67,40 +68,6 @@ def to_neighborhood(g) -> NeighborhoodFrame:
             per_state[e] = frozenset(fibers[(a, v)] for v in g.views_in(e, a))
         neighborhoods[a] = per_state
     return NeighborhoodFrame(states=g.edges, neighborhoods=neighborhoods)
-
-
-def shared_memory_example() -> ChromaticHypergraphModel:
-    """Two processes reading a two-cell binary shared memory.
-
-    Each process may be assigned either cell, so it can hold two views of
-    the same memory state: the view (agent, cell, bit) belongs to the state
-    (xL, xR) exactly when the assigned cell stores that bit.  Atoms
-    ``reads0_<agent>``/``reads1_<agent>`` hold at the views reading 0/1.
-    """
-    names = ("a", "b")
-    cells = ("L", "R")
-    bits = ("0", "1")
-    views = {ag: tuple(f"{ag}_{c}{b}" for c in cells for b in bits) for ag in names}
-    sig = Signature(
-        names,
-        {ag: (f"reads0_{ag}", f"reads1_{ag}") for ag in names},
-    )
-    edges = tuple(f"{xl}{xr}" for xl in bits for xr in bits)
-    incidence = {}
-    for xl in bits:
-        for xr in bits:
-            mem = {"L": xl, "R": xr}
-            for ag in names:
-                incidence[(f"{xl}{xr}", ag)] = tuple(
-                    f"{ag}_{c}{mem[c]}" for c in cells)
-    val_agent = {
-        ag: {
-            f"reads0_{ag}": frozenset(v for v in views[ag] if v.endswith("0")),
-            f"reads1_{ag}": frozenset(v for v in views[ag] if v.endswith("1")),
-        }
-        for ag in names
-    }
-    return build_generalized_model(sig, views, edges, incidence, val_agent)
 
 
 # One evaluator serves both kinds of hypergraph.  This is the same class, not

@@ -18,7 +18,7 @@ from collections import defaultdict
 import pytest
 
 import hyperknow as hk
-from hyperknow import frames, parser, proofkernel, search
+from hyperknow import frames, kb4, parser, proofkernel, search
 from hyperknow.core import downward_closure, underlying_simple
 from hyperknow.errors import DerivationCheckError, ParseError, SortError
 from hyperknow.frames import eta, is_isomorphic, is_isomorphic_frames, kappa
@@ -30,7 +30,7 @@ from hyperknow.neighborhood import (
     to_neighborhood,
 )
 from hyperknow.semantics import Evaluator
-from hyperknow.syntax import atoms_of, desugar, substitute_metas
+from hyperknow.syntax import atoms_of, desugar, fold, substitute_metas
 
 from conftest import CORPUS, random_agent, random_world
 
@@ -138,9 +138,15 @@ def test_criterion_5_translation_equivalence():
     atoms = ("q1", "q2")
     pool = search.enumerate_kb4_formulas(atoms, ("a", "b"), max_size=5,
                                          max_modal_depth=2, commutative_dedup=True)
+    # Pool formulas share subformula objects.  Translated with one memo,
+    # their translations share them too, so each Evaluator below evaluates a
+    # shared subformula once.  Each equals translate(f).
+    memo = {}
     groups = defaultdict(list)
     for f in pool:
-        groups[tuple(sorted(atoms_of(f)))].append(f)
+        tf = fold(f, None, kb4._translate_node, memo)
+        assert tf == translate(f)
+        groups[tuple(sorted(atoms_of(f)))].append((f, tf))
 
     checked = 0
     mismatches = 0
@@ -162,8 +168,7 @@ def test_criterion_5_translation_equivalence():
                     val_agent={a: {} for a in fr.agents}, val_env=val)
                 direct = KB4Evaluator(fm)
                 converted = Evaluator(em)
-                for f in fs:
-                    tf = translate(f)
+                for f, tf in fs:
                     for w in fr.worlds:
                         checked += 1
                         if direct.sat(w, f) != converted.sat_world(w, tf):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 import hyperknow as hk
@@ -238,3 +241,173 @@ def test_functor_action_on_enumerated_isos():
         assert check_hypergraph_morphism(transported, eta(fr), eta(fr))
         count += 1
     assert count > 0
+
+
+def test_morphism_check_rejects_generalized_hypergraphs():
+    generalized = hk.shared_memory_example().hypergraph
+    functional = hk.example("shared-memory-functionalized").hypergraph
+    views = {a: {v: v for v in generalized.views[a]} for a in generalized.sig.agents}
+    for source, target in ((generalized, functional), (functional, generalized)):
+        mor = HypergraphMorphism(view_maps=views,
+                                 edge_map={e: target.edges[0] for e in source.edges})
+        with pytest.raises(ValidationError):
+            check_hypergraph_morphism(mor, source, target)
+        with pytest.raises(ValidationError):
+            is_isomorphic(source, target)
+
+
+# --- the one isomorphism search against brute force ---------------------------
+
+
+def _hypergraphs_isomorphic(h1, h2):
+    """Brute force: some edge bijection carries each agent's views
+    bijectively onto views."""
+    agents = h1.sig.agents
+    if (agents != h2.sig.agents or len(h1.edges) != len(h2.edges)
+            or any(len(h1.views[a]) != len(h2.views[a]) for a in agents)):
+        return False
+    for image in itertools.permutations(h2.edges):
+        pairs = [(a, h1.view_in(e, a), h2.view_in(f, a))
+                 for e, f in zip(h1.edges, image) for a in agents]
+        if any((v is None) != (w is None) for _, v, w in pairs):
+            continue
+        per_agent = [{(v, w) for b, v, w in pairs if b == a and v is not None}
+                     for a in agents]
+        if all(len({v for v, _ in r}) == len(r) == len({w for _, w in r})
+               for r in per_agent):
+            return True
+    return False
+
+
+def _frames_isomorphic(f1, f2):
+    """Brute force: some world bijection preserves and reflects every
+    agent's relation."""
+    if f1.agents != f2.agents or len(f1.worlds) != len(f2.worlds):
+        return False
+    for image in itertools.permutations(f2.worlds):
+        g = dict(zip(f1.worlds, image))
+        if all(f1.related(a, x, y) == f2.related(a, g[x], g[y])
+               for a in f1.agents for x in f1.worlds for y in f1.worlds):
+            return True
+    return False
+
+
+def _shuffled_hypergraph(h, rng):
+    """A copy of h with its edges and views renamed and reordered."""
+    edges = rng.sample(h.edges, len(h.edges))
+    edge_name = {e: f"x{i}" for i, e in enumerate(edges)}
+    views, view_name = {}, {}
+    for a in h.sig.agents:
+        order = rng.sample(h.views[a], len(h.views[a]))
+        view_name.update({(a, v): f"{a}_{i}" for i, v in enumerate(order)})
+        views[a] = tuple(view_name[(a, v)] for v in order)
+    proj = {(edge_name[e], a): view_name[(a, v)] for (e, a), v in h.proj.items()}
+    return hk.build_hypergraph(h.sig, views, [edge_name[e] for e in edges], proj)
+
+
+def _shuffled_frame(fr, rng):
+    """A copy of fr with its worlds renamed and reordered."""
+    name = dict(zip(fr.worlds, rng.sample([f"u{i}" for i in range(len(fr.worlds))],
+                                          len(fr.worlds))))
+    return build_frame(fr.agents, rng.sample([name[w] for w in fr.worlds], len(fr.worlds)),
+                       {a: [[name[w] for w in cls] for cls in fr.classes[a]]
+                        for a in fr.agents})
+
+
+def _pairs(structures, sample, shuffled, rng):
+    """Every pair when ``sample`` is None; else a seeded sample of pairs plus
+    as many (structure, shuffled copy) pairs."""
+    if sample is None:
+        return list(itertools.product(structures, repeat=2))
+    picks = [tuple(rng.sample(structures, 2)) for _ in range(sample)]
+    return picks + [(s, shuffled(s, rng)) for s in rng.choices(structures, k=sample)]
+
+
+@pytest.mark.parametrize("edges, sample", [(2, None), (3, 300)], ids=["all-2-2-2", "sample-2-2-3"])
+def test_hypergraph_isomorphism_matches_brute_force(edges, sample):
+    rng = random.Random(11)
+    hs = list(search.enumerate_hypergraphs(search.Bounds(agents=2, views=2, edges=edges)))
+    verdicts = set()
+    for h1, h2 in _pairs(hs, sample, _shuffled_hypergraph, rng):
+        mor = is_isomorphic(h1, h2)
+        assert (mor is not None) == _hypergraphs_isomorphic(h1, h2)
+        verdicts.add(mor is not None)
+        if mor is not None:
+            inverse = HypergraphMorphism(
+                view_maps={a: {w: v for v, w in vm.items()} for a, vm in mor.view_maps.items()},
+                edge_map={f: e for e, f in mor.edge_map.items()})
+            assert len(inverse.edge_map) == len(h1.edges)
+            assert check_hypergraph_morphism(mor, h1, h2)
+            assert check_hypergraph_morphism(inverse, h2, h1)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("worlds, sample", [(2, None), (3, 300)], ids=["all-2", "sample-3"])
+def test_frame_isomorphism_matches_brute_force(worlds, sample):
+    rng = random.Random(12)
+    frs = [fr for fr in search.enumerate_frames(("a", "b"), worlds)
+           if sample is None or len(fr.worlds) == worlds]
+    verdicts = set()
+    for f1, f2 in _pairs(frs, sample, _shuffled_frame, rng):
+        mor = is_isomorphic_frames(f1, f2)
+        assert (mor is not None) == _frames_isomorphic(f1, f2)
+        verdicts.add(mor is not None)
+        if mor is not None:
+            inverse = FrameMorphism(world_map={y: x for x, y in mor.world_map.items()})
+            assert len(inverse.world_map) == len(f1.worlds)
+            assert check_frame_morphism(mor, f1, f2)
+            assert check_frame_morphism(inverse, f2, f1)
+    assert verdicts == {True, False}
+
+
+def test_isomorphism_past_the_recursion_limit():
+    # 1,320 deals: more points than Python's default recursion limit.
+    h = hk.example("card-game", cards=12, agents=3).hypergraph
+    back = eta(kappa(h))
+    mor = is_isomorphic(h, back)
+    assert mor is not None
+    assert check_hypergraph_morphism(mor, h, back)
+    fr = kappa(h)
+    fr_back = kappa(back)
+    mor = is_isomorphic_frames(fr, fr_back)
+    assert mor is not None
+    assert check_frame_morphism(mor, fr, fr_back)
+
+
+def test_frame_isomorphism_with_an_agent_name_that_is_no_token():
+    # build_frame accepts any agent name; eta's Signature would not.
+    fr = build_frame(("x y",), ("w1", "w2", "w3"), {"x y": (("w1", "w2"), ("w3",))})
+    assert is_isomorphic_frames(fr, fr) is not None
+    assert is_isomorphic_frames(fr, _shuffled_frame(fr, random.Random(3))) is not None
+
+
+def _cycles(*lengths):
+    """Agents a and b, each view in two edges and each edge holding one view
+    of each: the edges walk cycles through the given numbers of a-views."""
+    views = {"a": [], "b": []}
+    edges, proj = [], {}
+    for c, k in enumerate(lengths):
+        for i in range(k):
+            for j in (i, (i + 1) % k):
+                e = f"c{c}_{i}_{j}"
+                edges.append(e)
+                proj[(e, "a")] = f"a{c}_{i}"
+                proj[(e, "b")] = f"b{c}_{j}"
+        views["a"] += [f"a{c}_{i}" for i in range(k)]
+        views["b"] += [f"b{c}_{i}" for i in range(k)]
+    return hk.build_hypergraph(hk.Signature(("a", "b")), views, edges, proj)
+
+
+def test_isomorphism_backtracks_out_of_the_wrong_cycle():
+    # Every edge has the same profile, so the long cycle's first edge is
+    # first tried on a short cycle; that fails only when the cycle closes,
+    # and the search must undo the block maps of the abandoned depths.
+    long_first, short_first = _cycles(4, 2, 2), _cycles(2, 2, 4)
+    mor = is_isomorphic(long_first, short_first)
+    assert mor is not None
+    assert check_hypergraph_morphism(mor, long_first, short_first)
+    mor = is_isomorphic_frames(kappa(long_first), kappa(short_first))
+    assert mor is not None
+    assert check_frame_morphism(mor, kappa(long_first), kappa(short_first))
+    assert is_isomorphic(long_first, _cycles(4, 4)) is None
+    assert is_isomorphic_frames(kappa(long_first), kappa(_cycles(4, 4))) is None
