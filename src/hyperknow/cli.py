@@ -4,11 +4,16 @@ Exit codes: 0 = satisfied / valid / ok, 1 = falsified / countermodel /
 rejected, 2 = usage or input error.  ``-`` means standard input wherever a
 file is expected.  ``--format machine`` switches a report to a versioned
 JSON document (``format_version`` 1).
+
+The argument parser is built once per process, on the first ``run``; every
+call parses with it and leaves it unchanged, so in-process callers (tests,
+benchmarks, embedding programs) pay for its construction once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -210,7 +215,9 @@ def _state_key(frame):
     return lambda s: order[s]
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on first use."""
     top = argparse.ArgumentParser(
         prog="hyperknow",
         description="Two-level epistemic logic on chromatic hypergraphs.")

@@ -308,7 +308,7 @@ def is_isomorphic(h1: ChromaticHypergraph,
     _functional_only(h1, h2)
     if h1.sig.agents != h2.sig.agents:
         return None
-    found = _isomorphism(h1.sig.agents, h1.edges, h2.edges, h1.view_in, h2.view_in)
+    found = _isomorphism(h1.sig.agents, _view_blocks(h1), _view_blocks(h2))
     if found is None:
         return None
     edge_map, block_maps = found
@@ -325,30 +325,40 @@ def is_isomorphic_frames(f1: PartialEpistemicFrame,
     """
     if f1.agents != f2.agents:
         return None
-    found = _isomorphism(f1.agents, f1.worlds, f2.worlds,
-                         _first_of_class(f1), _first_of_class(f2))
+    found = _isomorphism(f1.agents, _class_blocks(f1), _class_blocks(f2))
     return None if found is None else FrameMorphism(world_map=found[0])
 
 
-def _first_of_class(fr: PartialEpistemicFrame):
-    return lambda w, a: (cls := fr.class_of(a, w)) and cls[0]
+def _view_blocks(h: ChromaticHypergraph):
+    return h.edges, h.view_in, [len(h.views.get(a, ())) for a in h.sig.agents]
 
 
-def _isomorphism(agents, points1, points2, block1, block2):
+def _class_blocks(fr: PartialEpistemicFrame):
+    return (fr.worlds, lambda w, a: (cls := fr.class_of(a, w)) and cls[0],
+            [len(fr.classes.get(a, ())) for a in fr.agents])
+
+
+def _isomorphism(agents, side1, side2):
     """A bijection of points that carries each agent's blocks bijectively
     onto blocks, as ``(point map, [block map per agent])``; or None.
 
-    ``block(x, a)`` names agent ``a``'s block holding point ``x`` (its view
-    of an edge, its class of a world), or is None where ``a`` has none.  A
-    point's profile is its block size per agent, and points map only within
-    a profile.  The first structure's points are taken smallest pool first,
+    Each side is ``(points, block, block counts)``: ``block(x, a)`` names
+    agent ``a``'s block holding point ``x`` (its view of an edge, its class
+    of a world), or is None where ``a`` has none, and the counts give each
+    agent's number of blocks.  Sides whose point or block counts differ are
+    rejected before any block is looked up.  A point's profile is its block
+    size per agent (0 where it has none), and points map only within a
+    profile.  The first structure's points are taken smallest pool first,
     the candidates in declaration order.  The backtracking keeps one
     candidate iterator per depth on an explicit stack, and extends and
     undoes per-agent forward and backward block maps.
     """
+    (points1, block1, counts1), (points2, block2, counts2) = side1, side2
+    if len(points1) != len(points2) or counts1 != counts2:
+        return None
     rows1, profiles1 = _rows_and_profiles(agents, points1, block1)
     rows2, profiles2 = _rows_and_profiles(agents, points2, block2)
-    if Counter(profiles1) != Counter(profiles2):
+    if sorted(profiles1) != sorted(profiles2):
         return None
     pools: Dict[tuple, list] = {}
     for y, row, p in zip(points2, rows2, profiles2):
@@ -383,7 +393,7 @@ def _isomorphism(agents, points1, points2, block1, block2):
 def _rows_and_profiles(agents, points, block):
     rows = [tuple(block(x, a) for a in agents) for x in points]
     sizes = [Counter(column) for column in zip(*rows)]
-    profiles = [tuple(None if b is None else size[b] for b, size in zip(row, sizes))
+    profiles = [tuple(0 if b is None else size[b] for b, size in zip(row, sizes))
                 for row in rows]
     return rows, profiles
 

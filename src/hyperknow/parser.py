@@ -1,5 +1,13 @@
 """Surface syntax: tokenizer, precedence parser, and canonical renderer.
 
+The tokenizer is one scan: a single ``findall`` over an alternation of the
+token shapes (with a one-character catch-all) cuts the text into pieces,
+and one loop names each piece's kind from a table and counts lines and
+columns.  A token keeps its offset, line and column; its ``SourceSpan`` is
+built only when read, which happens for error reports and formula nodes.
+(The command line reads its files through this module and builds its own
+argument parser once per process; see ``cli``.)
+
 Formula grammar (tightest first): ``~`` and the modal prefixes, ``&``, ``|``,
 ``->`` (right-associative; ``&`` and ``|`` associate to the left).  Modal
 prefixes: ``E[a]``/``A[a]`` quantify over agent a's views in the current
@@ -17,8 +25,10 @@ nesting depth costs no recursion.
 
 ``parse_*`` return well-sorted core formulas with source spans;
 ``render`` prints canonical text whose re-parse is structurally identical:
-one rule table per sort re-introduces the derived connectives greedily, and
-the renderer works through a stack of text pieces and subformulas.
+one rule table per sort re-introduces the derived connectives greedily,
+indexed by node type and first child type so that a node tries only the
+rules that can match it, and the renderer works through a stack of text
+pieces and subformulas.
 
 The module also reads and writes the model, frame, and derivation file
 formats.  Files are line-oriented; ``#`` starts a comment.  Names are bare
@@ -80,68 +90,78 @@ from .syntax import (
 
 # --- tokenizer ---------------------------------------------------------------
 
-_TOKEN_PATTERNS = [
-    ("NL", r"\n"),
-    ("WS", r"[ \t\r]+"),
-    ("COMMENT", r"#[^\n]*"),
-    ("ARROW", r"->"),
-    ("DIAMOND", r"<>"),
-    ("BOX", r"\[\]"),
-    ("IDENT", r"[A-Za-z0-9_]+"),
-    ("STRING", r'"[^"\n]*"'),
-    ("LPAREN", r"\("),
-    ("RPAREN", r"\)"),
-    ("LBRACK", r"\["),
-    ("RBRACK", r"\]"),
-    ("LBRACE", r"\{"),
-    ("RBRACE", r"\}"),
-    ("COMMA", r","),
-    ("COLON", r":"),
-    ("SEMI", r";"),
-    ("DOT", r"\."),
-    ("TILDE", r"~"),
-    ("AMP", r"&"),
-    ("PIPE", r"\|"),
-    ("QMARK", r"\?"),
-]
-_MASTER_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _TOKEN_PATTERNS))
+# The pieces of the input, tried in this order at each position.  The
+# catch-all "." makes the pieces cover the text exactly, so a character that
+# no token starts with comes out as a piece of its own.
+_PIECE_RE = re.compile(r'\n|[ \t\r]+|#[^\n]*|->|<>|\[\]|[A-Za-z0-9_]+|"[^"\n]*"|.', re.S)
+_IDENT_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
+# Pieces longer than one character take their kind from their first one...
+_RUN_KINDS = {"#": "COMMENT", '"': "STRING", **dict.fromkeys(" \t\r", "WS"),
+              **dict.fromkeys(_IDENT_CHARS, "IDENT")}
+# ...except the two-character operators, which are listed here with every
+# legal one-character piece.  A one-character piece missing here, such as a
+# lone '"', '-' or '<', starts no token.
+_PIECE_KINDS = {
+    **{c: kind for c, kind in _RUN_KINDS.items() if c != '"'},
+    "\n": "NL", "->": "ARROW", "<>": "DIAMOND", "[]": "BOX",
+    "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK", "{": "LBRACE", "}": "RBRACE",
+    ",": "COMMA", ":": "COLON", ";": "SEMI", ".": "DOT", "~": "TILDE", "&": "AMP",
+    "|": "PIPE", "?": "QMARK",
+}
 
 
 class Token:
-    __slots__ = ("kind", "text", "span")
+    """A token: its kind, its text and where it starts.
 
-    def __init__(self, kind, text, span):
+    ``span`` is built when it is read, which is rare outside error reports
+    and formula nodes.  ``end`` is kept only where it is not
+    ``start + len(text)``: at the end-of-line token of a line-oriented file,
+    which has the newline's span.
+    """
+
+    __slots__ = ("kind", "text", "start", "line", "column", "end")
+
+    def __init__(self, kind, text, start, line, column, end=None):
         self.kind = kind
         self.text = text
-        self.span = span
+        self.start = start
+        self.line = line
+        self.column = column
+        self.end = end
+
+    @property
+    def span(self) -> SourceSpan:
+        end = self.start + len(self.text) if self.end is None else self.end
+        return SourceSpan(self.start, end, self.line, self.column)
 
     def __repr__(self):
         return f"Token({self.kind}, {self.text!r})"
 
 
 def tokenize(text: str, keep_newlines: bool = False) -> List[Token]:
+    """The tokens of ``text``, ending with an ``EOF`` token.  Whitespace and
+    comments are dropped, newlines too unless ``keep_newlines``."""
     tokens = []
+    append = tokens.append
     line = 1
     line_start = 0
     pos = 0
-    n = len(text)
-    while pos < n:
-        m = _MASTER_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
-        kind = m.lastgroup
-        end = m.end()
+    for piece in _PIECE_RE.findall(text):
+        kind = _PIECE_KINDS.get(piece)
+        if kind is None:
+            if len(piece) == 1:
+                span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
+                raise ParseError(f"unexpected character {piece!r}", span)
+            kind = _RUN_KINDS[piece[0]]
         if kind == "NL":
             if keep_newlines:
-                tokens.append(Token("NL", "\n", SourceSpan(pos, end, line, pos - line_start + 1)))
+                append(Token("NL", "\n", pos, line, pos - line_start + 1))
             line += 1
-            line_start = end
-        elif kind not in ("WS", "COMMENT"):
-            span = SourceSpan(pos, end, line, pos - line_start + 1)
-            tokens.append(Token(kind, m.group(), span))
-        pos = end
-    tokens.append(Token("EOF", "", SourceSpan(n, n, line, n - line_start + 1)))
+            line_start = pos + 1
+        elif kind != "WS" and kind != "COMMENT":
+            append(Token(kind, piece, pos, line, pos - line_start + 1))
+        pos += len(piece)
+    append(Token("EOF", "", pos, line, pos - line_start + 1))
     return tokens
 
 
@@ -251,8 +271,9 @@ class _FormulaParser:
         self.pos = 0
 
     def peek(self, ahead=0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        # Every token list ends with EOF, ``advance`` stops there, and the
+        # parser looks one token ahead only past an IDENT, so this is in range.
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -261,10 +282,12 @@ class _FormulaParser:
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
+        """Consume a token of ``kind``, which is never ``EOF``."""
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             raise ParseError(f"expected {what}", tok.span)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_eof(self):
         tok = self.peek()
@@ -480,10 +503,28 @@ _KB4_RULES = {
     KB4Knows: [_prefixed("K[{a}] ", (KB4Knows, "x"))],
 }
 
+
+class _RuleIndex(dict):
+    """One sort's rules keyed by (node type, type of the node's first child,
+    None for a leaf): a rule is listed only where its pattern can match, so
+    a node whose first child rules a pattern out costs that rule nothing."""
+
+    def __init__(self, rules):
+        super().__init__()
+        self.rules = rules
+
+    def __missing__(self, key):
+        node_type, child_type = key
+        fits = self[key] = [rule for rule in self.rules.get(node_type, ())
+                            if len(rule[0]) < 2 or isinstance(rule[0][1], str)
+                            or rule[0][1][0] is child_type]
+        return fits
+
+
 # Keyed by sort: "world", any agent, and None for KB4 (whose nodes keep it).
-_RULES = {"world": (_WORLD_RULES, "not a core world formula"),
-          "agent": (_AGENT_RULES, "not a core agent formula"),
-          None: (_KB4_RULES, "not a KB4 formula")}
+_RULES = {"world": (_RuleIndex(_WORLD_RULES), "not a core world formula"),
+          "agent": (_RuleIndex(_AGENT_RULES), "not a core agent formula"),
+          None: (_RuleIndex(_KB4_RULES), "not a KB4 formula")}
 
 
 def render(f) -> str:
@@ -510,8 +551,9 @@ def render(f) -> str:
             continue
         node, s, ctx = item
         rules, error = _RULES[s if s is None or s == "world" else "agent"]
-        for pattern, prec, pieces in rules.get(type(node), ()):
-            binds = _match(pattern, node, s)
+        kids = children(node, s)
+        for pattern, prec, pieces in rules[type(node), type(kids[0][0]) if kids else None]:
+            binds = _match(pattern, node, kids)
             if binds is not None:
                 break
         else:
@@ -524,10 +566,13 @@ def render(f) -> str:
     return "".join(out)
 
 
-def _match(pattern, node, sort):
-    """The bindings of a rendering pattern at ``node``, or None."""
+def _match(pattern, node, kids):
+    """The bindings of a rendering pattern at ``node``, whose type the
+    pattern's head already is, or None.  ``kids`` are the node's children."""
     binds = {"n": getattr(node, "name", None)}
-    todo = [(pattern, node, sort)]
+    if isinstance(node, (SomeView, KB4Knows)):
+        binds["a"] = node.agent
+    todo = [(sub, c, cs) for sub, (c, cs) in zip(pattern[1:], kids)]
     while todo:
         pat, n, s = todo.pop()
         if isinstance(pat, str):
@@ -552,10 +597,11 @@ class _Lines:
         self.lines: List[List[Token]] = []
         current: List[Token] = []
         for tok in tokens:
-            if tok.kind in ("NL", "EOF"):
+            if tok.kind == "NL" or tok.kind == "EOF":
                 if current:
-                    eol = Token("EOF", "", tok.span)
-                    current.append(eol)
+                    # The line's EOF has the span of its newline (or of the end).
+                    current.append(Token("EOF", "", tok.start, tok.line, tok.column,
+                                         tok.start + len(tok.text)))
                     self.lines.append(current)
                     current = []
             else:
@@ -634,7 +680,7 @@ def parse_model(text: str):
     views = {}          # agent -> [view, ...]
     view_atoms = []     # (agent, view, [atom, ...])
     edges = []          # edge name in declaration order
-    edge_views = []     # (edge, agent, view, span)
+    edge_views = []     # (edge, agent, view, view token)
     edge_env = []       # (edge, [atom, ...])
 
     for line in _Lines(text).lines:
@@ -684,7 +730,7 @@ def parse_model(text: str):
                         f"agent {agent} listed twice in edge {ename} "
                         "(only legal under 'mode: generalized')", vtok.span)
                 seen_agents.add(agent)
-                edge_views.append((ename, agent, vname, vtok.span))
+                edge_views.append((ename, agent, vname, vtok))
                 if p.peek().kind == "COMMA":
                     p.advance()
                     continue
@@ -705,9 +751,9 @@ def parse_model(text: str):
         if agent not in sig.agents:
             raise ParseError(f"view '{vname}' declared for unknown agent '{agent}'",
                              SourceSpan(0, 0, 1, 1))
-    for ename, agent, vname, span in edge_views:
+    for ename, agent, vname, vtok in edge_views:
         if agent not in sig.agents:
-            raise ParseError(f"edge '{ename}' mentions unknown agent '{agent}'", span)
+            raise ParseError(f"edge '{ename}' mentions unknown agent '{agent}'", vtok.span)
 
     val_agent = {a: {atom: set() for atom in sig.atoms_for(a)} for a in sig.agents}
     for agent, vname, atoms in view_atoms:
@@ -728,7 +774,7 @@ def parse_model(text: str):
             val_agent, val_env)
 
     proj = {}
-    for ename, agent, vname, span in edge_views:
+    for ename, agent, vname, _ in edge_views:
         proj[(ename, agent)] = vname
     return build_model(sig, views, tuple(edges), proj, val_agent, val_env)
 

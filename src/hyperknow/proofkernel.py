@@ -52,7 +52,6 @@ from .syntax import (
     WNot,
     WTrue,
     children,
-    fold,
     structural_id,
 )
 
@@ -402,28 +401,27 @@ def abstract_propositional(f):
     """Propositional skeleton: maximal modal subformulas and atoms become
     variables, numbered by first occurrence.  Returns (skeleton, variable
     count); the skeleton is a postfix program of ``("const", value)``,
-    ``("var", k)``, ``("not",)`` and ``("and",)`` steps."""
+    ``("var", k)``, ``("not",)`` and ``("and",)`` steps.
+
+    One walk builds the skeleton and stops at each variable, which
+    ``structural_id`` names; nothing under a variable is walked twice.
+    """
     steps = []
-
-    def emit(g, sort, starts):
-        # A node's value is the index of its first step; a variable drops
-        # the steps of everything under it.
-        start = starts[0] if starts else len(steps)
-        if isinstance(g, _PROP_VARIABLES):
-            del steps[start:]
-            steps.append(("var", g))
-        else:
-            steps.append(_PROP_STEPS.get(type(g), ("bad", g)))
-        return start
-
-    fold(f, None, emit)
     ids: Dict[tuple, int] = {}
     numbers: Dict[int, int] = {}
-    for i, (op, *arg) in enumerate(steps):
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is tuple:                # a step whose operands are done
+            steps.append(g)
+        elif isinstance(g, _PROP_VARIABLES):
+            steps.append(("var", numbers.setdefault(structural_id(g, ids), len(numbers))))
+        else:
+            todo.append(_PROP_STEPS.get(type(g), ("bad", g)))
+            todo.extend(reversed([kid for kid, _ in children(g, None)]))
+    for op, *arg in steps:
         if op == "bad":
             raise _RuleError("SortError", f"not a core formula: {arg[0]!r}")
-        if op == "var":
-            steps[i] = ("var", numbers.setdefault(structural_id(arg[0], ids), len(numbers)))
     return tuple(steps), len(numbers)
 
 

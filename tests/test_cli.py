@@ -294,3 +294,41 @@ def test_machine_format(h3_file, capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = run(["frobnicate"], capsys=capsys)
     assert code == 2
+
+
+_H3_TEXT = parser.render_model(hk.example("h3"))
+_CALLS = [
+    (["check", "--model", "-", "--world", "e_ab", "--formula", "alive(a)"], _H3_TEXT),
+    (["check", "--model", "-", "--world", "e_ab", "--formula", "alive(c)",
+      "--format", "machine"], _H3_TEXT),
+    (["check", "--model", "-", "--formula", "true"], _H3_TEXT),
+    (["check", "--world", "e_ab"], ""),
+    (["--help"], ""),
+    (["valid", "--help"], ""),
+    (["valid", "--model", "-", "--formula", "alive(a)"], _H3_TEXT),
+    (["frobnicate"], ""),
+    (["countermodel", "--formula", "alive(a)", "--edges", "x"], ""),
+    (["example", "h2", "--format", "machine"], ""),
+    (["translate-kb4", "--formula", "K[a] p -> p"], ""),
+]
+
+
+def test_one_argument_parser_serves_every_call(capsys, monkeypatch):
+    # The parser is built once per process; a run must leave nothing in it
+    # that a later run could see, whatever the order of the runs.
+    alone = []
+    for argv, stdin in _CALLS:
+        cli.build_arg_parser.cache_clear()
+        alone.append(run(argv, stdin, monkeypatch, capsys))
+    cli.build_arg_parser.cache_clear()
+    together = [run(argv, stdin, monkeypatch, capsys) for argv, stdin in _CALLS + _CALLS[::-1]]
+    assert together == alone + alone[::-1]
+    assert cli.build_arg_parser.cache_info().misses == 1
+    assert [code for code, _, _ in alone] == [0, 1, 2, 2, 0, 0, 1, 2, 2, 0, 0]
+    assert alone[0][1] == "true at world e_ab\n"
+    assert json.loads(alone[1][1])["verdict"] is False
+    assert alone[2][2].startswith("error: one of --world or --view is required")
+    assert "the following arguments are required: --model" in alone[3][2]
+    assert alone[4][1].startswith("usage: hyperknow") and "translate-kb4" in alone[4][1]
+    assert alone[5][1].startswith("usage: hyperknow valid")
+    assert "invalid int value: 'x'" in alone[8][2]

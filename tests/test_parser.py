@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,3 +265,104 @@ def test_signature_header_rejects_undeclared_owner_and_duplicates(read, body):
         line = text.count("\n", 0, text.index(extra)) + 1
         assert err.value.span.line == line
         assert text[err.value.span.start:err.value.span.end] == extra.split("[")[0].split(":")[0]
+
+
+# --- tokenizer, checked against the text itself --------------------------------
+
+# Every token shape, whitespace, comments, and characters that start no token
+# (alone, or in a failed attempt at one: '-' without '>', '<' without '>',
+# '"' without its closing quote).
+_PIECES = ("agents", "e1", "_x9", "0b", "Ksafe", "->", "<>", "[]", "(", ")", "[", "]",
+           "{", "}", ",", ":", ";", ".", "~", "&", "|", "?", '"a b"', '""', '"#"',
+           "# note", "#", " ", "  ", "\t", "\r", "\n", "\n", "-", "<", ">", '"', "@",
+           "é", "\x00", "!")
+_KINDS = {"->": "ARROW", "<>": "DIAMOND", "[]": "BOX", "(": "LPAREN", ")": "RPAREN",
+          "[": "LBRACK", "]": "RBRACK", "{": "LBRACE", "}": "RBRACE", ",": "COMMA",
+          ":": "COLON", ";": "SEMI", ".": "DOT", "~": "TILDE", "&": "AMP", "|": "PIPE",
+          "?": "QMARK", "\n": "NL"}
+
+
+def _line_and_column(text, start):
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join), st.booleans())
+@settings(derandomize=True, deadline=None, max_examples=400)
+def test_tokens_agree_with_the_text(text, keep_newlines):
+    try:
+        tokens = parser.tokenize(text, keep_newlines=keep_newlines)
+    except ParseError as err:
+        # The first character that starts no token, named and pointed at.
+        span = err.span
+        char = text[span.start:span.end]
+        assert len(char) == 1 and str(err).startswith(f"unexpected character {char!r}")
+        assert (span.line, span.column) == _line_and_column(text, span.start)
+        parser.tokenize(text[:span.start], keep_newlines=keep_newlines)
+        return
+    *tokens, eof = tokens
+    assert eof.kind == "EOF" and eof.text == ""
+    assert (eof.span.start, eof.span.end) == (len(text), len(text))
+    assert (eof.span.line, eof.span.column) == _line_and_column(text, len(text))
+    end = 0
+    for tok in tokens:
+        span = tok.span
+        assert text[span.start:span.end] == tok.text
+        assert (span.line, span.column) == _line_and_column(text, span.start)
+        # Between tokens lie only blanks and comments (and dropped newlines).
+        gap = r"(?:[ \t\r]|#[^\n]*)*" if keep_newlines else r"(?:[ \t\r\n]|#[^\n]*)*"
+        assert re.fullmatch(gap, text[end:span.start])
+        end = span.end
+        if re.fullmatch(r"[A-Za-z0-9_]+", tok.text):
+            assert tok.kind == "IDENT"
+        elif tok.text.startswith('"'):
+            assert tok.kind == "STRING" and re.fullmatch(r'"[^"\n]*"', tok.text)
+        else:
+            assert tok.kind == _KINDS[tok.text]
+    assert re.fullmatch(r"(?:[ \t\r\n]|#[^\n]*)*", text[end:])
+
+
+# Each message carries the line and column of the span's start.  A line's own
+# end-of-input token has its newline's span; the file's last one is empty.
+_PINNED_ERRORS = [
+    ("model", "agents: a\nview a: v1 { p\n",
+     "expected '}' (line 2, column 15)", (24, 25, 2, 15)),
+    ("model", "agents: a\nedge e1 { a v1 }\n",
+     "expected ':' (line 2, column 13)", (22, 24, 2, 13)),
+    ("model", "agents: a\nmode: weird\n",
+     "unknown mode 'weird' (line 2, column 7)", (16, 21, 2, 7)),
+    ("model", "agents: a\nview a: v1\nview a: v1\n",
+     "duplicate view 'v1' of agent a (line 3, column 9)", (29, 31, 3, 9)),
+    ("model", "agents: a\nview a: v1\nedge e1 { a: v1, b: v2 }\n",
+     "edge 'e1' mentions unknown agent 'b' (line 3, column 21)", (41, 43, 3, 21)),
+    ("model", 'agents: a\nview a: "v1\n',
+     "unexpected character '\"' (line 2, column 9)", (18, 19, 2, 9)),
+    ("model", "agents: a\n  frobnicate  # why\n",
+     "unknown declaration 'frobnicate' (line 2, column 3)", (12, 22, 2, 3)),
+    ("model", "agents: a\nedge e1 { a: v1 } env { p\n",
+     "expected '}' (line 2, column 26)", (35, 36, 2, 26)),
+    ("frame", "agents: a\nworlds: w1\nclass a: w1,\n",
+     "expected world name (line 3, column 13)", (33, 34, 3, 13)),
+    ("frame", "agents: a\nworlds: w1\nenv p: w1\nenv p: w1\n",
+     "duplicate 'env p' declaration (line 4, column 1)", (31, 34, 4, 1)),
+    ("frame", "agents: a\nworlds: w1 - w2\n",
+     "unexpected character '-' (line 2, column 12)", (21, 22, 2, 12)),
+    ("derivation", "agents: a\natoms[env]: p\n1. e: p -> ; taut\n",
+     "expected a world formula (line 3, column 12)", (35, 36, 3, 12)),
+    ("derivation", "agents: a\natoms[env]: p\n1. e: p -> p ; taut\n2. e: p ; mp 1\n",
+     "expected premise line number (line 4, column 15)", (58, 59, 4, 15)),
+    ("derivation", "agents: a\n1 e: true ; taut\n",
+     "expected '.' (line 2, column 3)", (12, 13, 2, 3)),
+    ("derivation", "agents: a\natoms[env]: p\n1. e: p -> p ; taut\n3. e: p ; taut\n",
+     "expected line number 2, got 3 (line 4, column 1)", (44, 45, 4, 1)),
+    ("derivation", "agents: a\r\n1. e: true",
+     "expected ';' before the justification (line 2, column 11)", (21, 21, 2, 11)),
+]
+
+
+@pytest.mark.parametrize("fmt, text, message, span", _PINNED_ERRORS)
+def test_parse_error_messages_and_spans_are_pinned(fmt, text, message, span):
+    with pytest.raises(ParseError) as err:
+        getattr(parser, f"parse_{fmt}")(text)
+    assert str(err.value) == message
+    got = err.value.span
+    assert (got.start, got.end, got.line, got.column) == span
