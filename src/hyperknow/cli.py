@@ -26,7 +26,7 @@ from .frames import eta_model, kappa_model
 from .kb4 import translate
 from .neighborhood import to_neighborhood
 from .semantics import Evaluator
-from .syntax import atoms_of
+from .syntax import atoms_of, sort_check_kb4
 
 FORMAT_VERSION = 1
 
@@ -91,9 +91,10 @@ def cmd_check(args) -> int:
         formula = pa.parse_agent(args.formula, agent, model.sig)
         verdict = Evaluator(model).sat_agent(agent, view, formula)
         where = f"view {view} of agent {agent}"
-    _emit(args, f"{'true' if verdict else 'false'} at {where}",
-          {"command": "check", "verdict": bool(verdict), "point": where,
-           "formula": pa.render(formula)})
+    machine = {"command": "check", "verdict": bool(verdict), "point": where}
+    if args.format == "machine":
+        machine["formula"] = pa.render(formula)
+    _emit(args, f"{'true' if verdict else 'false'} at {where}", machine)
     return 0 if verdict else 1
 
 
@@ -130,11 +131,11 @@ def cmd_convert(args) -> int:
 def cmd_translate_kb4(args) -> int:
     agents = tuple(a.strip() for a in args.agents.split(",") if a.strip())
     if args.model is not None:
-        sig = pa.parse_model(_read(args.model)).sig
+        kf = pa.parse_kb4(args.formula, pa.parse_model(_read(args.model)).sig)
     else:
         # Atoms are implicitly environment atoms of the translation target.
-        sig = Signature(agents, {}, tuple(sorted(atoms_of(pa._parse(args.formula, "kb4")))))
-    kf = pa.parse_kb4(args.formula, sig)
+        kf = pa._parse(args.formula, "kb4")
+        sort_check_kb4(kf, Signature(agents, {}, tuple(sorted(atoms_of(kf)))))
     out = pa.render(translate(kf))
     _emit(args, out, {"command": "translate-kb4", "input": args.formula, "output": out})
     return 0

@@ -33,7 +33,9 @@ pieces and subformulas.
 The module also reads and writes the model, frame, and derivation file
 formats.  Files are line-oriented; ``#`` starts a comment.  Names are bare
 tokens or double-quoted strings (quoting is needed for the view names
-produced by the frame-to-hypergraph conversion).
+produced by the frame-to-hypergraph conversion).  A model file of bare names
+alone is read by splitting its lines into words, without tokens; every other
+file, and every fault, goes through the tokenizer (see ``parse_model``).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .core import (
     build_generalized_model,
     build_model,
 )
-from .errors import ParseError, SortError
+from .errors import ParseError, SortError, ValidationError
 from .frames import PartialEpistemicModel, build_frame_model
 from .syntax import (
     AAnd,
@@ -663,9 +665,13 @@ class _Header:
         for owner, (_, span) in self.atoms.items():
             if owner != "env" and owner not in self.agents:
                 raise ParseError(f"atoms declared for unknown agent '{owner}'", span)
-        atoms = {owner: tuple(names) for owner, (names, _) in self.atoms.items()}
-        return Signature(tuple(self.agents), {a: atoms.get(a, ()) for a in self.agents},
-                         atoms.get("env", ()))
+        return _signature(self.agents, {owner: names for owner, (names, _) in self.atoms.items()})
+
+
+def _signature(agents, atoms) -> Signature:
+    """The signature of an ``agents:`` list and the ``atoms[owner]:`` lists."""
+    return Signature(tuple(agents), {a: tuple(atoms.get(a, ())) for a in agents},
+                     tuple(atoms.get("env", ())))
 
 
 def parse_model(text: str):
@@ -674,12 +680,130 @@ def parse_model(text: str):
     Returns a :class:`ChromaticHypergraphModel`, or a generalized model when
     the file declares ``mode: generalized`` (which permits several views of
     one agent in the same edge).
+
+    A file of bare names and ``{ } : , [ ]`` alone, which is what
+    ``render_model`` writes for bare names, is read by words and never
+    tokenized.  Any other file, and any file the word reader finds a fault
+    in, is read by the token reader, which makes every error report.
     """
+    if _WORD_FILE_RE.fullmatch(text):
+        try:
+            model = _model_by_words(text)
+        except ValidationError:
+            model = None
+        if model is not None:
+            return model
+    return _model_by_tokens(text)
+
+
+# The characters of a file the word reader takes.  Spaced at its marks, such
+# a file splits into words that are each a bare name or one mark.
+_WORD_FILE_RE = re.compile(r"[A-Za-z0-9_ \t\r\n{}:,\[\]]*")
+_MARKS = frozenset("{}:,[]")
+
+
+def _word_names(words):
+    """The names of ``name , name , ... , name``, or None for other words."""
+    names = words[::2]
+    if (len(words) % 2 and words[1::2].count(",") == len(words) // 2
+            and _MARKS.isdisjoint(names)):
+        return names
+    return None
+
+
+def _model_by_words(text: str):
+    """The model of a file of bare names and marks, read by words, or None
+    where a line or a check does not fit; then the token reader reads it.
+
+    It accepts only files that the token reader accepts, with the same
+    result.  Duplicate views and edges, and edges naming an unknown agent,
+    fail the builder's checks with ``ValidationError``, so only the faults
+    the builder cannot see are checked here.  An agent or owner that is a
+    mark is never a declared agent.
+    """
+    for mark in "{}:,[]":
+        text = text.replace(mark, f" {mark} ")
+    agents = None
+    atoms = {}              # owner -> [name, ...]
+    generalized = False
+    views = {}              # agent -> [view, ...]
+    view_atoms = []         # (agent, view, [atom, ...], None)
+    edges = []
+    edge_views = []         # (edge, agent, view, None)
+    edge_env = []           # (edge, [atom, ...])
+    for line in text.split("\n"):
+        words = line.split()
+        if not words:
+            continue
+        head = words[0]
+        if head == "view":
+            # view A : V   or   view A : V { names }
+            if len(words) < 4 or words[2] != ":" or words[3] in _MARKS:
+                return None
+            names = []
+            if len(words) > 4:
+                if words[4] != "{" or words[-1] != "}":
+                    return None
+                names = _word_names(words[5:-1])
+                if names is None:
+                    return None
+            views.setdefault(words[1], []).append(words[3])
+            view_atoms.append((words[1], words[3], names, None))
+        elif head == "edge":
+            # edge E { A : V , ... , A : V }   then optionally   env { names }
+            close = words.index("}") if "}" in words else 0
+            if close < 3:
+                return None
+            ename, body, rest = words[1], words[3:close], words[close + 1:]
+            k = (len(body) + 1) // 4
+            if (words[2] != "{" or ename in _MARKS
+                    or len(body) % 4 != 3 or body[1::4].count(":") != k
+                    or body[3::4].count(",") != k - 1 or not _MARKS.isdisjoint(body[::2])):
+                return None
+            agents_here = body[::4]
+            if not generalized and len(set(agents_here)) != k:
+                return None
+            if rest:
+                names = _word_names(rest[2:-1])
+                if rest[:2] != ["env", "{"] or rest[-1] != "}" or names is None:
+                    return None
+                edge_env.append((ename, names))
+            edges.append(ename)
+            edge_views += [(ename, a, v, None) for a, v in zip(agents_here, body[2::4])]
+        elif head == "atoms":
+            # atoms [ O ] : names
+            names = _word_names(words[5:])
+            if names is None or words[1] != "[" or words[3:5] != ["]", ":"] or words[2] in atoms:
+                return None
+            atoms[words[2]] = names
+        elif head == "agents":
+            if agents is not None or words[1:2] != [":"]:
+                return None
+            agents = _word_names(words[2:])
+            if agents is None:
+                return None
+        elif words == ["mode", ":", "generalized"]:
+            generalized = True
+        else:
+            return None
+    if agents is None or not atoms.keys() - {"env"} <= set(agents):
+        return None
+    sig = _signature(agents, atoms)
+    if not views.keys() <= set(sig.agents):
+        return None
+    return _model_from(sig, generalized, views, edges, view_atoms, edge_views, edge_env)
+
+
+def _model_by_tokens(text: str):
+    """The model of a file in the model format, read token by token; every
+    fault in the file is reported from here."""
     header = _Header()
     generalized = False
     views = {}          # agent -> [view, ...]
-    view_atoms = []     # (agent, view, [atom, ...])
+    seen_views = set()  # (agent, view)
+    view_atoms = []     # (agent, view, [atom, ...], agent token)
     edges = []          # edge name in declaration order
+    seen_edges = set()
     edge_views = []     # (edge, agent, view, view token)
     edge_env = []       # (edge, [atom, ...])
 
@@ -700,7 +824,8 @@ def parse_model(text: str):
             generalized = True
         elif head.text == "view":
             p.advance()
-            agent = p.expect("IDENT", "agent name").text
+            atok = p.expect("IDENT", "agent name")
+            agent = atok.text
             p.expect("COLON", "':'")
             vname, vtok = _name_token(p, "view name")
             atoms = []
@@ -709,15 +834,17 @@ def parse_model(text: str):
                 atoms = _name_list(p, "atom name")
                 p.expect("RBRACE", "'}'")
             p.expect_eof()
-            if vname in views.setdefault(agent, []):
+            if (agent, vname) in seen_views:
                 raise ParseError(f"duplicate view '{vname}' of agent {agent}", vtok.span)
-            views[agent].append(vname)
-            view_atoms.append((agent, vname, atoms))
+            seen_views.add((agent, vname))
+            views.setdefault(agent, []).append(vname)
+            view_atoms.append((agent, vname, atoms, atok))
         elif head.text == "edge":
             p.advance()
             ename, etok = _name_token(p, "edge name")
-            if ename in edges:
+            if ename in seen_edges:
                 raise ParseError(f"duplicate edge label '{ename}'", etok.span)
+            seen_edges.add(ename)
             edges.append(ename)
             p.expect("LBRACE", "'{'")
             seen_agents = set()
@@ -747,16 +874,20 @@ def parse_model(text: str):
             raise ParseError(f"unknown declaration '{head.text}'", head.span)
 
     sig = header.signature()
-    for agent, vname, _ in view_atoms:
+    for agent, vname, _, atok in view_atoms:
         if agent not in sig.agents:
             raise ParseError(f"view '{vname}' declared for unknown agent '{agent}'",
-                             SourceSpan(0, 0, 1, 1))
+                             atok.span)
     for ename, agent, vname, vtok in edge_views:
         if agent not in sig.agents:
             raise ParseError(f"edge '{ename}' mentions unknown agent '{agent}'", vtok.span)
+    return _model_from(sig, generalized, views, edges, view_atoms, edge_views, edge_env)
 
+
+def _model_from(sig, generalized, views, edges, view_atoms, edge_views, edge_env):
+    """Build the model that either reader has read."""
     val_agent = {a: {atom: set() for atom in sig.atoms_for(a)} for a in sig.agents}
-    for agent, vname, atoms in view_atoms:
+    for agent, vname, atoms, _ in view_atoms:
         for atom in atoms:
             val_agent.setdefault(agent, {}).setdefault(atom, set()).add(vname)
     val_env = {atom: set() for atom in sig.env_atoms}
@@ -784,8 +915,9 @@ def parse_frame(text: str) -> PartialEpistemicModel:
     and optional environment valuations."""
     header = _Header()
     worlds: Optional[List[str]] = None
-    classes = []      # (agent, [world, ...])
+    classes = []      # (agent, [world, ...], agent token)
     env_lines = []    # (atom, [world, ...])
+    env_atoms = set()
 
     for line in _Lines(text).lines:
         p = _FormulaParser(line)
@@ -803,19 +935,20 @@ def parse_frame(text: str) -> PartialEpistemicModel:
             p.expect_eof()
         elif head.text == "class":
             p.advance()
-            agent = p.expect("IDENT", "agent name").text
+            atok = p.expect("IDENT", "agent name")
             p.expect("COLON", "':'")
             members = _name_list(p, "world name")
             p.expect_eof()
-            classes.append((agent, members))
+            classes.append((atok.text, members, atok))
         elif head.text == "env":
             p.advance()
             atom = p.expect("IDENT", "atom name").text
             p.expect("COLON", "':'")
             members = _name_list(p, "world name", allow_empty=True)
             p.expect_eof()
-            if any(atom == seen for seen, _ in env_lines):
+            if atom in env_atoms:
                 raise ParseError(f"duplicate 'env {atom}' declaration", head.span)
+            env_atoms.add(atom)
             env_lines.append((atom, members))
         else:
             raise ParseError(f"unknown declaration '{head.text}'", head.span)
@@ -826,10 +959,9 @@ def parse_frame(text: str) -> PartialEpistemicModel:
     if worlds is None:
         raise ParseError("missing 'worlds' declaration", SourceSpan(0, 0, 1, 1))
     class_map = {a: [] for a in agents}
-    for agent, members in classes:
+    for agent, members, atok in classes:
         if agent not in class_map:
-            raise ParseError(f"class declared for unknown agent '{agent}'",
-                             SourceSpan(0, 0, 1, 1))
+            raise ParseError(f"class declared for unknown agent '{agent}'", atok.span)
         class_map[agent].append(tuple(members))
     atoms = tuple(atom for atom, _ in env_lines)
     val = {atom: frozenset(members) for atom, members in env_lines}

@@ -1,5 +1,6 @@
 """Shared fixtures: example models, random formula generators, and the
-independent oracles used to cross-check the implementation."""
+independent oracles used to cross-check the implementation, and the
+random file text that the fuzz and differential tests share."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import hyperknow as hk
 from hyperknow.core import build_hypergraph
@@ -168,3 +170,43 @@ def small_model_pool(max_views=2, max_edges=2):
         models.append(hk.ChromaticHypergraphModel(
             hypergraph=h, val_agent=val_agent, val_env=val_env))
     return models
+
+
+# --- random file text (hypothesis strategies) -------------------------------------
+
+# Words of every file format and of the formula syntax, a few names, and
+# characters the tokenizer rejects.
+_WORDS = (
+    "agents", "atoms", "env", "mode", "generalized", "view", "edge", "worlds", "class",
+    "a", "b", "zz", "e", "e1", "e2", "a1", "a2", "b1", "w1", "w2", "p", "q", "pa", "pb",
+    "0", "1", "2", "true", "false", "alive", "E", "A", "K", "Ksafe", "taut", "mp",
+    "nec_a", "nec_e", "rm_diam", "rm_some", "adj1_down", "adj2_up", "ax_surj", "ax_ne",
+    ":", ",", "{", "}", "[", "]", "(", ")", ";", ".", "~", "&", "|", "->", "<>", "[]",
+    "?", '"a b"', "#", "@", '"',
+)
+WORD_SOUP = st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join)
+
+
+def soup(headers, lines):
+    """A header, or none, then mostly well-formed lines of one format, some
+    of them clashing, and every so often a line of random words."""
+    line = st.one_of(st.sampled_from(lines), st.sampled_from(lines), WORD_SOUP)
+    return st.tuples(st.sampled_from(headers + ("",)),
+                     st.lists(line, max_size=8).map("\n".join)).map("".join)
+
+
+_MODEL_HEADER = "agents: a, b\natoms[a]: pa\natoms[b]: pb\natoms[env]: p, q\n"
+MODEL_HEADERS = (_MODEL_HEADER, _MODEL_HEADER + "view a: a1 { pa }\nview b: b1\n"
+                 "edge e1 { a: a1, b: b1 } env { p }\n")
+MODEL_LINES = (
+    "agents: a", "atoms[a]: pa", "atoms[b]: pb", "atoms[env]: p, q", "atoms[zz]: s",
+    "mode: generalized", "view a: a1 { pa }", "view a: a2", "view b: b1 { pb }",
+    "view zz: z1", "edge e1 { a: a1, b: b1 } env { p }", "edge e2 { a: a2 }",
+    "edge e3 { a: a1, a: a2 }", "edge e4 { b: b1 } env { q }", "edge e5 { a: a9 }",
+    # Lines a word, a mark or a character away from a declaration.
+    "view a a2", "view a: a2 pa", "view a: a2 { pa", "view a: a2 { }", "view a: { pa }",
+    "edge e6 { a a1 }", "edge e6 a: a1 }", "edge e6 { a: a1, }", "edge e6 { a: a1 } env p",
+    "edge e6 { a: a1 } { p }", "edge { a: a1 }", "edge e-6 { a: a1 }", "atoms[a] pa",
+    "atoms a: pa", "atoms[]: p", "agents a", "agents: a,", "mode generalized", "mode: other",
+    "atoms[env]: p q", "view\ta:\ta2\r")
+MODEL_SOUP = soup(MODEL_HEADERS, MODEL_LINES)

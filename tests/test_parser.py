@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import hyperknow as hk
 from hyperknow import parser
-from hyperknow.errors import ParseError, SortError
+from hyperknow.errors import HyperknowError, ParseError, SortError
 from hyperknow.syntax import (
     AllViews,
     ATrue,
@@ -19,7 +19,8 @@ from hyperknow.syntax import (
     desugar,
 )
 
-from conftest import random_agent, random_world
+from conftest import (MODEL_HEADERS, MODEL_LINES, MODEL_SOUP, random_agent, random_world,
+                      small_model_pool)
 
 
 @pytest.fixture
@@ -340,6 +341,10 @@ _PINNED_ERRORS = [
      "unknown declaration 'frobnicate' (line 2, column 3)", (12, 22, 2, 3)),
     ("model", "agents: a\nedge e1 { a: v1 } env { p\n",
      "expected '}' (line 2, column 26)", (35, 36, 2, 26)),
+    ("model", "agents: a\nview a: v\nview b: w\nedge e { a: v }\n",
+     "view 'w' declared for unknown agent 'b' (line 3, column 6)", (25, 26, 3, 6)),
+    ("frame", "agents: a\nworlds: w1\nclass b: w1\n",
+     "class declared for unknown agent 'b' (line 3, column 7)", (27, 28, 3, 7)),
     ("frame", "agents: a\nworlds: w1\nclass a: w1,\n",
      "expected world name (line 3, column 13)", (33, 34, 3, 13)),
     ("frame", "agents: a\nworlds: w1\nenv p: w1\nenv p: w1\n",
@@ -366,3 +371,105 @@ def test_parse_error_messages_and_spans_are_pinned(fmt, text, message, span):
     assert str(err.value) == message
     got = err.value.span
     assert (got.start, got.end, got.line, got.column) == span
+
+
+# --- the two model readers ----------------------------------------------------------
+#
+# ``parse_model`` reads a file of bare names and marks by words and falls
+# back to the token reader (``_model_by_tokens``) for anything else.  Both
+# must give equal models, or the same error with the same span.
+
+
+def _read_outcome(read, text):
+    try:
+        m = read(text)
+    except HyperknowError as err:
+        span = getattr(err, "span", None)
+        return type(err), str(err), span and (span.start, span.end, span.line, span.column)
+    return m, parser.render_model(m), m.val_agent, m.val_env
+
+
+def _assert_readers_agree(text):
+    assert _read_outcome(parser.parse_model, text) == \
+        _read_outcome(parser._model_by_tokens, text), text
+
+
+def _builtin_model_texts():
+    models = {name: hk.example(name) for name in hk.example_names() if name != "card-game"}
+    for cards in range(4, 8):
+        models[f"card-game-{cards}x3"] = hk.example("card-game", cards=cards, agents=3)
+    models["shared-memory-generalized"] = hk.neighborhood.shared_memory_example()
+    return {name: parser.render_model(m) for name, m in models.items()}
+
+
+def _respellings(text):
+    """``text`` as other files that read to the same model: a comment, a
+    quoted name, tabs, and \\r\\n line ends."""
+    quoted = re.sub(r"(view \w+: )(\w+)", r'\1"\2"', text, count=1)
+    return [text, text.replace("\n", "  # note\n", 1), quoted,
+            text.replace(" ", "\t"), text.replace("\n", "\r\n"),
+            text.replace(": ", ":").replace(", ", ","), "\n\n" + text + "   \n"]
+
+
+_BUILTIN_TEXTS = _builtin_model_texts()
+_POOL_TEXTS = {f"pool-{i}": parser.render_model(m) for i, m in enumerate(small_model_pool())}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(MODEL_SOUP)
+def test_model_readers_agree_on_the_fuzz_soup(text):
+    _assert_readers_agree(text)
+
+
+def test_model_readers_agree_on_every_pair_of_soup_lines():
+    for header in (*MODEL_HEADERS, ""):
+        for first in MODEL_LINES:
+            _assert_readers_agree(f"{header}{first}\n")
+            for second in MODEL_LINES:
+                _assert_readers_agree(f"{header}{first}\n{second}\n")
+
+
+# Every declaration form in two small files, one generalized.
+_SMALL_MODELS = (
+    "agents: a, b\natoms[a]: p\natoms[env]: q\nview a: x { p }\nview b: z\n"
+    "edge e { a: x, b: z } env { q }\nedge f { b: z }\n",
+    "agents: a\natoms[a]: p\nmode: generalized\nview a: x\nview a: y { p }\n"
+    "edge e { a: x, a: y }\n",
+)
+
+
+@pytest.mark.parametrize("text", _SMALL_MODELS, ids=("functional", "generalized"))
+def test_model_readers_agree_on_every_one_character_mutation(text):
+    chars = ' \t\r\n{}:,[]#"-a_e'
+    for i in range(len(text) + 1):
+        _assert_readers_agree(text[:i] + text[i + 1:])
+        for c in chars:
+            _assert_readers_agree(text[:i] + c + text[i + 1:])
+            _assert_readers_agree(text[:i] + c + text[i:])
+
+
+@pytest.mark.parametrize("name", [*_BUILTIN_TEXTS, *list(_POOL_TEXTS)[::8]])
+def test_model_readers_agree_on_respelled_renderings(name):
+    for variant in _respellings(_BUILTIN_TEXTS.get(name) or _POOL_TEXTS[name]):
+        _assert_readers_agree(variant)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.sampled_from([v for t in _BUILTIN_TEXTS.values() for v in _respellings(t)])
+       | st.sampled_from([v for t in _POOL_TEXTS.values() for v in _respellings(t)]),
+       st.sampled_from(("delete", "replace", "insert")), st.floats(0, 1, exclude_max=True),
+       st.sampled_from(' \t\r\n{}:,[]#"-ab0_e'))
+def test_model_readers_agree_on_one_character_mutations(text, how, where, char):
+    i = int(where * len(text))
+    rest = text[i:] if how == "insert" else text[i + 1:]
+    _assert_readers_agree(text[:i] + ("" if how == "delete" else char) + rest)
+
+
+@pytest.mark.parametrize("name", _BUILTIN_TEXTS)
+def test_builtin_renderings_take_the_word_path(name):
+    """The benchmarked model files are read by words, with no fallback."""
+    text = _BUILTIN_TEXTS[name]
+    m = parser._model_by_words(text)
+    assert m is not None
+    assert m == parser._model_by_tokens(text)
+    assert parser.render_model(m) == text
