@@ -316,7 +316,7 @@ def _validated_model(build, sig, views, edges, links, val_agent, val_env):
                 problems.append(
                     f"valuation: atom {atom} of agent {a} mentions unknown view '{v}'")
             table[atom] = members
-        for atom in set(val_agent[a]) - set(declared):
+        for atom in [x for x in val_agent[a] if x not in table]:
             problems.append(
                 f"valuation: atom '{atom}' is not declared for agent {a}")
         fixed_agent[a] = table
@@ -328,7 +328,7 @@ def _validated_model(build, sig, views, edges, links, val_agent, val_env):
         for e in members - known_edges:
             problems.append(f"valuation: environment atom {atom} mentions unknown edge '{e}'")
         fixed_env[atom] = members
-    for atom in set(val_env) - set(sig.env_atoms):
+    for atom in [x for x in val_env if x not in fixed_env]:
         problems.append(f"valuation: atom '{atom}' is not a declared environment atom")
 
     if problems:

@@ -33,7 +33,7 @@ from .core import Signature
 from .errors import DerivationCheckError, SortError
 # iter_valuations is unused here but stays bound: perfbench/tracing.py
 # counts the spotcheck's models by wrapping proofkernel.iter_valuations.
-from .search import (Bounds, _bit_pattern, _revalidate, _structures, compile_program,
+from .search import (Bounds, _bit_patterns, _revalidate, _structures, compile_program,
                      first_witness, iter_valuations)
 from .syntax import (
     AAnd,
@@ -441,7 +441,7 @@ def is_tautology(f) -> bool:
         elif op == "and":
             stack.append(stack.pop() & stack.pop())
         else:
-            stack.append(_bit_pattern(n, arg[0]) if op == "var" else full if arg[0] else 0)
+            stack.append(_bit_patterns(n)[arg[0]] if op == "var" else full if arg[0] else 0)
     return stack[0] == full
 
 

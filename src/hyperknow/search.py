@@ -17,12 +17,20 @@ class counts its assignments once per labelled structure, so
 
 Every validity sweep (``check_scheme``, ``find_countermodel`` and the proof
 kernel's ``soundness_spotcheck``) runs through ``sweep``: the formula is
-compiled once into a postfix program, and on each structure every point's
-value is one int whose bit ``t`` is its truth value under assignment ``t``
-(bit-slicing across valuations).  Assignments are numbered in
-``itertools.product`` order and swept in chunks of bounded width; the lowest
-zero bit gives the first falsifying assignment and the first point false
-under it the witness, exactly as trying one valuation at a time would.
+compiled once into a postfix program, and every point's value is one int
+whose bit ``t`` is its truth value under assignment ``t`` (bit-slicing
+across valuations).  Assignments are numbered in ``itertools.product``
+order and swept in chunks of bounded width.  The program is interpreted
+once per *run*, not once per structure: consecutive structures of the
+stream with the same edge count and view counts give every swept name the
+same width, so ``_Stream.runs`` lays them side by side as one structure
+(27 runs for the 146 classes at the default bounds, 59 for the 567 at 3
+agents, 2 views and 3 edges).  In a chunk, the first point of the run false under
+some assignment names the first member that fails there, and the earliest
+such member over all chunks is the first member with a falsifying
+assignment.  Its lowest zero bit gives its first falsifying assignment and
+the first point false under it the witness, exactly as sweeping the
+structures one by one, one valuation at a time, would.
 
 ``check_scheme`` decides whether a scheme (a formula with ``?metavariable``
 leaves) holds at every point of every model within bounds.  Instead of
@@ -53,7 +61,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -336,28 +344,72 @@ def enumerate_kb4_formulas(atoms, agents, max_size=5, max_modal_depth=2,
 
 
 class _Structure:
-    """The tables the sweep reads from one structure.
+    """One structure of a stream, as the sweep reads it.
 
-    Per agent: ``view_of[a][i]`` is the index of the agent's view in edge
-    ``i`` (None where the agent is absent) and ``fibers[a][j]`` the indices
-    of the edges holding its view ``j``.  Equal tables are one shared tuple.
-    ``weight`` is the number of labelled structures the structure stands for.
+    Per agent, ``view_of[a][i]`` is the index of the agent's view in edge
+    ``i`` (None where the agent is absent); equal columns are one shared
+    tuple.  ``weight`` is the number of labelled structures the structure
+    stands for.
     """
 
-    __slots__ = ("edges", "views", "view_of", "fibers", "weight")
+    __slots__ = ("edges", "views", "view_of", "weight")
 
     def __init__(self, edges, views, view_of: Dict[str, tuple], intern: Dict[tuple, tuple],
                  weight: int):
         self.edges = edges
         self.views = views
         self.weight = weight
+        self.view_of = {a: intern.setdefault(col, col) for a, col in view_of.items()}
+
+
+def _shape(st: _Structure):
+    return len(st.edges), tuple(map(len, st.views.values()))
+
+
+class _Run:
+    """Consecutive structures of a stream with one shape (edge count and
+    view count per agent), laid side by side as one structure: member ``m``'s
+    edge ``i`` is the run's edge ``m * k + i`` for ``k`` edges per member, and
+    likewise for each agent's views.  Every swept name has the same width on
+    each member, so one program interpretation sweeps them all.
+
+    ``points[s]`` is the run's number of points of sort ``s``, ``view_of``
+    the union's table, as on a structure, and ``weights[m]`` the summed
+    weight of the members before member ``m``.
+    """
+
+    __slots__ = ("members", "points", "view_of", "weights")
+
+    def __init__(self, members: Tuple[_Structure, ...]):
+        self.members = members
+        self.weights = tuple(itertools.accumulate((st.weight for st in members), initial=0))
+        k, counts = _shape(members[0])
+        self.points = {"world": len(members) * k}
         self.view_of = {}
-        self.fibers = {}
-        for a, col in view_of.items():
-            fibers = tuple(tuple(i for i, j in enumerate(col) if j == k)
-                           for k in range(len(views[a])))
-            self.view_of[a] = intern.setdefault(col, col)
-            self.fibers[a] = intern.setdefault(fibers, fibers)
+        for a, c in zip(members[0].views, counts):
+            self.points[a] = len(members) * c
+            self.view_of[a] = tuple(None if j is None else m * c + j
+                                    for m, st in enumerate(members) for j in st.view_of[a])
+
+
+# Edges per run at most: keeps a chunk's values over one run within this
+# many times 2**_CHUNK_BITS bits per sort.
+_RUN_EDGES = 256
+
+
+class _Stream(tuple):
+    """A stream of structures, which cuts itself into runs on first use."""
+
+    @cached_property
+    def runs(self) -> Tuple[_Run, ...]:
+        """Maximal stretches of consecutive structures of one shape, split
+        where a run would exceed ``_RUN_EDGES`` edges."""
+        out = []
+        for (k, _), group in itertools.groupby(self, _shape):
+            group = tuple(group)
+            step = max(1, _RUN_EDGES // k)
+            out.extend(_Run(group[i:i + step]) for i in range(0, len(group), step))
+        return tuple(out)
 
 
 def _orderings(seq) -> int:
@@ -369,7 +421,7 @@ def _orderings(seq) -> int:
 
 
 @lru_cache(maxsize=8)
-def _structures(agents: Tuple[str, ...], views: int, edges: int) -> Tuple[_Structure, ...]:
+def _structures(agents: Tuple[str, ...], views: int, edges: int) -> _Stream:
     """One structure per isomorphism class of ``enumerate_hypergraphs`` over
     ``agents``, in that stream's order, weighted by the size of its class.
 
@@ -418,7 +470,7 @@ def _structures(agents: Tuple[str, ...], views: int, edges: int) -> Tuple[_Struc
                     view_of = {a: tuple(rows[r][i] for r in seq) for i, a in enumerate(agents)}
                     out.append(_Structure(edge_names, names, view_of, intern,
                                           sum(map(_orderings, images))))
-    return tuple(out)
+    return _Stream(out)
 
 
 _STEPS = {
@@ -465,11 +517,11 @@ _CHUNK_BITS = 14
 
 
 @lru_cache(maxsize=None)
-def _bit_pattern(chunk: int, m: int) -> int:
-    """The ``2**chunk``-bit int whose bit ``t`` is bit ``m`` of ``t``."""
-    block = 1 << m
-    ones = ((1 << block) - 1) << block
-    return ((1 << (1 << chunk)) - 1) // ((1 << (2 * block)) - 1) * ones
+def _bit_patterns(chunk: int) -> Tuple[int, ...]:
+    """The ``2**chunk``-bit ints, for ``m < chunk``, whose bit ``t`` is bit
+    ``m`` of ``t``."""
+    return tuple(((1 << (1 << chunk)) - 1) // ((1 << (2 << m)) - 1)
+                 * (((1 << (1 << m)) - 1) << (1 << m)) for m in range(chunk))
 
 
 def _widths(st: _Structure, swept_names, sorts) -> List[int]:
@@ -477,11 +529,11 @@ def _widths(st: _Structure, swept_names, sorts) -> List[int]:
             for n in swept_names]
 
 
-def _evaluate(program, st: _Structure, env: Dict[str, List[int]], full: int) -> List[int]:
-    """Run a compiled program on one structure: ``env[name]`` gives each
-    point of the name's sort an int, ``full`` is the all-true int, and the
-    result is the formula's int at each point of its sort."""
-    view_of, fibers = st.view_of, st.fibers
+def _evaluate(program, run: _Run, env: Dict[str, List[int]], full: int) -> List[int]:
+    """Run a compiled program on a run: ``env[name]`` gives each point of the
+    name's sort an int, ``full`` is the all-true int, and the result is the
+    formula's int at each point of its sort."""
+    view_of = run.view_of
     stack = []
     for step in program:
         op = step[0]
@@ -496,60 +548,84 @@ def _evaluate(program, st: _Structure, env: Dict[str, List[int]], full: int) -> 
             sub = stack[-1]
             stack[-1] = [0 if j is None else sub[j] for j in view_of[step[1]]]
         elif op == "poss":
-            sub = stack[-1]
-            stack[-1] = [reduce(or_, [sub[i] for i in fiber]) for fiber in fibers[step[1]]]
+            out = [0] * run.points[step[1]]
+            for x, j in zip(stack[-1], view_of[step[1]]):
+                if j is not None:
+                    out[j] |= x
+            stack[-1] = out
         else:
-            points = len(st.edges) if step[1] == "world" else len(st.views[step[1]])
-            stack.append([full if op == "top" else 0] * points)
+            stack.append([full if op == "top" else 0] * run.points[step[1]])
     return stack[0]
 
 
-def extension_chunks(program, st: _Structure, swept_names, sorts
+def extension_chunks(program, run: _Run, swept_names, sorts
                      ) -> Iterator[Tuple[int, int, List[int]]]:
-    """Evaluate a compiled program on one structure under every assignment.
+    """Evaluate a compiled program on every member of a run under every
+    assignment.
 
     An assignment gives each swept name a set of points of its sort
-    (``sorts[name]``), a bitmask over them.  Assignments are numbered in
-    ``itertools.product`` order over the names' masks, the last name varying
-    fastest.  Yields ``(first, width, values)`` for consecutive chunks of at
-    most ``2**_CHUNK_BITS`` assignments: bit ``t`` of ``values[p]`` is the
-    formula's value at point ``p`` under assignment ``first + t``.
+    (``sorts[name]``) on one member, a bitmask over them.  Assignments are
+    numbered in ``itertools.product`` order over the names' masks, the last
+    name varying fastest.  Yields ``(first, width, values)`` for consecutive
+    chunks of at most ``2**_CHUNK_BITS`` assignments: bit ``t`` of
+    ``values[p]`` is the formula's value at the run's point ``p`` under
+    assignment ``first + t``.
     """
-    widths = _widths(st, swept_names, sorts)
+    widths = _widths(run.members[0], swept_names, sorts)
     total = sum(widths)
     chunk = min(total, _CHUNK_BITS)
     width = 1 << chunk
     full = (1 << width) - 1
+    patterns = _bit_patterns(chunk)
     for first in range(0, 1 << total, width):
         # Point j of the name at ``offset`` holds iff bit offset + j of the
-        # assignment number is set.
+        # assignment number is set, on every member alike.
         env = {}
         offset = total
         for name, k in zip(swept_names, widths):
             offset -= k
-            env[name] = [_bit_pattern(chunk, m) if m < chunk
+            env[name] = [patterns[m] if m < chunk
                          else full if first >> m & 1 else 0
-                         for m in range(offset, offset + k)]
-        yield first, width, _evaluate(program, st, env, full)
+                         for m in range(offset, offset + k)] * len(run.members)
+        yield first, width, _evaluate(program, run, env, full)
 
 
-def sweep(program, sort: str, st: _Structure, swept_names, sorts):
-    """Find the first assignment that falsifies the program at a point of ``sort``.
+def sweep(program, sort: str, run: _Run, swept_names, sorts):
+    """Find the first member of a run with an assignment that falsifies the
+    program at a point of ``sort``.
 
     Returns ``(assignments swept, None)`` when there is none, else
-    ``(assignments swept, (assignment, point))``: the first falsifying
-    assignment in ``extension_chunks`` order and the first point, in the
-    structure's order, where it fails.
+    ``(assignments swept, (member, assignment, point))``: the member's first
+    falsifying assignment in ``extension_chunks`` order and the first point,
+    in the member's order, where it fails.  Members before it count their
+    assignments ``weight`` times, the member itself its assignments up to
+    the falsifying one once.  A later member can fail in an earlier chunk,
+    so a failing run's remaining chunks are swept before choosing.
     """
-    for first, width, values in extension_chunks(program, st, swept_names, sorts):
+    members = run.members
+    best, hit = len(members), None
+    for first, width, values in extension_chunks(program, run, swept_names, sorts):
         full = (1 << width) - 1
-        holds = reduce(and_, values, full)
-        if holds != full:
+        if reduce(and_, values, full) == full:
+            continue
+        # The member of the first point false under some assignment here.
+        size = len(values) // len(members)
+        m = [x == full for x in values].index(False) // size
+        if m < best:
+            part = values[m * size:(m + 1) * size]
+            holds = reduce(and_, part, full)
             t = ((full ^ holds) & -(full ^ holds)).bit_length() - 1
-            idx = next(p for p, x in enumerate(values) if not x >> t & 1)
-            point = World(st.edges[idx]) if sort == "world" else View(sort, st.views[sort][idx])
-            return first + t + 1, (first + t, point)
-    return first + width, None
+            best, hit = m, (first + t, [x >> t & 1 for x in part].index(0))
+            if m == 0:
+                break
+    # A finished loop's last chunk ends at the number of assignments; a
+    # broken one counts no member before the first.
+    swept = (first + width) * run.weights[best]
+    if hit is None:
+        return swept, None
+    st, (assignment, idx) = members[best], hit
+    point = World(st.edges[idx]) if sort == "world" else View(sort, st.views[sort][idx])
+    return swept + assignment + 1, (st, assignment, point)
 
 
 def assignment_values(st: _Structure, swept_names, sorts, assignment: int
@@ -584,10 +660,10 @@ def witness_model(sig: Signature, st: _Structure, sorts, values,
     return build_model(sig, st.views, st.edges, proj, val_agent, val_env)
 
 
-def first_witness(program, sort: str, structures, names, sorts, sig: Signature,
+def first_witness(program, sort: str, structures: _Stream, names, sorts, sig: Signature,
                   atom_of=None):
-    """Sweep the program over a structure stream until an assignment
-    falsifies it at a point of ``sort``.
+    """Sweep the program over a structure stream, one run at a time, until
+    an assignment falsifies it at a point of ``sort``.
 
     Returns ``(assignments swept, None)`` when none does, else ``(assignments
     swept, (model, point))``: the witness ``witness_model`` builds from the
@@ -595,13 +671,13 @@ def first_witness(program, sort: str, structures, names, sorts, sig: Signature,
     fully swept structure counts its assignments ``weight`` times.
     """
     checked = 0
-    for st in structures:
-        count, hit = sweep(program, sort, st, names, sorts)
+    for run in structures.runs:
+        count, hit = sweep(program, sort, run, names, sorts)
+        checked += count
         if hit is not None:
-            assignment, point = hit
+            st, assignment, point = hit
             values = assignment_values(st, names, sorts, assignment)
-            return checked + count, (witness_model(sig, st, sorts, values, atom_of), point)
-        checked += count * st.weight
+            return checked, (witness_model(sig, st, sorts, values, atom_of), point)
     return checked, None
 
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -332,3 +335,28 @@ def test_one_argument_parser_serves_every_call(capsys, monkeypatch):
     assert alone[4][1].startswith("usage: hyperknow") and "translate-kb4" in alone[4][1]
     assert alone[5][1].startswith("usage: hyperknow valid")
     assert "invalid int value: 'x'" in alone[8][2]
+
+
+def test_undeclared_atoms_are_reported_in_file_order(tmp_path):
+    # The error lists undeclared atoms as the file gives them, so stderr is
+    # the same under every hash seed.
+    path = tmp_path / "undeclared.model"
+    path.write_text("agents: a\natoms[a]: p\nview a: v1 { zz, p, bb }\n"
+                    "edge e1 { a: v1 } env { r, q }\n")
+    src = str(CORPUS.parent / "src")
+    errs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperknow.cli", "check", "--model", str(path),
+             "--world", "e1", "--formula", "true"],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 2
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert errs[0] == (
+        "error: valuation: atom 'zz' is not declared for agent a; "
+        "valuation: atom 'bb' is not declared for agent a; "
+        "valuation: atom 'r' is not a declared environment atom; "
+        "valuation: atom 'q' is not a declared environment atom\n")

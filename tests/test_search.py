@@ -328,8 +328,8 @@ def test_find_countermodel_witnesses_locally_minimal(b):
 def test_every_sweep_revalidates_its_witness(monkeypatch):
     # A sweep that reports a point where the formula holds is caught by the
     # evaluator in each of its callers.
-    monkeypatch.setattr(search, "sweep", lambda program, sort, st, names, sorts:
-                        (1, (0, World(st.edges[0]))))
+    monkeypatch.setattr(search, "sweep", lambda program, sort, run, names, sorts:
+                        (1, (run.members[0], 0, World(run.members[0].edges[0]))))
     b = Bounds(edges=2)
     sig = signature_for_bounds(b)
     derivation = hk.parse_derivation("agents: a\natoms[env]: p\n1. e: p -> p ; taut\n")
@@ -385,7 +385,8 @@ def _labelled_structures(agents, views, edges):
     """Tables of every structure of the labelled stream, in its order."""
     b = Bounds(agents=len(agents), views=views, edges=edges)
     intern = {}
-    return [_tables(h, intern) for h in enumerate_hypergraphs(b, hk.Signature(agents))]
+    return search._Stream(_tables(h, intern)
+                          for h in enumerate_hypergraphs(b, hk.Signature(agents)))
 
 
 @pytest.mark.parametrize("chunk_bits", [14, 2])
@@ -406,7 +407,8 @@ def test_bit_sliced_extensions_match_evaluator(sort, chunk_bits, monkeypatch):
         names, vary_agent, vary_env = _valuation_order(sig, sorts)
         for h, st in rng.sample(structures, 6):
             values = {}
-            for first, width, chunk in search.extension_chunks(program, st, names, sorts):
+            for first, width, chunk in search.extension_chunks(program, search._Run((st,)),
+                                                                names, sorts):
                 for t in range(width):
                     values[first + t] = [x >> t & 1 == 1 for x in chunk]
             models = list(iter_valuations(h, vary_agent, vary_env))
@@ -477,19 +479,78 @@ def test_sweep_witness_past_the_first_chunk(monkeypatch):
         intern = {}
         for h in enumerate_hypergraphs(b, sig):
             st = _tables(h, intern)
-            count, hit = search.sweep(program, "world", st, names, sorts)
+            count, hit = search.sweep(program, "world", search._Run((st,)), names, sorts)
             expected = _first_failure(h, f, "world", vary_agent, vary_env)
             if expected is None:
                 assert hit is None
                 continue
             t, model, failing = expected
             assert count == t + 1
-            assert hit == (t, failing[0])
+            assert hit == (st, t, failing[0])
             values = search.assignment_values(st, names, sorts, t)
             assert search.witness_model(sig, st, sorts, values) == model
             late += t >= 4
             several += len(failing) > 1
     assert late > 0 and several > 0
+
+
+def _per_class(program, sort, structures, names, sorts):
+    """Reference: sweep each structure alone, as a run of one, until one has
+    a falsifying assignment; the assignments swept, the hit, and each
+    member's first falsifying assignment."""
+    checked, first_hit, failures = 0, None, []
+    for st in structures:
+        count, hit = search.sweep(program, sort, search._Run((st,)), names, sorts)
+        if first_hit is None:
+            checked += count
+            first_hit = hit
+        if hit is not None:
+            failures.append(hit[1])
+    return checked, first_hit, failures
+
+
+@pytest.mark.parametrize("run_edges", [256, 6])
+@pytest.mark.parametrize("chunk_bits", [14, 2])
+@pytest.mark.parametrize("agents,views,edges", [(2, 2, 2), (2, 2, 3), (3, 2, 2)],
+                         ids=["2-2-2", "2-2-3", "3-2-2"])
+def test_run_sweep_matches_a_per_class_loop(agents, views, edges, chunk_bits, run_edges,
+                                            monkeypatch):
+    # One interpretation per run of same-shape classes finds what sweeping
+    # the class stream one class at a time finds, also when a later member
+    # of a run fails in an earlier chunk than its first failing member, and
+    # when long runs are split.
+    monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(search, "_RUN_EDGES", run_edges)
+    rng = random.Random(f"runs/{agents}-{views}-{edges}")
+    agent_names = search.default_agents(agents)
+    sig = hk.Signature(agent_names, {"a": ("pa", "qa"), "b": ("pb",)}, ("u", "v"))
+    classes = search._Stream(search._structures(agent_names, views, edges))
+    runs = classes.runs
+    assert [st for run in runs for st in run.members] == list(classes)
+    assert len(runs) < len(classes)
+    assert all(run.points["world"] <= max(run_edges, edges) for run in runs)
+    crossed = 0
+    for _ in range(40):
+        sort = rng.choice(("world", "a", "b"))
+        f = random_world(rng, sig, 4) if sort == "world" else random_agent(rng, sig, sort, 4)
+        program, sorts = search.compile_program(f, sort)
+        names = list(sorts)
+        for run in runs:
+            checked, hit, failures = _per_class(program, sort, run.members, names, sorts)
+            assert search.sweep(program, sort, run, names, sorts) == (checked, hit)
+            chunk = min(sum(search._widths(run.members[0], names, sorts)), chunk_bits)
+            crossed += any(t >> chunk < failures[0] >> chunk for t in failures[1:])
+        checked, hit, _ = _per_class(program, sort, classes, names, sorts)
+        fast_checked, fast = search.first_witness(program, sort, classes, names, sorts, sig)
+        assert fast_checked == checked
+        if hit is None:
+            assert fast is None
+            continue
+        st, t, point = hit
+        model = search.witness_model(sig, st, sorts, search.assignment_values(st, names, sorts, t))
+        assert fast[1] == point
+        assert hk.parser.render_model(fast[0]) == hk.parser.render_model(model)
+    assert crossed > 0 or chunk_bits == 14
 
 
 # --- the class stream ---------------------------------------------------------------
@@ -542,9 +603,24 @@ def test_class_representatives_are_distinct_and_cover_the_stream(agents, views, 
 
 def _labelled_sweep(monkeypatch, verdict):
     """The verdict computed over the labelled stream instead of the classes."""
+    streams, swept = [], []
+    sweep = search.sweep
+
+    def labelled(*bounds):
+        streams.append(_labelled_structures(*bounds))
+        return streams[-1]
+
+    def spy(program, sort, run, *rest):
+        swept.extend(run.members)
+        return sweep(program, sort, run, *rest)
+
     with monkeypatch.context() as m:
-        m.setattr(search, "_structures", _labelled_structures)
-        return verdict()
+        m.setattr(search, "_structures", labelled)
+        m.setattr(search, "sweep", spy)
+        out = verdict()
+    # The sweep read the labelled stream itself, in order, from its start.
+    assert len(streams) == 1 and swept and swept == list(streams[0][:len(swept)])
+    return out
 
 
 def _same_verdict(fast, slow):
