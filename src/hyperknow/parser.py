@@ -407,8 +407,12 @@ def parse_kb4(text: str, sig: Signature) -> KB4Formula:
 def parse_world_inferring(text: str, agents: Tuple[str, ...]):
     """Parse a world formula, declaring unknown atoms by their position.
 
-    Returns ``(formula, signature)``.  Convenient for CLI invocations that
-    supply a formula without a model file.
+    Returns ``(formula, signature)``, the formula sort-checked but as parsed,
+    derived connectives and all: its one consumer, the countermodel search,
+    compiles them directly and re-validates its witness with the evaluator,
+    which has clauses for them, so desugaring would only cost a walk.
+    Convenient for CLI invocations that supply a formula without a model
+    file.
     """
     raw = _parse(text, "world")
     env_atoms: List[str] = []
@@ -442,7 +446,7 @@ def parse_world_inferring(text: str, agents: Tuple[str, ...]):
                     {a: tuple(v) for a, v in agent_atoms.items()},
                     tuple(env_atoms))
     sort_check_world(raw, sig)
-    return desugar(raw), sig
+    return raw, sig
 
 
 # --- rendering ----------------------------------------------------------------

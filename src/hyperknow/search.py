@@ -19,8 +19,10 @@ Every validity sweep (``check_scheme``, ``find_countermodel`` and the proof
 kernel's ``soundness_spotcheck``) runs through ``sweep``: the formula is
 compiled once into a postfix program, and every point's value is one int
 whose bit ``t`` is its truth value under assignment ``t`` (bit-slicing
-across valuations).  Assignments are numbered in ``itertools.product``
-order and swept in chunks of bounded width.  The program is interpreted
+across valuations).  ``compile_program`` reads the derived connectives
+directly, emitting the steps of their core forms, so no caller desugars.
+Assignments are numbered in ``itertools.product`` order and swept in chunks
+of bounded width.  The program is interpreted
 once per *run*, not once per structure: consecutive structures of the
 stream with the same edge count and view counts give every swept name the
 same width, so ``_Stream.runs`` lays them side by side as one structure
@@ -44,9 +46,11 @@ atom per metavariable of each sort, which ``check_scheme`` enforces.
 Every caller's witness comes from one loop, ``first_witness``: the first
 falsifying assignment on the first structure that has one, decoded into a
 model, which the caller re-validates through the ordinary evaluator before
-returning it.  ``check_scheme``'s countermodels carry a concrete witness:
-each metavariable is assigned a fresh atom whose valuation is the
-falsifying extension.
+returning it, on the formula as it was given: the evaluator's own clauses
+for the derived connectives then check the compiler's expansion of them.
+``check_scheme``'s countermodels carry a concrete witness: each
+metavariable is assigned a fresh atom whose valuation is the falsifying
+extension.
 
 ``find_countermodel`` sweeps the valuations of a concrete formula's own
 atoms and returns the first witness as it is, which is already locally
@@ -90,6 +94,7 @@ from .syntax import (
     EnvAtom,
     KB4And,
     KB4Atom,
+    KB4Formula,
     KB4Knows,
     KB4Not,
     PossWorld,
@@ -100,11 +105,10 @@ from .syntax import (
     WMeta,
     WNot,
     WorldFormula,
+    WOr,
     WTrue,
     alive,
-    desugar,
     disj,
-    fold,
     ksafe,
     kunsafe,
     scheme_meta_sorts,
@@ -473,42 +477,67 @@ def _structures(agents: Tuple[str, ...], views: int, edges: int) -> _Stream:
     return _Stream(out)
 
 
-_STEPS = {
-    WTrue: "top", ATrue: "top", WFalse: "bot", AFalse: "bot",
-    EnvAtom: "atom", WMeta: "atom", AgentAtom: "atom", AMeta: "atom",
-    WNot: "not", ANot: "not", WAnd: "and", AAnd: "and",
-    SomeView: "some", PossWorld: "poss",
+# compile_program's work stack holds (node, sort) pairs still to expand and,
+# as 1-tuples, steps whose operands are already in the program.
+_NOT, _AND = (("not",),), (("and",),)
+
+# Per sort, what replaces a node of each type on the work stack, the entry to
+# be taken first last; an atom or metavariable is emitted in place.  A derived
+# connective is replaced by the steps of its form under ``desugar``.
+_NEGATION = lambda f, s: (_NOT, (f.sub, s))
+_CONJUNCTION = lambda f, s: (_AND, (f.right, s), (f.left, s))
+_DISJUNCTION = lambda f, s: (_NOT, _AND, _NOT, (f.right, s), _NOT, (f.left, s))
+_IMPLICATION = lambda f, s: (_NOT, _AND, _NOT, (f.right, s), (f.left, s))
+_TOP = lambda f, s: ((("top", s),),)
+_BOT = lambda f, s: ((("bot", s),),)
+_WORLD_STEPS = {
+    EnvAtom: "atom", WMeta: "meta", WTrue: _TOP, WFalse: _BOT,
+    WNot: _NEGATION, WAnd: _CONJUNCTION, WOr: _DISJUNCTION, WImplies: _IMPLICATION,
+    SomeView: lambda f, s: ((("some", f.agent),), (f.sub, f.agent)),
+    AllViews: lambda f, s: (_NOT, (("some", f.agent),), _NOT, (f.sub, f.agent)),
+}
+_AGENT_STEPS = {
+    AgentAtom: "atom", AMeta: "meta", ATrue: _TOP, AFalse: _BOT,
+    ANot: _NEGATION, AAnd: _CONJUNCTION, AOr: _DISJUNCTION, AImplies: _IMPLICATION,
+    PossWorld: lambda f, s: ((("poss", s),), (f.sub, "world")),
+    Box: lambda f, s: (_NOT, (("poss", s),), _NOT, (f.sub, "world")),
 }
 
 
-def compile_program(core, sort: str):
-    """Compile a core formula of ``sort`` (``"world"`` or an agent) into a
-    postfix program, one step per node in post-order.
+def compile_program(f, sort: str, allow_metas: bool = False):
+    """Compile a formula of ``sort`` (``"world"`` or an agent) into a postfix
+    program, one step per node of its core form in post-order.
 
-    Returns the program and the sort of each atom or metavariable name, in
-    order of first occurrence.  Steps: ``("top"|"bot", sort)``, ``("atom",
-    name)``, ``("not",)``, ``("and",)``, ``("some", a)`` for ``E[a]`` and
-    ``("poss", a)`` for ``<>`` at a view of ``a``.
+    The derived connectives (``|``, ``->``, ``A[a]`` and ``[]``) compile
+    directly to the steps of their core forms: the program is the one the
+    formula's ``desugar`` gives.  Returns the program and the sort of each
+    atom or metavariable name, in order of first occurrence.  Steps:
+    ``("top"|"bot", sort)``, ``("atom", name)``, ``("not",)``, ``("and",)``,
+    ``("some", a)`` for ``E[a]`` and ``("poss", a)`` for ``<>`` at a view of
+    ``a``.  A metavariable compiles like an atom if ``allow_metas`` is set.
     """
     program = []
     leaves: Dict[str, str] = {}
-
-    def emit(node, ctx, _):
-        op = _STEPS.get(type(node))
-        if op is None or isinstance(node, WorldFormula) != (ctx == "world"):
-            raise SortError(f"not a core formula of sort {ctx}: {node!r}", node=node)
-        if op == "atom":
-            if leaves.setdefault(node.name, ctx) != ctx:
-                raise SortError(f"'{node.name}' occurs at two sorts", node=node)
-            program.append((op, node.name))
-        elif op == "some":
-            program.append((op, node.agent))
-        elif op in ("not", "and"):
-            program.append((op,))
-        else:
-            program.append((op, ctx))
-
-    fold(core, sort, emit)
+    todo = [(f, sort)]
+    while todo:
+        entry = todo.pop()
+        if len(entry) == 1:                 # a step whose operands are done
+            program.append(entry[0])
+            continue
+        node, s = entry
+        kind = (_WORLD_STEPS if s == "world" else _AGENT_STEPS).get(type(node))
+        if kind is None:
+            if isinstance(node, (WorldFormula, AgentFormula, KB4Formula)):
+                raise SortError(f"not a formula of sort {s}: {node!r}", node=node)
+            raise TypeError(f"not a formula: {node!r}")
+        if type(kind) is not str:
+            todo.extend(kind(node, s))
+            continue
+        if kind == "meta" and not allow_metas:
+            raise SortError(f"cannot evaluate metavariable '?{node.name}'", node=node)
+        if leaves.setdefault(node.name, s) != s:
+            raise SortError(f"'{node.name}' occurs at two sorts", node=node)
+        program.append(("atom", node.name))
     return tuple(program), leaves
 
 
@@ -715,9 +744,8 @@ def check_scheme(scheme, b: Bounds, agent: Optional[str] = None) -> Verdict:
     if not world_scheme and agent not in sig.agents:
         raise SortError(f"agent '{agent}' is outside the bounds alphabet")
     meta_sorts = scheme_meta_sorts(scheme, sig, agent=agent)
-    core = desugar(scheme)
     sort = "world" if world_scheme else agent
-    program, sorts = compile_program(core, sort)
+    program, sorts = compile_program(scheme, sort, allow_metas=True)
 
     # Concrete atoms occurring in the scheme are swept exactly like
     # metavariables: their valuations are free across the enumerated models.
@@ -748,7 +776,7 @@ def check_scheme(scheme, b: Bounds, agent: Optional[str] = None) -> Verdict:
     formula_assignment = {
         n: EnvAtom(atom_of[n]) if sorts[n] == "world" else AgentAtom(atom_of[n])
         for n in metas}
-    _revalidate(model, point, substitute_metas(core, formula_assignment))
+    _revalidate(model, point, substitute_metas(scheme, formula_assignment))
     return Countermodel(model=model, point=point, assignment=formula_assignment)
 
 
@@ -762,7 +790,8 @@ def _revalidate(model, point, formula):
 
 
 def find_countermodel(f: WorldFormula, b: Bounds) -> Verdict:
-    """Bounded validity check for a concrete world formula.
+    """Bounded validity check for a concrete world formula: a metavariable
+    is a ``SortError``, raised before any sweep.
 
     A returned countermodel is locally minimal: no single edge or view
     deletion keeps the formula false at the witness world.  It is the first
@@ -771,9 +800,8 @@ def find_countermodel(f: WorldFormula, b: Bounds) -> Verdict:
     witness on.
     """
     b.validate()
-    core = desugar(f)
     agents = default_agents(b.agents)
-    program, sorts = compile_program(core, "world")
+    program, sorts = compile_program(f, "world")
     extra = {step[1] for step in program if step[0] == "some"} - set(agents)
     if extra:
         raise BoundsError(
@@ -788,7 +816,7 @@ def find_countermodel(f: WorldFormula, b: Bounds) -> Verdict:
     if hit is None:
         return ValidWithinBounds(models_checked=checked)
     model, point = hit
-    _revalidate(model, point, core)
+    _revalidate(model, point, f)
     return Countermodel(model=model, point=point, assignment={})
 
 

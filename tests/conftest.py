@@ -17,14 +17,20 @@ from hyperknow.syntax import (
     AAnd,
     AFalse,
     AgentAtom,
+    AImplies,
+    AllViews,
     ANot,
+    AOr,
     ATrue,
+    Box,
     EnvAtom,
     PossWorld,
     SomeView,
     WAnd,
     WFalse,
+    WImplies,
     WNot,
+    WOr,
     WTrue,
 )
 
@@ -51,9 +57,7 @@ def binary_input():
     return hk.example("binary-input")
 
 
-@pytest.fixture(scope="session")
-def rich_sig():
-    return hk.Signature(("a", "b"), {"a": ("pa", "qa"), "b": ("pb",)}, ("u", "v"))
+RICH_SIG = hk.Signature(("a", "b"), {"a": ("pa", "qa"), "b": ("pb",)}, ("u", "v"))
 
 
 # --- random core formulas (seeded, deterministic) ---------------------------------
@@ -83,6 +87,37 @@ def random_agent(rng, sig, agent, depth):
         return AAnd(random_agent(rng, sig, agent, depth - 1),
                     random_agent(rng, sig, agent, depth - 1))
     return PossWorld(random_world(rng, sig, depth - 1))
+
+
+# --- random surface formulas: the core and every derived connective ---------------
+
+
+def random_surface_world(rng, sig, depth):
+    """A world formula as the parser gives it: ``|``, ``->`` and ``A[a]``
+    next to the core, and ``[]`` below a view (so ``K[a]`` and ``Ksafe[a]``
+    too)."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([WTrue(), WFalse()] + [EnvAtom(n) for n in sig.env_atoms])
+    k = rng.randrange(6)
+    if k == 0:
+        return WNot(random_surface_world(rng, sig, depth - 1))
+    if k < 4:
+        return (WAnd, WOr, WImplies)[k - 1](random_surface_world(rng, sig, depth - 1),
+                                            random_surface_world(rng, sig, depth - 1))
+    agent = rng.choice(sig.agents)
+    return (SomeView, AllViews)[k - 4](agent, random_surface_agent(rng, sig, agent, depth - 1))
+
+
+def random_surface_agent(rng, sig, agent, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([ATrue(), AFalse()] + [AgentAtom(n) for n in sig.atoms_for(agent)])
+    k = rng.randrange(6)
+    if k == 0:
+        return ANot(random_surface_agent(rng, sig, agent, depth - 1))
+    if k < 4:
+        return (AAnd, AOr, AImplies)[k - 1](random_surface_agent(rng, sig, agent, depth - 1),
+                                            random_surface_agent(rng, sig, agent, depth - 1))
+    return (PossWorld, Box)[k - 4](random_surface_world(rng, sig, depth - 1))
 
 
 # --- independent oracles ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """No formula traversal may recurse: 1,000-deep formulas go through every
-layer with only 100 stack frames to spare."""
+layer with only 100 stack frames to spare, the sweep compiler's reading of
+undesugared ``K[a]`` and ``->`` included."""
 
 from __future__ import annotations
 
@@ -68,6 +69,11 @@ def _through_every_layer(k):
         verdicts += [ev.sat_agent("a", v, agent) for v in m.views_of("a")]
         verdicts += [KB4Evaluator(frame).sat(w, kb4) for w in frame.worlds]
         x = f"({world_text}) -> ({world_text})"
+        # The sweep compiler reads the derived connectives as parsed.
+        for text in (kb4_text, x):
+            raw = parser._parse(text, "world")
+            assert search.compile_program(raw, "world") == \
+                search.compile_program(desugar(raw), "world")
         derivation = f"agents: a\n1. e: {x} ; taut\n2. e: ({x}) -> ({x}) ; taut\n"
         check_derivation(parser.parse_derivation(derivation + f"3. e: {x} ; mp 2 1\n"))
         with pytest.raises(DerivationCheckError):

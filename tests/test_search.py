@@ -1,11 +1,12 @@
 import itertools
 import random
+import re
 
 import pytest
 
 import hyperknow as hk
 from hyperknow import search
-from hyperknow.errors import BoundsError
+from hyperknow.errors import BoundsError, SortError
 from hyperknow.search import (
     Bounds,
     Countermodel,
@@ -25,14 +26,24 @@ from hyperknow.search import (
 from hyperknow.semantics import Evaluator, View, World
 from hyperknow.syntax import (
     AgentAtom,
+    AllViews,
+    AMeta,
+    ATrue,
+    Box,
     EnvAtom,
+    KB4Atom,
     SomeView,
+    WAnd,
+    WMeta,
+    WNot,
+    WOr,
     WorldFormula,
     desugar,
     substitute_metas,
 )
 
-from conftest import naive_hypergraph_count, random_agent, random_world
+from conftest import (RICH_SIG, naive_hypergraph_count, random_agent, random_surface_agent,
+                      random_surface_world, random_world)
 
 
 def test_forced_single_structure():
@@ -344,6 +355,71 @@ def test_find_countermodel_rejects_unknown_agents():
     b = Bounds()
     with pytest.raises(BoundsError):
         find_countermodel(SomeView("z", hk.syntax.ATrue()), b)
+
+
+@pytest.mark.parametrize("f, name", [
+    (WMeta("x"), "x"),
+    (WOr(WMeta("x"), WNot(WMeta("x"))), "x"),
+    (AllViews("a", Box(WMeta("x"))), "x"),
+    (WAnd(EnvAtom("u"), SomeView("b", AMeta("y"))), "y"),
+], ids=["meta", "excluded-middle", "unsafe-knowledge", "agent-meta"])
+def test_find_countermodel_rejects_metavariables_before_sweeping(f, name, monkeypatch):
+    # A metavariable has no valuation to sweep, whether or not the formula
+    # would be valid with it read as an atom.
+    def no_sweep(*args):
+        raise AssertionError("a formula with a metavariable was swept")
+    monkeypatch.setattr(search, "first_witness", no_sweep)
+    with pytest.raises(SortError, match=re.escape(f"cannot evaluate metavariable '?{name}'")):
+        find_countermodel(f, Bounds())
+
+
+@pytest.mark.parametrize("f, sort, error, message", [
+    (ATrue(), "world", SortError, "not a formula of sort world: ATrue()"),
+    (SomeView("a", EnvAtom("u")), "world", SortError,
+     "not a formula of sort a: EnvAtom(name='u')"),
+    (WNot(KB4Atom("p")), "world", SortError, "not a formula of sort world: KB4Atom(name='p')"),
+    (WAnd(EnvAtom("u"), "u"), "world", TypeError, "not a formula: 'u'"),
+    ("u", "world", TypeError, "not a formula: 'u'"),
+    (None, "a", TypeError, "not a formula: None"),
+], ids=["mis-sorted", "mis-sorted-below-a-view", "kb4", "string-child", "string", "none"])
+def test_compile_program_rejects_what_is_not_a_formula_of_its_sort(f, sort, error, message):
+    with pytest.raises(error) as caught:
+        search.compile_program(f, sort)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_derived_connectives_compile_as_their_core_forms():
+    rng = random.Random("surface-programs")
+    for _ in range(500):
+        sort = rng.choice(("world", "a", "b"))
+        f = (random_surface_world(rng, RICH_SIG, 5) if sort == "world"
+             else random_surface_agent(rng, RICH_SIG, sort, 5))
+        program, leaves = search.compile_program(f, sort)
+        core_program, core_leaves = search.compile_program(desugar(f), sort)
+        assert program == core_program, f
+        assert list(leaves.items()) == list(core_leaves.items())
+    for name, scheme in {**interaction_schemes("a"), **knowledge_schemes("a")}.items():
+        sort = "world" if isinstance(scheme, WorldFormula) else "a"
+        assert search.compile_program(scheme, sort, allow_metas=True) == \
+            search.compile_program(desugar(scheme), sort, allow_metas=True), name
+
+
+@pytest.mark.parametrize("b", [Bounds(), Bounds(agents=3, views=2, edges=3)],
+                         ids=lambda b: f"{b.agents}-{b.views}-{b.edges}")
+def test_find_countermodel_refutes_a_formula_as_its_core_form(b):
+    rng = random.Random("surface-countermodels")
+    valid = 0
+    for _ in range(80):
+        f = random_surface_world(rng, RICH_SIG, 4)
+        surface, core = find_countermodel(f, b), find_countermodel(desugar(f), b)
+        assert type(surface) is type(core), f
+        if isinstance(core, ValidWithinBounds):
+            valid += 1
+            assert surface.models_checked == core.models_checked, f
+        else:
+            assert surface.point == core.point, f
+            assert hk.parser.render_model(surface.model) == hk.parser.render_model(core.model)
+    assert 0 < valid < 80
 
 
 def test_iter_valuations_varies_only_requested_atoms():
