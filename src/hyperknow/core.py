@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from .errors import UnknownPointError, ValidationError
+from .record import Record, replace
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -28,8 +28,12 @@ def _is_token(s) -> bool:
     return isinstance(s, str) and bool(_TOKEN_RE.match(s))
 
 
-@dataclass(frozen=True)
-class Signature:
+# The records built once per query or per witness store their fields
+# directly, in constructors written out here.
+_set = object.__setattr__
+
+
+class Signature(Record):
     """Agents and atom alphabets.
 
     Declaration order is the canonical iteration order everywhere; atom
@@ -38,10 +42,13 @@ class Signature:
     """
 
     agents: Tuple[str, ...]
-    agent_atoms: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
-    env_atoms: Tuple[str, ...] = ()
+    agent_atoms: Mapping[str, Tuple[str, ...]]
+    env_atoms: Tuple[str, ...]
 
-    def __post_init__(self):
+    def __init__(self, agents, agent_atoms=None, env_atoms=()):
+        _set(self, "agents", agents)
+        _set(self, "agent_atoms", {} if agent_atoms is None else agent_atoms)
+        _set(self, "env_atoms", env_atoms)
         problems = []
         if not self.agents:
             problems.append("signature: at least one agent is required")
@@ -71,7 +78,7 @@ class Signature:
                 owners[name] = a
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "_owners", owners)
+        _set(self, "_owners", owners)
 
     def sort_of_atom(self, name: str) -> Optional[str]:
         """'env', an agent name, or None if undeclared."""
@@ -81,8 +88,7 @@ class Signature:
         return tuple(self.agent_atoms.get(agent, ()))
 
 
-@dataclass(frozen=True)
-class _Hypergraph:
+class _Hypergraph(Record):
     """What both kinds of chromatic hypergraph share: views per agent,
     worlds, and the lookups the evaluator reads.
 
@@ -103,11 +109,10 @@ class _Hypergraph:
                 for v in links.get((e, a), ()):
                     if (a, v) in fibers:
                         fibers[(a, v)].append(e)
-        object.__setattr__(self, "_views_in", links)
-        object.__setattr__(self, "_fibers", {k: tuple(es) for k, es in fibers.items()})
-        object.__setattr__(self, "_edge_set", frozenset(self.edges))
-        object.__setattr__(
-            self, "_view_sets", {a: frozenset(vs) for a, vs in self.views.items()})
+        _set(self, "_views_in", links)
+        _set(self, "_fibers", {k: tuple(es) for k, es in fibers.items()})
+        _set(self, "_edge_set", frozenset(self.edges))
+        _set(self, "_view_sets", {a: frozenset(vs) for a, vs in self.views.items()})
 
     def views_in(self, edge: str, agent: str) -> Tuple[str, ...]:
         """The views the agent holds in this world (empty where it is absent)."""
@@ -131,7 +136,6 @@ class _Hypergraph:
         return tuple(self.views.get(agent, ()))
 
 
-@dataclass(frozen=True)
 class ChromaticHypergraph(_Hypergraph):
     """Views per agent, worlds, and the partial projection.
 
@@ -146,6 +150,13 @@ class ChromaticHypergraph(_Hypergraph):
 
     proj: Mapping[Tuple[str, str], str]
 
+    def __init__(self, sig, views, edges, proj):
+        _set(self, "sig", sig)
+        _set(self, "views", views)
+        _set(self, "edges", edges)
+        _set(self, "proj", proj)
+        self.__post_init__()
+
     def _links(self):
         return {k: (v,) for k, v in self.proj.items()}
 
@@ -153,7 +164,6 @@ class ChromaticHypergraph(_Hypergraph):
         return self.proj.get((edge, agent))
 
 
-@dataclass(frozen=True)
 class GeneralizedChromaticHypergraph(_Hypergraph):
     """Like a chromatic hypergraph, but the projection is a relation.
 
@@ -171,14 +181,18 @@ class GeneralizedChromaticHypergraph(_Hypergraph):
     fiber = _Hypergraph.worlds_of_view
 
 
-@dataclass(frozen=True)
-class ChromaticHypergraphModel:
+class ChromaticHypergraphModel(Record):
     """A chromatic hypergraph of either kind plus valuations for both kinds
     of atoms."""
 
     hypergraph: Union[ChromaticHypergraph, GeneralizedChromaticHypergraph]
     val_agent: Mapping[str, Mapping[str, FrozenSet[str]]]
     val_env: Mapping[str, FrozenSet[str]]
+
+    def __init__(self, hypergraph, val_agent, val_env):
+        _set(self, "hypergraph", hypergraph)
+        _set(self, "val_agent", val_agent)
+        _set(self, "val_env", val_env)
 
     @property
     def sig(self) -> Signature:
@@ -346,8 +360,7 @@ def strip_agent_atoms(m: ChromaticHypergraphModel) -> ChromaticHypergraphModel:
 # --- simple hypergraphs and simplicial complexes ------------------------------
 
 
-@dataclass(frozen=True)
-class SimpleHypergraph:
+class SimpleHypergraph(Record):
     """Uncolored hypergraph: hyperedges are plain vertex sets."""
 
     vertices: FrozenSet
@@ -362,7 +375,6 @@ class SimpleHypergraph:
             raise ValidationError(problems)
 
 
-@dataclass(frozen=True)
 class SimplicialComplex(SimpleHypergraph):
     """A simple hypergraph whose edge set is downward closed."""
 

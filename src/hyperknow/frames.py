@@ -20,7 +20,6 @@ explicit stack, so no input size meets Python's recursion limit.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from .core import (
@@ -32,10 +31,10 @@ from .core import (
     build_model,
 )
 from .errors import NonEmptyAgentAtomsError, UnknownPointError, ValidationError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PartialEpistemicFrame:
+class PartialEpistemicFrame(Record):
     """Worlds plus, per agent, a partition of a subset of the worlds.
 
     Classes are canonicalized: members in world order, classes ordered by
@@ -66,13 +65,12 @@ class PartialEpistemicFrame:
         object.__setattr__(self, "_class_index", index)
 
 
-@dataclass(frozen=True)
-class PartialEpistemicModel:
+class PartialEpistemicModel(Record):
     """A frame plus an environment valuation (agents carry no atoms here)."""
 
     frame: PartialEpistemicFrame
     atoms: Tuple[str, ...] = ()
-    val: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
+    val: Mapping[str, FrozenSet[str]] = {}
 
     @property
     def worlds(self) -> Tuple[str, ...]:
@@ -203,16 +201,14 @@ def kappa_model(m: ChromaticHypergraphModel) -> PartialEpistemicModel:
 # --- morphisms ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypergraphMorphism:
+class HypergraphMorphism(Record):
     """Per-agent view maps plus an edge map, commuting with the projections."""
 
     view_maps: Mapping[str, Mapping[str, str]]
     edge_map: Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class FrameMorphism:
+class FrameMorphism(Record):
     """A world map preserving every agent's partial equivalence relation."""
 
     world_map: Mapping[str, str]

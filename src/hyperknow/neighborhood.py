@@ -13,7 +13,6 @@ neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Mapping, Tuple
 
 from .core import (  # noqa: F401  (re-exported)
@@ -24,6 +23,7 @@ from .core import (  # noqa: F401  (re-exported)
     build_generalized_model,
     shared_memory_example,
 )
+from .record import Record
 from .semantics import EvalPoint, Evaluator
 
 
@@ -35,8 +35,7 @@ def from_functional(m: ChromaticHypergraphModel) -> ChromaticHypergraphModel:
         h.sig, h.views, h.edges, incidence, m.val_agent, m.val_env)
 
 
-@dataclass(frozen=True)
-class NeighborhoodFrame:
+class NeighborhoodFrame(Record):
     """States with, per agent, a family of neighborhoods per state.
 
     Frames produced by :func:`to_neighborhood` satisfy the membership

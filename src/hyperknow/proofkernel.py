@@ -12,7 +12,8 @@ the expected conclusion from its premise and compares it with the stated
 line.  ``PropTaut`` abstracts maximal modal subformulas and atoms into
 propositional variables and decides by truth table (exact, capped at 20
 variables).  Variables are numbered through ``structural_id``, and formulas
-compared by a lockstep walk (``_same``), so deep nesting costs no recursion.
+compared with ``==``, which walks both in lockstep on an explicit stack
+(:mod:`hyperknow.record`), so deep nesting costs no recursion.
 
 ``soundness_spotcheck`` replays every accepted statement against all
 enumerated models within bounds; a violation would indicate a kernel bug,
@@ -26,11 +27,11 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .core import Signature
 from .errors import DerivationCheckError, SortError
+from .record import Record
 # iter_valuations is unused here but stays bound: perfbench/tracing.py
 # counts the spotcheck's models by wrapping proofkernel.iter_valuations.
 from .search import (Bounds, _bit_patterns, _revalidate, _structures, compile_program,
@@ -58,8 +59,7 @@ from .syntax import (
 WORLD_SORT = "e"
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(Record):
     """A sorted sequent: ``sort`` is 'e' or an agent name."""
 
     sort: str
@@ -69,75 +69,62 @@ class Statement:
 # --- justifications -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropTaut:
+class PropTaut(Record):
     pass
 
 
-@dataclass(frozen=True)
-class MP:
+class MP(Record):
     implication: int
     antecedent: int
 
 
-@dataclass(frozen=True)
-class NecA:
+class NecA(Record):
     premise: int
 
 
-@dataclass(frozen=True)
-class NecE:
+class NecE(Record):
     premise: int
 
 
-@dataclass(frozen=True)
-class RM:
+class RM(Record):
     """Monotonicity: world implication to agent implication under <> or []."""
 
     premise: int
     modality: str  # "diamond" | "box"
 
 
-@dataclass(frozen=True)
-class RMPrime:
+class RMPrime(Record):
     """Monotonicity: agent implication to world implication under E or A."""
 
     premise: int
     modality: str  # "some" | "all"
 
 
-@dataclass(frozen=True)
-class Adj1Down:
+class Adj1Down(Record):
     premise: int
 
 
-@dataclass(frozen=True)
-class Adj1Up:
+class Adj1Up(Record):
     premise: int
 
 
-@dataclass(frozen=True)
-class Adj2Down:
+class Adj2Down(Record):
     premise: int
 
 
-@dataclass(frozen=True)
-class Adj2Up:
+class Adj2Up(Record):
     premise: int
 
 
-@dataclass(frozen=True)
-class AxSurjectivity:
+class AxSurjectivity(Record):
     pass
 
 
-@dataclass(frozen=True)
-class AxFunctionality:
+class AxFunctionality(Record):
     pass
 
 
-@dataclass(frozen=True)
-class AxNonEmptiness:
+class AxNonEmptiness(Record):
     pass
 
 
@@ -148,16 +135,14 @@ Justification = Union[
 ]
 
 
-@dataclass(frozen=True)
-class DerivationLine:
+class DerivationLine(Record):
     index: int
     statement: Statement
     justification: Justification
     span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     sig: Signature
     lines: Tuple[DerivationLine, ...]
 
@@ -207,23 +192,6 @@ def _as_box(f):
         case ANot(PossWorld(WNot(x))):
             return x
     return None
-
-
-def _same(f, g) -> bool:
-    """Structural equality, spans ignored, without recursion: both formulas
-    are walked in lockstep, skipping shared subformulas, up to the first
-    node whose type, name or agent differs."""
-    todo = [(f, g)]
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y) or getattr(x, "name", None) != getattr(y, "name", None) \
-                or getattr(x, "agent", None) != getattr(y, "agent", None):
-            return False
-        for (cx, _), (cy, _) in zip(children(x, None), children(y, None)):
-            todo.append((cx, cy))
-    return True
 
 
 class _RuleError(Exception):
@@ -353,7 +321,7 @@ def _match_surjectivity(stmt: Statement):
         _mismatch("surjectivity axiom must be an implication")
     phi, r = pair
     match r:
-        case PossWorld(SomeView(a, phi2)) if a == stmt.sort and _same(phi2, phi):
+        case PossWorld(SomeView(a, phi2)) if a == stmt.sort and phi2 == phi:
             return
     _mismatch("surjectivity axiom must have the shape phi -> <> E[a] phi")
 
@@ -366,7 +334,7 @@ def _match_functionality(stmt: Statement):
         _mismatch("functionality axiom must be an implication")
     l, phi = pair
     match l:
-        case PossWorld(SomeView(a, phi2)) if a == stmt.sort and _same(phi2, phi):
+        case PossWorld(SomeView(a, phi2)) if a == stmt.sort and phi2 == phi:
             return
     _mismatch("functionality axiom must have the shape <> E[a] phi -> phi")
 
@@ -381,7 +349,7 @@ def _ne_formula(sig: Signature):
 def _match_non_emptiness(stmt: Statement, sig: Signature):
     if stmt.sort != WORLD_SORT:
         _sort_error("the non-emptiness axiom is world-sorted")
-    if not _same(stmt.formula, _ne_formula(sig)):
+    if stmt.formula != _ne_formula(sig):
         _mismatch("non-emptiness axiom must be the disjunction of alive(a) "
                   "over all declared agents, in declaration order")
 
@@ -480,9 +448,9 @@ def check_line(d: Derivation, k: int) -> None:
                 if pair is None:
                     _mismatch(f"line {i} is not an implication")
                 l, r = pair
-                if not _same(ante.formula, l):
+                if ante.formula != l:
                     _mismatch(f"line {j} is not the antecedent of line {i}")
-                if not _same(stmt.formula, r):
+                if stmt.formula != r:
                     _mismatch("stated formula is not the consequent of the implication")
             case NecA(i):
                 expected = nec_a(_premise(d.lines, k, i), stmt.sort)
@@ -525,7 +493,7 @@ def check_line(d: Derivation, k: int) -> None:
 def _expect(stmt: Statement, expected: Statement):
     if stmt.sort != expected.sort:
         _sort_error(f"expected sort {expected.sort}, stated sort {stmt.sort}")
-    if not _same(stmt.formula, expected.formula):
+    if stmt.formula != expected.formula:
         _mismatch("stated formula differs from the rule's conclusion")
 
 
@@ -538,8 +506,7 @@ def check_derivation(d: Derivation) -> None:
 # --- semantic spot check ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SoundnessCounterexample:
+class SoundnessCounterexample(Record):
     line: int
     model: object
     point: object

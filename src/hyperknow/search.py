@@ -64,7 +64,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -78,6 +77,7 @@ from .core import (
 )
 from .errors import BoundsError, SortError
 from .frames import PartialEpistemicFrame, PartialEpistemicModel, build_frame, build_frame_model
+from .record import Record
 from .semantics import Evaluator, EvalPoint, View, World
 from .syntax import (
     AAnd,
@@ -133,8 +133,7 @@ def hard_caps() -> Dict[str, int]:
     return caps
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """Structural bounds for enumeration and scheme sweeps.
 
     ``depth`` is validated but read by no sweep.
@@ -514,7 +513,9 @@ def compile_program(f, sort: str, allow_metas: bool = False):
     atom or metavariable name, in order of first occurrence.  Steps:
     ``("top"|"bot", sort)``, ``("atom", name)``, ``("not",)``, ``("and",)``,
     ``("some", a)`` for ``E[a]`` and ``("poss", a)`` for ``<>`` at a view of
-    ``a``.  A metavariable compiles like an atom if ``allow_metas`` is set.
+    ``a``.  If ``allow_metas`` is set, a metavariable ``?x`` compiles like an
+    atom named ``"?x"``, which no atom can be named, so that it never shares
+    a leaf with the atom ``x``.
     """
     program = []
     leaves: Dict[str, str] = {}
@@ -533,11 +534,14 @@ def compile_program(f, sort: str, allow_metas: bool = False):
         if type(kind) is not str:
             todo.extend(kind(node, s))
             continue
-        if kind == "meta" and not allow_metas:
-            raise SortError(f"cannot evaluate metavariable '?{node.name}'", node=node)
-        if leaves.setdefault(node.name, s) != s:
+        name = node.name
+        if kind == "meta":
+            if not allow_metas:
+                raise SortError(f"cannot evaluate metavariable '?{name}'", node=node)
+            name = "?" + name
+        if leaves.setdefault(name, s) != s:
             raise SortError(f"'{node.name}' occurs at two sorts", node=node)
-        program.append(("atom", node.name))
+        program.append(("atom", name))
     return tuple(program), leaves
 
 
@@ -711,18 +715,26 @@ def first_witness(program, sort: str, structures: _Stream, names, sorts, sig: Si
 
 
 # --- verdicts -----------------------------------------------------------------------
+#
+# A verdict is built once per query, so its constructor is written out.
 
 
-@dataclass(frozen=True)
-class ValidWithinBounds:
-    models_checked: int = 0
+class ValidWithinBounds(Record):
+    models_checked: int
+
+    def __init__(self, models_checked=0):
+        object.__setattr__(self, "models_checked", models_checked)
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(Record):
     model: ChromaticHypergraphModel
     point: EvalPoint
-    assignment: Dict[str, object] = field(default_factory=dict)
+    assignment: Dict[str, object]
+
+    def __init__(self, model, point, assignment=None):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "assignment", {} if assignment is None else assignment)
 
 
 Verdict = Union[ValidWithinBounds, Countermodel]
@@ -743,14 +755,15 @@ def check_scheme(scheme, b: Bounds, agent: Optional[str] = None) -> Verdict:
         raise SortError("agent-sorted scheme: pass the owning agent")
     if not world_scheme and agent not in sig.agents:
         raise SortError(f"agent '{agent}' is outside the bounds alphabet")
-    meta_sorts = scheme_meta_sorts(scheme, sig, agent=agent)
+    scheme_meta_sorts(scheme, sig, agent=agent)
     sort = "world" if world_scheme else agent
     program, sorts = compile_program(scheme, sort, allow_metas=True)
 
     # Concrete atoms occurring in the scheme are swept exactly like
-    # metavariables: their valuations are free across the enumerated models.
-    metas = [n for n in sorts if n in meta_sorts]
-    atoms = [n for n in sorts if n not in meta_sorts]
+    # metavariables (named "?x" in the program): their valuations are free
+    # across the enumerated models.
+    metas = [n for n in sorts if n[0] == "?"]
+    atoms = [n for n in sorts if n[0] != "?"]
     swept_names = metas + atoms
 
     # One fresh atom per metavariable makes the extension sweep exactly the
@@ -774,7 +787,7 @@ def check_scheme(scheme, b: Bounds, agent: Optional[str] = None) -> Verdict:
         return ValidWithinBounds(models_checked=checked)
     model, point = hit
     formula_assignment = {
-        n: EnvAtom(atom_of[n]) if sorts[n] == "world" else AgentAtom(atom_of[n])
+        n[1:]: EnvAtom(atom_of[n]) if sorts[n] == "world" else AgentAtom(atom_of[n])
         for n in metas}
     _revalidate(model, point, substitute_metas(scheme, formula_assignment))
     return Countermodel(model=model, point=point, assignment=formula_assignment)

@@ -17,11 +17,11 @@ formula, or of a formula sharing subformula objects, is a set lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .core import ChromaticHypergraphModel
 from .errors import SortError, UnknownPointError
+from .record import Record
 from .syntax import (
     AAnd,
     AFalse,
@@ -49,19 +49,27 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class World:
+_set = object.__setattr__     # the points are built by the thousand
+
+
+class World(Record):
     """Evaluation point for world formulas."""
 
     edge: str
 
+    def __init__(self, edge):
+        _set(self, "edge", edge)
 
-@dataclass(frozen=True)
-class View:
+
+class View(Record):
     """Evaluation point for agent formulas of the given agent."""
 
     agent: str
     view: str
+
+    def __init__(self, agent, view):
+        _set(self, "agent", agent)
+        _set(self, "view", view)
 
 
 EvalPoint = Union[World, View]

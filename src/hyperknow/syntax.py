@@ -6,8 +6,12 @@ agent.  ``PossWorld`` ("considers possible") sends an agent formula down to
 a world formula, ``SomeView`` ("some view of agent a") sends a world formula
 down to an agent formula of that agent's sort.
 
-Formula values are immutable, hashable dataclasses; they can be shared
-freely across threads.  Equality ignores source spans.
+Formula values are immutable records (:mod:`hyperknow.record`); they can
+be shared freely across threads.  ``==`` and ``hash`` ignore source spans
+and do not recurse, so formulas of any depth compare and hash; ``repr``
+still recurses.  Each node type has one of five shapes (no field, a name,
+one subformula, two subformulas, an agent and a subformula), and each shape
+has its own constructor, taking the fields positionally and ``span=``.
 
 The core fragment is: atoms, ``true``/``false``, negation, conjunction and
 the two modal constructors.  Everything else (``or``, ``->``, the universal
@@ -22,14 +26,13 @@ built on it with an explicit stack, so nesting depth costs no recursion:
 computes a value from it).  ``fold`` memoizes by node identity only when it
 is given a memo, because a shared subformula object (as ``substitute_metas``
 puts at every occurrence of a metavariable) must otherwise be visited at
-each place it occurs.  ``structural_id`` numbers formulas on ``fold`` so that
-deep ones can be compared without the recursive generated ``__eq__``.
+each place it occurs.  ``structural_id`` numbers formulas on ``fold``, so
+that equal formulas get equal ints in a shared table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     AgentMismatchError,
@@ -38,10 +41,12 @@ from .errors import (
     UnknownAtomError,
     WrongSortAtomError,
 )
+from .record import Record
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Half-open byte range [start, end) with 1-based line/column of start."""
 
     start: int
@@ -50,134 +55,151 @@ class SourceSpan:
     column: int
 
 
-def _span():
-    return field(default=None, compare=False, repr=False)
+# --- node shapes ---------------------------------------------------------------
+#
+# Every node type has one of five shapes, by the fields it holds besides its
+# span.  Each shape's constructor stores the fields directly: formula nodes
+# are built on every parse and every rewrite.  A node type names its shape
+# before its sort among its bases, so that the shape's constructor is the one
+# it inherits.
 
 
-class WorldFormula:
+class _Node(Record):
+    """A formula node: its span stays out of ``==``, ``hash`` and ``repr``."""
+
+    _uncompared = ("span",)
+
+
+class _Constant(_Node):
+    span: Optional[SourceSpan] = None
+
+    def __init__(self, span=None):
+        _set(self, "span", span)
+
+
+class _Named(_Node):
+    name: str
+    span: Optional[SourceSpan] = None
+
+    def __init__(self, name, span=None):
+        _set(self, "name", name)
+        _set(self, "span", span)
+
+
+class _Unary(_Node):
+    sub: object
+    span: Optional[SourceSpan] = None
+
+    def __init__(self, sub, span=None):
+        _set(self, "sub", sub)
+        _set(self, "span", span)
+
+
+class _Binary(_Node):
+    left: object
+    right: object
+    span: Optional[SourceSpan] = None
+
+    def __init__(self, left, right, span=None):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "span", span)
+
+
+class _Labelled(_Node):
+    """A modal node that names its agent."""
+
+    agent: str
+    sub: object
+    span: Optional[SourceSpan] = None
+
+    def __init__(self, agent, sub, span=None):
+        _set(self, "agent", agent)
+        _set(self, "sub", sub)
+        _set(self, "span", span)
+
+
+class WorldFormula(_Node):
     """Marker base class for world-sorted formulas."""
 
-    __match_args__ = ()
 
-
-class AgentFormula:
+class AgentFormula(_Node):
     """Marker base class for agent-sorted formulas."""
-
-    __match_args__ = ()
 
 
 # --- world sort, core -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WTrue(WorldFormula):
-    span: Optional[SourceSpan] = _span()
+class WTrue(_Constant, WorldFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class WFalse(WorldFormula):
-    span: Optional[SourceSpan] = _span()
+class WFalse(_Constant, WorldFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class EnvAtom(WorldFormula):
-    name: str
-    span: Optional[SourceSpan] = _span()
+class EnvAtom(_Named, WorldFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class WNot(WorldFormula):
-    sub: WorldFormula
-    span: Optional[SourceSpan] = _span()
+class WNot(_Unary, WorldFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class WAnd(WorldFormula):
-    left: WorldFormula
-    right: WorldFormula
-    span: Optional[SourceSpan] = _span()
+class WAnd(_Binary, WorldFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class SomeView(WorldFormula):
+class SomeView(_Labelled, WorldFormula):
     """There exists a view of ``agent`` in this world satisfying ``sub``."""
 
-    agent: str
-    sub: AgentFormula
-    span: Optional[SourceSpan] = _span()
 
-
-@dataclass(frozen=True)
-class WMeta(WorldFormula):
+class WMeta(_Named, WorldFormula):
     """Scheme metavariable of world sort (written ``?name``)."""
-
-    name: str
-    span: Optional[SourceSpan] = _span()
 
 
 # --- world sort, derived ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WOr(WorldFormula):
-    left: WorldFormula
-    right: WorldFormula
-    span: Optional[SourceSpan] = _span()
+class WOr(_Binary, WorldFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class WImplies(WorldFormula):
-    left: WorldFormula
-    right: WorldFormula
-    span: Optional[SourceSpan] = _span()
+class WImplies(_Binary, WorldFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class AllViews(WorldFormula):
+class AllViews(_Labelled, WorldFormula):
     """Every view of ``agent`` in this world satisfies ``sub``.
 
     Vacuously true where the agent is absent.  Defined as ~E[a]~sub.
     """
 
-    agent: str
-    sub: AgentFormula
-    span: Optional[SourceSpan] = _span()
-
 
 # --- agent sort, core -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ATrue(AgentFormula):
-    span: Optional[SourceSpan] = _span()
+class ATrue(_Constant, AgentFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class AFalse(AgentFormula):
-    span: Optional[SourceSpan] = _span()
+class AFalse(_Constant, AgentFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class AgentAtom(AgentFormula):
-    name: str
-    span: Optional[SourceSpan] = _span()
+class AgentAtom(_Named, AgentFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class ANot(AgentFormula):
-    sub: AgentFormula
-    span: Optional[SourceSpan] = _span()
+class ANot(_Unary, AgentFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class AAnd(AgentFormula):
-    left: AgentFormula
-    right: AgentFormula
-    span: Optional[SourceSpan] = _span()
+class AAnd(_Binary, AgentFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class PossWorld(AgentFormula):
+class PossWorld(_Unary, AgentFormula):
     """The agent considers possible a world satisfying ``sub``.
 
     The owning agent is not stored: it is supplied by the evaluation point
@@ -185,42 +207,25 @@ class PossWorld(AgentFormula):
     syntax where ``<>`` carries no agent annotation.
     """
 
-    sub: WorldFormula
-    span: Optional[SourceSpan] = _span()
 
-
-@dataclass(frozen=True)
-class AMeta(AgentFormula):
+class AMeta(_Named, AgentFormula):
     """Scheme metavariable of agent sort (written ``?name``)."""
-
-    name: str
-    span: Optional[SourceSpan] = _span()
 
 
 # --- agent sort, derived ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AOr(AgentFormula):
-    left: AgentFormula
-    right: AgentFormula
-    span: Optional[SourceSpan] = _span()
+class AOr(_Binary, AgentFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class AImplies(AgentFormula):
-    left: AgentFormula
-    right: AgentFormula
-    span: Optional[SourceSpan] = _span()
+class AImplies(_Binary, AgentFormula):
+    pass
 
 
-@dataclass(frozen=True)
-class Box(AgentFormula):
+class Box(_Unary, AgentFormula):
     """The agent knows ``sub``: every world containing the current view
     satisfies it.  Defined as ~<>~sub."""
-
-    sub: WorldFormula
-    span: Optional[SourceSpan] = _span()
 
 
 Formula = Union[WorldFormula, AgentFormula]
@@ -229,34 +234,24 @@ Formula = Union[WorldFormula, AgentFormula]
 # --- KB4 --------------------------------------------------------------------
 
 
-class KB4Formula:
-    __match_args__ = ()
+class KB4Formula(_Node):
+    """Marker base class for KB4 formulas."""
 
 
-@dataclass(frozen=True)
-class KB4Atom(KB4Formula):
-    name: str
-    span: Optional[SourceSpan] = _span()
+class KB4Atom(_Named, KB4Formula):
+    pass
 
 
-@dataclass(frozen=True)
-class KB4Not(KB4Formula):
-    sub: KB4Formula
-    span: Optional[SourceSpan] = _span()
+class KB4Not(_Unary, KB4Formula):
+    pass
 
 
-@dataclass(frozen=True)
-class KB4And(KB4Formula):
-    left: KB4Formula
-    right: KB4Formula
-    span: Optional[SourceSpan] = _span()
+class KB4And(_Binary, KB4Formula):
+    pass
 
 
-@dataclass(frozen=True)
-class KB4Knows(KB4Formula):
-    agent: str
-    sub: KB4Formula
-    span: Optional[SourceSpan] = _span()
+class KB4Knows(_Labelled, KB4Formula):
+    pass
 
 
 # --- sugar helpers ----------------------------------------------------------
@@ -388,8 +383,7 @@ def structural_id(f, table):
     """An int naming ``f`` up to structure in ``table`` (a dict shared by
     every formula to be compared): equal formulas, spans ignored, get equal
     ints, distinct ones distinct ints.  A node's key is its type, its name
-    or agent and its children's ints, so unlike the generated ``__eq__`` and
-    ``__hash__`` this costs no recursion."""
+    or agent and its children's ints."""
     def number(node, sort, kids):
         key = (type(node), getattr(node, "name", None) or getattr(node, "agent", None), *kids)
         return table.setdefault(key, len(table))

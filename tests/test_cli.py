@@ -241,8 +241,8 @@ def test_deep_nesting_is_input_error(h3_file, capsys):
 
 
 def test_prove_deep_derivation(tmp_path, capsys):
-    # The kernel numbers and compares formulas by structure, without the
-    # recursive __eq__ and __hash__ that dataclass generates.
+    # The kernel numbers and compares formulas by structure; neither
+    # numbering nor ``==`` recurses.
     x = "E[a] <> " * 1500 + "p"
     path = tmp_path / "deep.deriv"
     path.write_text(f"agents: a\natoms[env]: p\n1. e: ({x}) -> ({x}) ; taut\n")

@@ -91,3 +91,22 @@ def test_deep_formulas_need_no_recursion():
     # An even number of '~' cancels, and a chain of modal pairs says no more
     # than two of them.
     assert deep == _through_every_layer(2)
+
+
+def test_deep_formulas_compare_and_hash_without_recursion():
+    # ``==`` walks both formulas on an explicit stack and ``hash`` is
+    # computed bottom-up, so two separately parsed 100,000-deep formulas
+    # compare and hash with only 100 stack frames to spare.
+    sig = hk.Signature(("a",), {"a": ("pa",)}, ("p", "q"))
+    text = "E[a] <> " * 50_000 + "p"
+    f, g = parser.parse_world(text, sig), parser.parse_world(text, sig)
+    other = parser.parse_world(text[:-1] + "q", sig)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        assert f is not g and f == g
+        assert hash(f) == hash(g)
+        assert f != other
+        assert hash(f) != hash(other)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -251,6 +251,23 @@ def test_scheme_with_concrete_atoms():
     assert isinstance(check_scheme(locality, b, agent="a"), ValidWithinBounds)
 
 
+@pytest.mark.parametrize("text, meta, agent", [
+    ("?q1 | ~q1", "q1", None), ("?x | ~q1", "x", None), ("?p1_a | ~p1_a", "p1_a", "a")])
+def test_metavariable_is_swept_apart_from_the_atom_of_its_name(text, meta, agent):
+    # A metavariable draws a fresh atom even where an atom has its name, so
+    # ?q1 | ~q1 fails where q2 and q1 are both false.
+    b = Bounds()
+    sig = signature_for_bounds(b)
+    if agent is None:
+        scheme, fresh = hk.parse_world(text, sig, allow_metas=True), EnvAtom("q2")
+    else:
+        scheme, fresh = hk.parse_agent(text, agent, sig, allow_metas=True), AgentAtom("p2_a")
+    v = check_scheme(scheme, b, agent=agent)
+    assert isinstance(v, Countermodel)
+    assert v.assignment == {meta: fresh}
+    assert not Evaluator(v.model).sat(v.point, substitute_metas(scheme, v.assignment))
+
+
 def test_scheme_requires_atom_per_metavariable():
     b = Bounds(agents=2, views=1, edges=2, agent_atoms=0, env_atoms=0)
     with pytest.raises(BoundsError):

@@ -11,7 +11,6 @@ from hyperknow.errors import (
     UnknownAtomError,
     WrongSortAtomError,
 )
-from hyperknow.proofkernel import _same
 from hyperknow.syntax import (
     AgentAtom,
     AllViews,
@@ -109,9 +108,9 @@ def test_structural_id_agrees_with_equality(sig):
 
 
 def test_kernel_comparison_agrees_with_structural_id(sig):
-    # The proof kernel compares formulas by a lockstep walk; it must call
-    # two formulas equal exactly when structural_id numbers them alike,
-    # desugared copies (which share subtrees) included.
+    # The proof kernel compares formulas with ``==``, a lockstep walk; it
+    # must call two formulas equal exactly when structural_id numbers them
+    # alike, desugared copies (which share subtrees) included.
     rng = random.Random("kernel-same")
     formulas = [_random_sugared(rng, sig, 3) for _ in range(150)]
     formulas += [hk.parse_world(hk.render(f), sig) for f in formulas[:50]]
@@ -120,7 +119,7 @@ def test_kernel_comparison_agrees_with_structural_id(sig):
     ids = [structural_id(f, table) for f in formulas]
     equal = 0
     for (f, i), (g, j) in itertools.combinations(zip(formulas, ids), 2):
-        assert _same(f, g) == (i == j), (f, g)
+        assert (f == g) == (i == j), (f, g)
         equal += i == j
     assert equal >= 50
 
