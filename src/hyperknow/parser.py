@@ -116,25 +116,23 @@ class Token:
     """A token: its kind, its text and where it starts.
 
     ``span`` is built when it is read, which is rare outside error reports
-    and formula nodes.  ``end`` is kept only where it is not
-    ``start + len(text)``: at the end-of-line token of a line-oriented file,
-    which has the newline's span.
+    and formula nodes; it covers the token's text.  The end-of-line token of
+    a line-oriented file has its newline as text (``""`` at the end of the
+    file), so its span is the newline's.
     """
 
-    __slots__ = ("kind", "text", "start", "line", "column", "end")
+    __slots__ = ("kind", "text", "start", "line", "column")
 
-    def __init__(self, kind, text, start, line, column, end=None):
+    def __init__(self, kind, text, start, line, column):
         self.kind = kind
         self.text = text
         self.start = start
         self.line = line
         self.column = column
-        self.end = end
 
     @property
     def span(self) -> SourceSpan:
-        end = self.start + len(self.text) if self.end is None else self.end
-        return SourceSpan(self.start, end, self.line, self.column)
+        return SourceSpan(self.start, self.start + len(self.text), self.line, self.column)
 
     def __repr__(self):
         return f"Token({self.kind}, {self.text!r})"
@@ -605,9 +603,8 @@ class _Lines:
         for tok in tokens:
             if tok.kind == "NL" or tok.kind == "EOF":
                 if current:
-                    # The line's EOF has the span of its newline (or of the end).
-                    current.append(Token("EOF", "", tok.start, tok.line, tok.column,
-                                         tok.start + len(tok.text)))
+                    # The line's EOF is its newline (or the end of the file).
+                    current.append(Token("EOF", tok.text, tok.start, tok.line, tok.column))
                     self.lines.append(current)
                     current = []
             else:

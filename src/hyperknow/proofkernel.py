@@ -11,9 +11,10 @@ All matching is structural on desugared core formulas: each rule computes
 the expected conclusion from its premise and compares it with the stated
 line.  ``PropTaut`` abstracts maximal modal subformulas and atoms into
 propositional variables and decides by truth table (exact, capped at 20
-variables).  Variables are numbered through ``structural_id``, and formulas
+variables).  Variables are keyed by the formulas themselves, and formulas
 compared with ``==``, which walks both in lockstep on an explicit stack
-(:mod:`hyperknow.record`), so deep nesting costs no recursion.
+(:mod:`hyperknow.record`): formula identity is decided there alone, and deep
+nesting costs no recursion.
 
 ``soundness_spotcheck`` replays every accepted statement against all
 enumerated models within bounds; a violation would indicate a kernel bug,
@@ -27,7 +28,7 @@ returned.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .core import Signature
 from .errors import DerivationCheckError, SortError
@@ -35,7 +36,7 @@ from .record import Record
 # iter_valuations is unused here but stays bound: perfbench/tracing.py
 # counts the spotcheck's models by wrapping proofkernel.iter_valuations.
 from .search import (Bounds, _bit_patterns, _revalidate, _structures, compile_program,
-                     first_witness, iter_valuations)
+                     first_witness, iter_valuations, scheme_non_emptiness)
 from .syntax import (
     AAnd,
     AFalse,
@@ -53,7 +54,7 @@ from .syntax import (
     WNot,
     WTrue,
     children,
-    structural_id,
+    desugar,
 )
 
 WORLD_SORT = "e"
@@ -339,17 +340,10 @@ def _match_functionality(stmt: Statement):
     _mismatch("functionality axiom must have the shape <> E[a] phi -> phi")
 
 
-def _ne_formula(sig: Signature):
-    out = SomeView(sig.agents[0], ATrue())
-    for a in sig.agents[1:]:
-        out = WNot(WAnd(WNot(out), WNot(SomeView(a, ATrue()))))
-    return out
-
-
 def _match_non_emptiness(stmt: Statement, sig: Signature):
     if stmt.sort != WORLD_SORT:
         _sort_error("the non-emptiness axiom is world-sorted")
-    if stmt.formula != _ne_formula(sig):
+    if stmt.formula != desugar(scheme_non_emptiness(sig.agents)):
         _mismatch("non-emptiness axiom must be the disjunction of alive(a) "
                   "over all declared agents, in declaration order")
 
@@ -371,19 +365,20 @@ def abstract_propositional(f):
     count); the skeleton is a postfix program of ``("const", value)``,
     ``("var", k)``, ``("not",)`` and ``("and",)`` steps.
 
-    One walk builds the skeleton and stops at each variable, which
-    ``structural_id`` names; nothing under a variable is walked twice.
+    One walk builds the skeleton and stops at each variable.  Variables are
+    numbered in a dict keyed by the formulas themselves: a formula's hash is
+    computed once and cached, and ``==`` does not recurse
+    (:mod:`hyperknow.record`).
     """
     steps = []
-    ids: Dict[tuple, int] = {}
-    numbers: Dict[int, int] = {}
+    numbers = {}
     todo = [f]
     while todo:
         g = todo.pop()
         if type(g) is tuple:                # a step whose operands are done
             steps.append(g)
         elif isinstance(g, _PROP_VARIABLES):
-            steps.append(("var", numbers.setdefault(structural_id(g, ids), len(numbers))))
+            steps.append(("var", numbers.setdefault(g, len(numbers))))
         else:
             todo.append(_PROP_STEPS.get(type(g), ("bad", g)))
             todo.extend(reversed([kid for kid, _ in children(g, None)]))

@@ -17,10 +17,13 @@ is created; nothing is compiled.  The contract:
   compared fields are equal; the hash is ``hash`` of the tuple of those
   fields and is cached on the instance; ``repr`` is
   ``Name(field=value, ...)``.
-* Neither ``==`` nor ``hash`` recurses through fields that are records:
-  ``==`` walks both values in lockstep on an explicit stack, skipping shared
-  parts, and ``hash`` is computed bottom-up, so formulas of any depth
-  compare and hash in constant stack space.  Only ``repr`` recurses.
+* ``==``, ``hash`` and ``repr`` do not recurse through fields that are
+  records: ``==`` walks both values in lockstep on an explicit stack,
+  skipping shared parts, ``hash`` is computed bottom-up, and ``repr``
+  expands such fields on a stack of pieces, so formulas of any depth
+  compare, hash and print in constant stack space.  ``hash`` and ``==``
+  are the package's one notion of "the same formula": the proof kernel
+  keys its propositional variables by the formulas themselves.
 * Instances are frozen: assigning or deleting an attribute raises
   ``AttributeError``.  ``__post_init__`` may store derived attributes with
   ``object.__setattr__``.
@@ -161,8 +164,22 @@ class Record:
         return self._hash
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
-        return f"{type(self).__qualname__}({fields})"
+        # Records held directly in fields are expanded on an explicit stack
+        # of records and finished text.
+        out, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            if type(x) is str:
+                out.append(x)
+                continue
+            names = x._compared
+            todo.append(")")
+            for i in range(len(names) - 1, -1, -1):
+                value = getattr(x, names[i])
+                todo += (value if isinstance(value, Record) else repr(value),
+                         f"{', ' if i else ''}{names[i]}=")
+            todo.append(f"{type(x).__qualname__}(")
+        return "".join(out)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -7,9 +7,9 @@ a world formula, ``SomeView`` ("some view of agent a") sends a world formula
 down to an agent formula of that agent's sort.
 
 Formula values are immutable records (:mod:`hyperknow.record`); they can
-be shared freely across threads.  ``==`` and ``hash`` ignore source spans
-and do not recurse, so formulas of any depth compare and hash; ``repr``
-still recurses.  Each node type has one of five shapes (no field, a name,
+be shared freely across threads.  ``==``, ``hash`` and ``repr`` ignore
+source spans and do not recurse, so formulas of any depth compare, hash and
+print.  Each node type has one of five shapes (no field, a name,
 one subformula, two subformulas, an agent and a subformula), and each shape
 has its own constructor, taking the fields positionally and ``span=``.
 
@@ -26,8 +26,8 @@ built on it with an explicit stack, so nesting depth costs no recursion:
 computes a value from it).  ``fold`` memoizes by node identity only when it
 is given a memo, because a shared subformula object (as ``substitute_metas``
 puts at every occurrence of a metavariable) must otherwise be visited at
-each place it occurs.  ``structural_id`` numbers formulas on ``fold``, so
-that equal formulas get equal ints in a shared table.
+each place it occurs.  Whether two formulas are the same is decided by
+``==`` alone.
 """
 
 from __future__ import annotations
@@ -272,26 +272,10 @@ def kunsafe(agent: str, f: WorldFormula) -> WorldFormula:
     return AllViews(agent, Box(f))
 
 
-def implies(left, right):
-    if isinstance(left, WorldFormula):
-        return WImplies(left, right)
-    return AImplies(left, right)
-
-
 def disj(left, right):
     if isinstance(left, WorldFormula):
         return WOr(left, right)
     return AOr(left, right)
-
-
-def neg(f):
-    return WNot(f) if isinstance(f, WorldFormula) else ANot(f)
-
-
-def conj(left, right):
-    if isinstance(left, WorldFormula):
-        return WAnd(left, right)
-    return AAnd(left, right)
 
 
 # --- traversal -----------------------------------------------------------------
@@ -379,17 +363,6 @@ def fold(f, sort, combine, memo=None):
     return values[0]
 
 
-def structural_id(f, table):
-    """An int naming ``f`` up to structure in ``table`` (a dict shared by
-    every formula to be compared): equal formulas, spans ignored, get equal
-    ints, distinct ones distinct ints.  A node's key is its type, its name
-    or agent and its children's ints."""
-    def number(node, sort, kids):
-        key = (type(node), getattr(node, "name", None) or getattr(node, "agent", None), *kids)
-        return table.setdefault(key, len(table))
-    return fold(f, None, number)
-
-
 # The node with its children replaced (same span), or the node itself when
 # they are its own children, so that rebuilding shares unchanged subtrees.
 _REBUILD = {node_type: build for node_types, build in (
@@ -447,10 +420,6 @@ def modal_depth(f) -> int:
 def atoms_of(f) -> set:
     """Names of all atoms occurring in the formula."""
     return {node.name for node, _ in walk(f, None) if isinstance(node, _ATOMS)}
-
-
-def metavars_of(f) -> set:
-    return {node.name for node, _ in walk(f, None) if isinstance(node, _METAS)}
 
 
 def substitute_metas(f, assignment):

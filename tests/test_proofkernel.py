@@ -29,9 +29,21 @@ from hyperknow.proofkernel import (
 )
 from hyperknow.search import Bounds, enumerate_hypergraphs, iter_valuations, knowledge_schemes
 from hyperknow.semantics import Evaluator, View, World
-from hyperknow.syntax import EnvAtom, atoms_of, desugar, substitute_metas
+from hyperknow.syntax import (
+    AgentAtom,
+    AMeta,
+    EnvAtom,
+    PossWorld,
+    SomeView,
+    WMeta,
+    atoms_of,
+    children,
+    desugar,
+    fold,
+    substitute_metas,
+)
 
-from conftest import CORPUS, random_agent, random_world, taut_oracle
+from conftest import CORPUS, RICH_SIG, random_agent, random_world, taut_oracle
 
 SIG = hk.Signature(("a",), {"a": ("pa",)}, ("p",))
 
@@ -116,6 +128,13 @@ def test_axiom_matchers():
     sig2 = hk.Signature(("a", "b"))
     check_derivation(_derivation(("e", "alive(a) | alive(b)", AxNonEmptiness()),
                                  sig=sig2))
+    sig3 = hk.Signature(("a", "b", "c"))
+    check_derivation(_derivation(("e", "alive(a) | alive(b) | alive(c)", AxNonEmptiness()),
+                                 sig=sig3))
+    for text in ("alive(a) | (alive(b) | alive(c))", "alive(a) | alive(b)"):
+        with pytest.raises(DerivationCheckError):
+            # Grouped to the right, or missing an agent.
+            check_derivation(_derivation(("e", text, AxNonEmptiness()), sig=sig3))
     with pytest.raises(DerivationCheckError):
         # Wrong disjunct order.
         check_derivation(_derivation(("e", "alive(b) | alive(a)", AxNonEmptiness()),
@@ -180,6 +199,47 @@ def test_proptaut_abstraction_shares_modal_nodes():
     _, n = abstract_propositional(g)
     assert n == 2
     assert is_tautology(g)
+
+
+def _numbered_by_structure(f):
+    """A reference skeleton that does not use formula ``==`` or ``hash``:
+    each variable is named by a structural key (type, name or agent,
+    children's keys) in a table, then numbered by first occurrence."""
+    table, numbers, steps = {}, {}, []
+
+    def key(node, sort, kids):
+        k = (type(node), getattr(node, "name", None) or getattr(node, "agent", None), *kids)
+        return table.setdefault(k, len(table))
+
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is tuple:
+            steps.append(g)
+        elif isinstance(g, (EnvAtom, AgentAtom, SomeView, PossWorld, WMeta, AMeta)):
+            steps.append(("var", numbers.setdefault(fold(g, None, key), len(numbers))))
+        else:
+            todo.append(proofkernel._PROP_STEPS[type(g)])
+            todo.extend(reversed([kid for kid, _ in children(g, None)]))
+    return tuple(steps), len(numbers)
+
+
+def test_abstraction_numbers_variables_as_by_structure():
+    # Keying variables by the formulas (their ``==`` and ``hash``) gives the
+    # skeleton and count of a structural numbering, on random core formulas
+    # and on every corpus line.
+    rng = random.Random("abstraction")
+    formulas = [random_world(rng, RICH_SIG, 5) for _ in range(1000)]
+    formulas += [random_agent(rng, RICH_SIG, rng.choice("ab"), 5) for _ in range(1000)]
+    for path in _corpus_files():
+        formulas += [line.statement.formula
+                     for line in parser.parse_derivation(path.read_text()).lines]
+    variables = 0
+    for f in formulas:
+        skeleton, n = abstract_propositional(f)
+        assert (skeleton, n) == _numbered_by_structure(f), f
+        variables += n
+    assert variables > 2000
 
 
 def test_proptaut_too_large():

@@ -10,11 +10,13 @@ import pytest
 
 import hyperknow as hk
 from hyperknow import parser, search
-from hyperknow.errors import DerivationCheckError
+from hyperknow.errors import DerivationCheckError, SortError
 from hyperknow.kb4 import KB4Evaluator
 from hyperknow.proofkernel import check_derivation
 from hyperknow.semantics import Evaluator
 from hyperknow.syntax import (
+    ANot,
+    ATrue,
     EnvAtom,
     atoms_of,
     desugar,
@@ -108,5 +110,29 @@ def test_deep_formulas_compare_and_hash_without_recursion():
         assert hash(f) == hash(g)
         assert f != other
         assert hash(f) != hash(other)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_formula_in_the_wrong_sort_is_a_sort_error():
+    # The error texts name the offending node by its ``repr``, which expands
+    # nested records on an explicit stack: a 1,000-deep agent formula in
+    # world position is a ``SortError``, not a ``RecursionError``.
+    f = ATrue()
+    for _ in range(DEPTH):
+        f = ANot(f)
+    sig = hk.Signature(("a",), {}, ("p",))
+    expected = "ANot(sub=" * DEPTH + "ATrue()" + ")" * DEPTH
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        for call, message in (
+                (lambda: sort_check_world(f, sig), "agent formula used in world position"),
+                (lambda: search.compile_program(f, "world"), "not a formula of sort world"),
+                (lambda: search.find_countermodel(f, search.Bounds()),
+                 "not a formula of sort world")):
+            with pytest.raises(SortError) as err:
+                call()
+            assert str(err.value) == f"{message}: {expected}"
     finally:
         sys.setrecursionlimit(limit)

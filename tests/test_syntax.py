@@ -28,13 +28,13 @@ from hyperknow.syntax import (
     alive,
     atoms_of,
     desugar,
+    fold,
     is_core,
     ksafe,
     kunsafe,
     modal_depth,
     sort_check_agent,
     sort_check_world,
-    structural_id,
 )
 
 from conftest import random_world
@@ -92,36 +92,45 @@ def test_desugar_idempotent_and_core(sig):
         assert desugar(once) == once
 
 
+def _structural_key(f):
+    # A nested tuple of each node's type, name, agent and children's keys:
+    # spans and object identity play no part in it.
+    return fold(f, None, lambda node, sort, kids: (
+        type(node), getattr(node, "name", None), getattr(node, "agent", None), *kids))
+
+
+def _equal_pairs(formulas):
+    """Check ``==`` against the structural key on every pair, and that
+    equal formulas hash alike; return the number of equal pairs."""
+    keys = [_structural_key(f) for f in formulas]
+    equal = 0
+    for (f, k), (g, l) in itertools.combinations(zip(formulas, keys), 2):
+        assert (f == g) == (k == l), (f, g)
+        if k == l:
+            assert hash(f) == hash(g), (f, g)
+            equal += 1
+    return equal
+
+
 def test_structural_id_agrees_with_equality(sig):
-    # Equal ints exactly for equal formulas; reparsed copies carry spans,
-    # which equality ignores.
+    # ``==`` holds exactly for formulas with the same structural key, and
+    # equal formulas hash alike; reparsed copies carry spans, which
+    # equality ignores.
     rng = random.Random("structural-id")
     formulas = [_random_sugared(rng, sig, 3) for _ in range(200)]
     formulas += [hk.parse_world(hk.render(f), sig) for f in formulas[:50]]
-    table = {}
-    ids = [structural_id(f, table) for f in formulas]
-    equal = 0
-    for (f, i), (g, j) in itertools.combinations(zip(formulas, ids), 2):
-        assert (i == j) == (f == g), (f, g)
-        equal += f == g
-    assert equal >= 50
+    assert _equal_pairs(formulas) >= 50
 
 
 def test_kernel_comparison_agrees_with_structural_id(sig):
-    # The proof kernel compares formulas with ``==``, a lockstep walk; it
-    # must call two formulas equal exactly when structural_id numbers them
-    # alike, desugared copies (which share subtrees) included.
+    # The proof kernel compares formulas with ``==`` and numbers its
+    # variables by ``hash``; both must agree with the structural key,
+    # desugared copies (which share subtrees with the originals) included.
     rng = random.Random("kernel-same")
     formulas = [_random_sugared(rng, sig, 3) for _ in range(150)]
     formulas += [hk.parse_world(hk.render(f), sig) for f in formulas[:50]]
     formulas += [desugar(f) for f in formulas[:50]]
-    table = {}
-    ids = [structural_id(f, table) for f in formulas]
-    equal = 0
-    for (f, i), (g, j) in itertools.combinations(zip(formulas, ids), 2):
-        assert (f == g) == (i == j), (f, g)
-        equal += i == j
-    assert equal >= 50
+    assert _equal_pairs(formulas) >= 50
 
 
 def test_sort_check_crosslevel_example(sig):
