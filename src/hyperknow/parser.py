@@ -1033,39 +1033,34 @@ def parse_derivation(text: str) -> proofkernel.Derivation:
     return proofkernel.Derivation(sig=sig, lines=tuple(lines))
 
 
-_RULES_NO_ARGS = {
-    "taut": proofkernel.PropTaut,
-    "ax_surj": proofkernel.AxSurjectivity,
-    "ax_fun": proofkernel.AxFunctionality,
-    "ax_ne": proofkernel.AxNonEmptiness,
-}
-
-_RULES_ONE_ARG = {
-    "nec_a": lambda i: proofkernel.NecA(i),
-    "nec_e": lambda i: proofkernel.NecE(i),
-    "rm_diam": lambda i: proofkernel.RM(i, "diamond"),
-    "rm_box": lambda i: proofkernel.RM(i, "box"),
-    "rm_some": lambda i: proofkernel.RMPrime(i, "some"),
-    "rm_all": lambda i: proofkernel.RMPrime(i, "all"),
-    "adj1_down": lambda i: proofkernel.Adj1Down(i),
-    "adj1_up": lambda i: proofkernel.Adj1Up(i),
-    "adj2_down": lambda i: proofkernel.Adj2Down(i),
-    "adj2_up": lambda i: proofkernel.Adj2Up(i),
+# Rule keyword -> (justification class, its fixed arguments): the premise
+# line numbers fill the class's other fields, first.
+_JUSTIFICATIONS = {
+    "taut": (proofkernel.PropTaut,),
+    "mp": (proofkernel.MP,),
+    "ax_surj": (proofkernel.AxSurjectivity,),
+    "ax_fun": (proofkernel.AxFunctionality,),
+    "ax_ne": (proofkernel.AxNonEmptiness,),
+    "nec_a": (proofkernel.NecA,),
+    "nec_e": (proofkernel.NecE,),
+    "rm_diam": (proofkernel.RM, "diamond"),
+    "rm_box": (proofkernel.RM, "box"),
+    "rm_some": (proofkernel.RMPrime, "some"),
+    "rm_all": (proofkernel.RMPrime, "all"),
+    "adj1_down": (proofkernel.Adj1Down,),
+    "adj1_up": (proofkernel.Adj1Up,),
+    "adj2_down": (proofkernel.Adj2Down,),
+    "adj2_up": (proofkernel.Adj2Up,),
 }
 
 
 def _parse_justification(p: _FormulaParser):
     tok = p.expect("IDENT", "rule name")
-    name = tok.text
-    if name in _RULES_NO_ARGS:
-        return _RULES_NO_ARGS[name]()
-    if name in _RULES_ONE_ARG:
-        return _RULES_ONE_ARG[name](_premise_index(p))
-    if name == "mp":
-        i = _premise_index(p)
-        j = _premise_index(p)
-        return proofkernel.MP(i, j)
-    raise ParseError(f"unknown rule '{name}'", tok.span)
+    if tok.text not in _JUSTIFICATIONS:
+        raise ParseError(f"unknown rule '{tok.text}'", tok.span)
+    cls, *fixed = _JUSTIFICATIONS[tok.text]
+    premises = [_premise_index(p) for _ in range(len(cls.__match_args__) - len(fixed))]
+    return cls(*premises, *fixed)
 
 
 def _premise_index(p: _FormulaParser) -> int:

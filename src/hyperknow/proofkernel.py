@@ -7,9 +7,14 @@ the two monotonicity rules, the four directions of the two adjunctions
 linking the modal pairs across sorts, and the three axiom schemes matching
 the defining conditions of chromatic hypergraphs.
 
-All matching is structural on desugared core formulas: each rule computes
-the expected conclusion from its premise and compares it with the stated
-line.  ``PropTaut`` abstracts maximal modal subformulas and atoms into
+The rules are data: ``RULES`` maps each rule with a premise to a pair of
+``(sort, core formula)`` patterns, premise and conclusion, and each agent
+axiom to its conclusion alone, over the metavariables ``X``, ``Y`` (world),
+``x``, ``y`` (agent) and the rule's agent.  One matcher checks a line: it
+binds the patterns' metavariables and agent against the premise, then
+matches the stated line under the same bindings, so no conclusion is built.
+A sort clash is a ``SortError``, any other clash a ``RuleMismatch``.
+``PropTaut`` abstracts maximal modal subformulas and atoms into
 propositional variables and decides by truth table (exact, capped at 20
 variables).  Variables are keyed by the formulas themselves, and formulas
 compared with ``==``, which walks both in lockstep on an explicit stack
@@ -181,20 +186,6 @@ def _as_imp_a(f):
     return None
 
 
-def _as_allviews(f):
-    match f:
-        case WNot(SomeView(a, ANot(x))):
-            return a, x
-    return None
-
-
-def _as_box(f):
-    match f:
-        case ANot(PossWorld(WNot(x))):
-            return x
-    return None
-
-
 class _RuleError(Exception):
     def __init__(self, kind, message):
         self.kind = kind
@@ -210,134 +201,63 @@ def _sort_error(message):
     raise _RuleError("SortError", message)
 
 
-# --- pure rule transforms (premise -> expected conclusion) -------------------------
+# --- the rule table -----------------------------------------------------------------
+
+_AGENT = object()       # the rule's agent, in a sort or an ``E[a]`` node
 
 
-def nec_a(premise: Statement, agent: str) -> Statement:
-    if premise.sort != WORLD_SORT:
-        _sort_error("necessitation to an agent sort needs a world-sorted premise")
-    return Statement(agent, _box(premise.formula))
+def _rule_table():
+    """Each rule with a premise as its (premise, conclusion) pair of
+    ``(sort, core formula)`` patterns, each agent axiom as its conclusion
+    alone, keyed by justification class and fixed arguments.  ``X``, ``Y``
+    stand for any world formula, ``x``, ``y`` for any agent formula."""
+    X, Y, x, y, a, e = WMeta("X"), WMeta("Y"), AMeta("x"), AMeta("y"), _AGENT, WORLD_SORT
+    rules = {
+        (NecA,): ((e, X), (a, _box(X))),
+        (NecE,): ((a, x), (e, _allviews(a, x))),
+        (RM, "diamond"): ((e, _imp_w(X, Y)), (a, _imp_a(PossWorld(X), PossWorld(Y)))),
+        (RM, "box"): ((e, _imp_w(X, Y)), (a, _imp_a(_box(X), _box(Y)))),
+        (RMPrime, "some"): ((a, _imp_a(x, y)), (e, _imp_w(SomeView(a, x), SomeView(a, y)))),
+        (RMPrime, "all"): ((a, _imp_a(x, y)), (e, _imp_w(_allviews(a, x), _allviews(a, y)))),
+        (Adj1Down,): ((e, _imp_w(X, _allviews(a, y))), (a, _imp_a(PossWorld(X), y))),
+        (Adj2Down,): ((a, _imp_a(x, _box(Y))), (e, _imp_w(SomeView(a, x), Y))),
+        (AxSurjectivity,): ((a, _imp_a(x, PossWorld(SomeView(a, x)))),),
+        (AxFunctionality,): ((a, _imp_a(PossWorld(SomeView(a, x)), x)),),
+    }
+    # Each adjunction's upward direction is its downward one read backwards.
+    rules[Adj1Up,] = rules[Adj1Down,][::-1]
+    rules[Adj2Up,] = rules[Adj2Down,][::-1]
+    return rules
 
 
-def nec_e(premise: Statement) -> Statement:
-    if premise.sort == WORLD_SORT:
-        _sort_error("necessitation to the world sort needs an agent-sorted premise")
-    return Statement(WORLD_SORT, _allviews(premise.sort, premise.formula))
+RULES = _rule_table()
 
 
-def rm(premise: Statement, agent: str, modality: str) -> Statement:
-    if premise.sort != WORLD_SORT:
-        _sort_error("monotonicity under <>/[] needs a world-sorted premise")
-    pair = _as_imp_w(premise.formula)
-    if pair is None:
-        _mismatch("monotonicity premise must be an implication")
-    l, r = pair
-    if modality == "diamond":
-        return Statement(agent, _imp_a(PossWorld(l), PossWorld(r)))
-    if modality == "box":
-        return Statement(agent, _imp_a(_box(l), _box(r)))
-    _mismatch(f"unknown modality '{modality}' for rm")
+def _match(pattern, stmt: Statement, env: dict, rule: str, role: str) -> None:
+    """Match ``stmt`` against a ``(sort, formula)`` pattern, binding its
+    metavariables and the agent in ``env``; a bound one must repeat ``==``.
+    Nothing is built: the pattern and the formula are walked in lockstep on
+    an explicit stack."""
+    sort, formula = pattern
+    if sort is _AGENT and stmt.sort != WORLD_SORT:
+        sort = env.setdefault(_AGENT, stmt.sort)
+    if stmt.sort != sort:
+        need = "an agent sort" if sort is _AGENT else f"sort {sort}"
+        _sort_error(f"{rule}: {role} has sort {stmt.sort}, the rule needs {need}")
+    todo = [(formula, stmt.formula)]
+    while todo:
+        p, f = todo.pop()
+        if p is _AGENT or type(p) in (WMeta, AMeta):
+            bound = env.setdefault(p, f)
+            if bound is f or bound == f:
+                continue
+        elif type(p) is type(f):
+            todo += zip(p._key(p), f._key(f))
+            continue
+        _mismatch(f"{rule}: {role} does not have the shape the rule needs")
 
 
-def rm_prime(premise: Statement, modality: str) -> Statement:
-    if premise.sort == WORLD_SORT:
-        _sort_error("monotonicity under E/A needs an agent-sorted premise")
-    pair = _as_imp_a(premise.formula)
-    if pair is None:
-        _mismatch("monotonicity premise must be an implication")
-    l, r = pair
-    a = premise.sort
-    if modality == "some":
-        return Statement(WORLD_SORT, _imp_w(SomeView(a, l), SomeView(a, r)))
-    if modality == "all":
-        return Statement(WORLD_SORT, _imp_w(_allviews(a, l), _allviews(a, r)))
-    _mismatch(f"unknown modality '{modality}' for rm'")
-
-
-def adj1_down(premise: Statement) -> Statement:
-    """From ``|-e PHI -> A[a] psi`` to ``|-a <> PHI -> psi``."""
-    if premise.sort != WORLD_SORT:
-        _sort_error("adj1-down needs a world-sorted premise")
-    pair = _as_imp_w(premise.formula)
-    if pair is None:
-        _mismatch("adj1-down premise must be an implication")
-    l, r = pair
-    univ = _as_allviews(r)
-    if univ is None:
-        _mismatch("adj1-down premise must end in a universal view quantifier")
-    a, psi = univ
-    return Statement(a, _imp_a(PossWorld(l), psi))
-
-
-def adj1_up(premise: Statement) -> Statement:
-    """From ``|-a <> PHI -> psi`` back to ``|-e PHI -> A[a] psi``."""
-    if premise.sort == WORLD_SORT:
-        _sort_error("adj1-up needs an agent-sorted premise")
-    pair = _as_imp_a(premise.formula)
-    if pair is None:
-        _mismatch("adj1-up premise must be an implication")
-    l, psi = pair
-    match l:
-        case PossWorld(phi):
-            return Statement(WORLD_SORT, _imp_w(phi, _allviews(premise.sort, psi)))
-    _mismatch("adj1-up premise must start with <>")
-
-
-def adj2_down(premise: Statement) -> Statement:
-    """From ``|-a phi -> [] PSI`` to ``|-e E[a] phi -> PSI``."""
-    if premise.sort == WORLD_SORT:
-        _sort_error("adj2-down needs an agent-sorted premise")
-    pair = _as_imp_a(premise.formula)
-    if pair is None:
-        _mismatch("adj2-down premise must be an implication")
-    phi, r = pair
-    psi = _as_box(r)
-    if psi is None:
-        _mismatch("adj2-down premise must end in []")
-    return Statement(WORLD_SORT, _imp_w(SomeView(premise.sort, phi), psi))
-
-
-def adj2_up(premise: Statement) -> Statement:
-    """From ``|-e E[a] phi -> PSI`` back to ``|-a phi -> [] PSI``."""
-    if premise.sort != WORLD_SORT:
-        _sort_error("adj2-up needs a world-sorted premise")
-    pair = _as_imp_w(premise.formula)
-    if pair is None:
-        _mismatch("adj2-up premise must be an implication")
-    l, psi = pair
-    match l:
-        case SomeView(a, phi):
-            return Statement(a, _imp_a(phi, _box(psi)))
-    _mismatch("adj2-up premise must start with an existential view quantifier")
-
-
-# --- axiom matching -----------------------------------------------------------------
-
-
-def _match_surjectivity(stmt: Statement):
-    if stmt.sort == WORLD_SORT:
-        _sort_error("the surjectivity axiom is agent-sorted")
-    pair = _as_imp_a(stmt.formula)
-    if pair is None:
-        _mismatch("surjectivity axiom must be an implication")
-    phi, r = pair
-    match r:
-        case PossWorld(SomeView(a, phi2)) if a == stmt.sort and phi2 == phi:
-            return
-    _mismatch("surjectivity axiom must have the shape phi -> <> E[a] phi")
-
-
-def _match_functionality(stmt: Statement):
-    if stmt.sort == WORLD_SORT:
-        _sort_error("the functionality axiom is agent-sorted")
-    pair = _as_imp_a(stmt.formula)
-    if pair is None:
-        _mismatch("functionality axiom must be an implication")
-    l, phi = pair
-    match l:
-        case PossWorld(SomeView(a, phi2)) if a == stmt.sort and phi2 == phi:
-            return
-    _mismatch("functionality axiom must have the shape <> E[a] phi -> phi")
+# --- the non-emptiness axiom ----------------------------------------------------------
 
 
 def _match_non_emptiness(stmt: Statement, sig: Signature):
@@ -447,49 +367,20 @@ def check_line(d: Derivation, k: int) -> None:
                     _mismatch(f"line {j} is not the antecedent of line {i}")
                 if stmt.formula != r:
                     _mismatch("stated formula is not the consequent of the implication")
-            case NecA(i):
-                expected = nec_a(_premise(d.lines, k, i), stmt.sort)
-                _expect(stmt, expected)
-            case NecE(i):
-                expected = nec_e(_premise(d.lines, k, i))
-                _expect(stmt, expected)
-            case RM(i, modality):
-                if stmt.sort == WORLD_SORT:
-                    _sort_error("monotonicity under <>/[] concludes at an agent sort")
-                expected = rm(_premise(d.lines, k, i), stmt.sort, modality)
-                _expect(stmt, expected)
-            case RMPrime(i, modality):
-                expected = rm_prime(_premise(d.lines, k, i), modality)
-                _expect(stmt, expected)
-            case Adj1Down(i):
-                expected = adj1_down(_premise(d.lines, k, i))
-                _expect(stmt, expected)
-            case Adj1Up(i):
-                expected = adj1_up(_premise(d.lines, k, i))
-                _expect(stmt, expected)
-            case Adj2Down(i):
-                expected = adj2_down(_premise(d.lines, k, i))
-                _expect(stmt, expected)
-            case Adj2Up(i):
-                expected = adj2_up(_premise(d.lines, k, i))
-                _expect(stmt, expected)
-            case AxSurjectivity():
-                _match_surjectivity(stmt)
-            case AxFunctionality():
-                _match_functionality(stmt)
             case AxNonEmptiness():
                 _match_non_emptiness(stmt, d.sig)
             case _:
-                raise _RuleError("RuleMismatch", f"unknown justification {just!r}")
+                fields = [getattr(just, f) for f in getattr(just, "__match_args__", ())]
+                patterns = RULES.get((type(just), *fields[1:]))
+                if patterns is None:
+                    _mismatch(f"unknown justification {just!r}")
+                rule, env = " ".join([type(just).__name__, *fields[1:]]), {}
+                if len(patterns) == 2:
+                    _match(patterns[0], _premise(d.lines, k, fields[0]), env, rule,
+                           f"premise {fields[0]}")
+                _match(patterns[-1], stmt, env, rule, "the stated line")
     except _RuleError as err:
         raise DerivationCheckError(k, err.kind, err.message) from None
-
-
-def _expect(stmt: Statement, expected: Statement):
-    if stmt.sort != expected.sort:
-        _sort_error(f"expected sort {expected.sort}, stated sort {stmt.sort}")
-    if stmt.formula != expected.formula:
-        _mismatch("stated formula differs from the rule's conclusion")
 
 
 def check_derivation(d: Derivation) -> None:

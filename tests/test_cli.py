@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import hyperknow as hk
-from hyperknow import cli, frames, parser
+from hyperknow import cli, frames, parser, proofkernel
+from hyperknow.semantics import World
 
 from conftest import CORPUS
 
@@ -138,6 +139,19 @@ def test_prove_soundness(capsys):
     code, out, _ = run(["prove", "--check", str(CORPUS / "non_emptiness.deriv"),
                         "--soundness"], capsys=capsys)
     assert code == 0
+
+
+def test_prove_soundness_reports_a_kernel_bug(monkeypatch, capsys):
+    # The spot check finds a violation only if the kernel is unsound; a
+    # stand-in violation reaches that report.
+    monkeypatch.setattr(proofkernel, "soundness_spotcheck",
+                        lambda d: proofkernel.SoundnessCounterexample(2, None, World("e1")))
+    argv = ["prove", "--check", str(CORPUS / "non_emptiness.deriv"), "--soundness"]
+    assert run(argv, capsys=capsys)[:2] == (1, "KERNEL BUG: line 2 fails at World(edge='e1')\n")
+    code, out, _ = run(argv + ["--format", "machine"], capsys=capsys)
+    assert code == 1
+    assert json.loads(out) == {"format_version": 1, "command": "prove", "verdict": "unsound",
+                               "line": 2}
 
 
 def test_convert_round_trip(h3_file, tmp_path, capsys):

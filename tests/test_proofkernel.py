@@ -6,22 +6,24 @@ import hyperknow as hk
 from hyperknow import parser, proofkernel
 from hyperknow.errors import DerivationCheckError
 from hyperknow.proofkernel import (
+    MP,
+    RM,
+    RULES,
     Adj1Down,
+    Adj1Up,
+    Adj2Down,
     Adj2Up,
     AxFunctionality,
     AxNonEmptiness,
     AxSurjectivity,
     Derivation,
     DerivationLine,
-    MP,
     NecA,
+    NecE,
     PropTaut,
+    RMPrime,
     Statement,
     abstract_propositional,
-    adj1_down,
-    adj1_up,
-    adj2_down,
-    adj2_up,
     check_derivation,
     check_line,
     is_tautology,
@@ -32,10 +34,12 @@ from hyperknow.semantics import Evaluator, View, World
 from hyperknow.syntax import (
     AgentAtom,
     AMeta,
+    ANot,
     EnvAtom,
     PossWorld,
     SomeView,
     WMeta,
+    WNot,
     atoms_of,
     children,
     desugar,
@@ -90,6 +94,141 @@ def test_necessitation_needs_world_premise():
         check_derivation(d)
     assert err.value.line == 2
     assert err.value.kind == "SortError"
+
+
+def test_necessitation_to_an_agent_sort_rejects_the_world_sort():
+    # [] X stated at sort e: the rule concludes at an agent sort, so the
+    # kernel refuses the line and the spot check never evaluates it.
+    d = _derivation(("e", "p -> p", PropTaut()))
+    boxed = Statement("e", ANot(PossWorld(WNot(d.lines[0].statement.formula))))
+    forged = Derivation(sig=SIG, lines=(*d.lines, DerivationLine(2, boxed, NecA(1))))
+    with pytest.raises(DerivationCheckError) as err:
+        check_derivation(forged)
+    assert (err.value.line, err.value.kind) == (2, "SortError")
+    with pytest.raises(DerivationCheckError):
+        soundness_spotcheck(forged)
+
+
+SIG2 = hk.Signature(("a", "b"), {"a": ("pa",)}, ("p",))
+
+# Each rule of the table: its justification, an accepted premise (None for
+# an axiom) and stated line, then faults.  A fault replaces the premise
+# and/or the stated line (None keeps it) and names the expected error kind,
+# at the rule's line.  A statement is (sort, text), or (sort, text, the sort
+# the text is parsed at).  The faults are: a premise of the wrong sort or
+# shape, a stated line of the wrong sort or formula, a metavariable bound
+# twice differently, and an agent clash.  NecA and NecE take any premise
+# formula, and NecA and RM name their agent only in the stated sort.
+_RULE_CASES = [
+    (NecA(1), ("e", "p -> p"), ("a", "[] (p -> p)"), [
+        (("a", "<> p -> <> p"), None, "SortError"),
+        (None, ("e", "[] (p -> p)", "a"), "SortError"),
+        (None, ("a", "<> (p -> p)"), "RuleMismatch"),
+        (None, ("a", "[] (p -> ~p)"), "RuleMismatch")]),
+    (NecE(1), ("a", "<> p -> <> p"), ("e", "A[a] (<> p -> <> p)"), [
+        (("e", "p -> p"), None, "SortError"),
+        (None, ("a", "A[a] (<> p -> <> p)", "e"), "SortError"),
+        (None, ("e", "E[a] (<> p -> <> p)"), "RuleMismatch"),
+        (None, ("e", "A[a] (<> p -> [] p)"), "RuleMismatch"),
+        (None, ("e", "A[b] (<> p -> <> p)"), "RuleMismatch")]),
+    (RM(1, "diamond"), ("e", "(p & p) -> p"), ("a", "<> (p & p) -> <> p"), [
+        (("a", "(pa & pa) -> pa"), None, "SortError"),
+        (("e", "p & p"), None, "RuleMismatch"),
+        (None, ("e", "<> (p & p) -> <> p", "a"), "SortError"),
+        (None, ("a", "[] (p & p) -> <> p"), "RuleMismatch"),
+        (None, ("a", "<> (p & p) -> <> ~p"), "RuleMismatch")]),
+    (RM(1, "box"), ("e", "(p & p) -> p"), ("a", "[] (p & p) -> [] p"), [
+        (("a", "(pa & pa) -> pa"), None, "SortError"),
+        (("e", "p & p"), None, "RuleMismatch"),
+        (None, ("e", "[] (p & p) -> [] p", "a"), "SortError"),
+        (None, ("a", "<> (p & p) -> [] p"), "RuleMismatch"),
+        (None, ("a", "[] (p & ~p) -> [] p"), "RuleMismatch")]),
+    (RMPrime(1, "some"), ("a", "(<> p & <> p) -> <> p"),
+     ("e", "E[a] (<> p & <> p) -> E[a] <> p"), [
+        (("e", "(p & p) -> p"), None, "SortError"),
+        (("a", "<> p & <> p"), None, "RuleMismatch"),
+        (None, ("a", "E[a] (<> p & <> p) -> E[a] <> p", "e"), "SortError"),
+        (None, ("e", "A[a] (<> p & <> p) -> E[a] <> p"), "RuleMismatch"),
+        (None, ("e", "E[a] (<> p & <> p) -> E[a] [] p"), "RuleMismatch"),
+        (None, ("e", "E[a] (<> p & <> p) -> E[b] <> p"), "RuleMismatch")]),
+    (RMPrime(1, "all"), ("a", "(<> p & <> p) -> <> p"),
+     ("e", "A[a] (<> p & <> p) -> A[a] <> p"), [
+        (("e", "(p & p) -> p"), None, "SortError"),
+        (("a", "<> p & <> p"), None, "RuleMismatch"),
+        (None, ("a", "A[a] (<> p & <> p) -> A[a] <> p", "e"), "SortError"),
+        (None, ("e", "E[a] (<> p & <> p) -> A[a] <> p"), "RuleMismatch"),
+        (None, ("e", "A[a] (<> p & <> p) -> A[a] [] p"), "RuleMismatch"),
+        (None, ("e", "A[b] (<> p & <> p) -> A[a] <> p"), "RuleMismatch")]),
+    (Adj1Down(1), ("e", "A[a] <> p -> A[a] <> p"), ("a", "<> A[a] <> p -> <> p"), [
+        (("a", "<> p -> <> p"), None, "SortError"),
+        (("e", "A[a] <> p -> E[a] <> p"), None, "RuleMismatch"),
+        (None, ("e", "<> A[a] <> p -> <> p", "a"), "SortError"),
+        (None, ("a", "[] A[a] <> p -> <> p"), "RuleMismatch"),
+        (None, ("a", "<> A[a] <> p -> [] p"), "RuleMismatch"),
+        (("e", "A[b] <> p -> A[b] <> p"), ("a", "<> A[b] <> p -> <> p"), "SortError")]),
+    (Adj1Up(1), ("a", "<> p -> <> p"), ("e", "p -> A[a] <> p"), [
+        (("e", "p -> p"), None, "SortError"),
+        (("a", "[] p -> <> p"), None, "RuleMismatch"),
+        (None, ("a", "p -> A[a] <> p", "e"), "SortError"),
+        (None, ("e", "p -> E[a] <> p"), "RuleMismatch"),
+        (None, ("e", "~p -> A[a] <> p"), "RuleMismatch"),
+        (None, ("e", "p -> A[b] <> p"), "RuleMismatch")]),
+    (Adj2Down(1), ("a", "[] p -> [] p"), ("e", "E[a] [] p -> p"), [
+        (("e", "p -> p"), None, "SortError"),
+        (("a", "[] p -> <> p"), None, "RuleMismatch"),
+        (None, ("a", "E[a] [] p -> p", "e"), "SortError"),
+        (None, ("e", "A[a] [] p -> p"), "RuleMismatch"),
+        (None, ("e", "E[a] [] p -> ~p"), "RuleMismatch"),
+        (None, ("e", "E[b] [] p -> p"), "RuleMismatch")]),
+    (Adj2Up(1), ("e", "E[a] <> p -> E[a] <> p"), ("a", "<> p -> [] E[a] <> p"), [
+        (("a", "<> p -> <> p"), None, "SortError"),
+        (("e", "A[a] <> p -> E[a] <> p"), None, "RuleMismatch"),
+        (None, ("e", "<> p -> [] E[a] <> p", "a"), "SortError"),
+        (None, ("a", "<> p -> <> E[a] <> p"), "RuleMismatch"),
+        (None, ("a", "[] p -> [] E[a] <> p"), "RuleMismatch"),
+        (("e", "E[b] <> p -> E[b] <> p"), ("a", "<> p -> [] E[b] <> p"), "SortError")]),
+    (AxSurjectivity(), None, ("a", "<> p -> <> E[a] <> p"), [
+        (None, ("e", "<> p -> <> E[a] <> p", "a"), "SortError"),
+        (None, ("a", "<> p -> [] E[a] <> p"), "RuleMismatch"),
+        (None, ("a", "pa -> <> E[a] ~pa"), "RuleMismatch"),
+        (None, ("a", "<> p -> <> E[b] <> p"), "RuleMismatch")]),
+    (AxFunctionality(), None, ("a", "<> E[a] <> p -> <> p"), [
+        (None, ("e", "<> E[a] <> p -> <> p", "a"), "SortError"),
+        (None, ("a", "[] E[a] <> p -> <> p"), "RuleMismatch"),
+        (None, ("a", "<> E[a] pa -> ~pa"), "RuleMismatch"),
+        (None, ("a", "<> E[b] <> p -> <> p"), "RuleMismatch")]),
+]
+
+
+def _case(premise, stated, just):
+    """The derivation of ``premise`` (taken as a tautology) and ``stated``."""
+    lines = []
+    for stmt, j in ((premise, PropTaut()), (stated, just)):
+        if stmt is not None:
+            sort, text, *parsed_at = stmt
+            at = (parsed_at or [sort])[0]
+            f = _w(text, SIG2) if at == "e" else parser.parse_agent(text, at, SIG2)
+            lines.append(DerivationLine(len(lines) + 1, Statement(sort, f), j))
+    return Derivation(sig=SIG2, lines=tuple(lines))
+
+
+def test_rule_table_cases_cover_every_rule():
+    assert {(type(j), *[getattr(j, f) for f in type(j).__match_args__][1:])
+            for j, *_ in _RULE_CASES} == set(RULES)
+
+
+@pytest.mark.parametrize("just, premise, stated, faults", _RULE_CASES,
+                         ids=[repr(case[0]) for case in _RULE_CASES])
+def test_rule_table(just, premise, stated, faults):
+    d = _case(premise, stated, just)
+    check_derivation(d)
+    assert soundness_spotcheck(d) is None
+    k = len(d.lines)
+    for bad_premise, bad_stated, kind in faults:
+        bad = _case(bad_premise or premise, bad_stated or stated, just)
+        with pytest.raises(DerivationCheckError) as err:
+            check_line(bad, k)
+        assert (err.value.line, err.value.kind) == (k, kind), (bad_premise, bad_stated)
 
 
 def test_wrong_conclusion_rejected():
@@ -160,22 +299,18 @@ def test_modus_ponens_order():
 
 
 def test_adjunction_inversion():
-    stmts = [
-        Statement("e", desugar(_w("p -> A[a] pa"))),
-        Statement("e", desugar(_w("(p & p) -> A[a] (pa & <> p)"))),
-    ]
-    for s in stmts:
-        assert adj1_up(adj1_down(s)) == s
-    down = [
-        Statement("a", desugar(_a("<> p -> pa"))),
-        Statement("a", desugar(_a("<> (p & alive(a)) -> (pa & true)"))),
-    ]
-    for s in down:
-        assert adj1_down(adj1_up(s)) == s
-    s2 = Statement("a", desugar(_a("pa -> [] p")))
-    assert adj2_up(adj2_down(s2)) == s2
-    s3 = Statement("e", desugar(_w("E[a] pa -> p")))
-    assert adj2_down(adj2_up(s3)) == s3
+    # Each pair is one statement of the world sort and one of sort a that
+    # each adjunction turns into the other, in both directions.
+    adj1 = [(("e", "p -> A[a] pa"), ("a", "<> p -> pa")),
+            (("e", "(p & p) -> A[a] (pa & <> p)"), ("a", "<> (p & p) -> (pa & <> p)")),
+            (("e", "(p & alive(a)) -> A[a] (pa & true)"),
+             ("a", "<> (p & alive(a)) -> (pa & true)"))]
+    adj2 = [(("a", "pa -> [] p"), ("e", "E[a] pa -> p")),
+            (("a", "(pa | ~pa) -> [] (p & E[a] pa)"), ("e", "E[a] (pa | ~pa) -> p & E[a] pa"))]
+    for pairs, down, up in ((adj1, Adj1Down, Adj1Up), (adj2, Adj2Down, Adj2Up)):
+        for upper, lower in pairs:
+            check_line(_derivation((*upper, PropTaut()), (*lower, down(1))), 2)
+            check_line(_derivation((*lower, PropTaut()), (*upper, up(1))), 2)
 
 
 def test_proptaut_matches_oracle():
@@ -370,3 +505,51 @@ def test_spotcheck_reports_the_first_violation_of_the_valuation_stream(monkeypat
             violations += 1
             assert (got.line, got.model, got.point) == expected
     assert violations > 0
+
+
+# --- pinned outcomes of a bounded mutation set ---------------------------------
+
+# tests/data/kernel_outcomes.txt holds kernel_outcomes() byte for byte; print
+# the current text with ``PYTHONPATH=src python tests/test_proofkernel.py``.
+
+OUTCOMES = CORPUS.parent / "tests" / "data" / "kernel_outcomes.txt"
+
+
+def _forms(i, j):
+    """The fifteen justification forms, with premise indices ``i`` and ``j``."""
+    return (PropTaut(), MP(i, j), NecA(i), NecE(i), RM(i, "diamond"), RM(i, "box"),
+            RMPrime(i, "some"), RMPrime(i, "all"), Adj1Down(i), Adj1Up(i),
+            Adj2Down(i), Adj2Up(i), AxSurjectivity(), AxFunctionality(), AxNonEmptiness())
+
+
+def kernel_outcomes() -> str:
+    """``ok`` or the failing ``line kind`` of every corpus line restated under
+    each justification form, at sort ``e`` and at the first agent.  The forms
+    cite the line's own premise indices, then ``k-1`` and ``k-2``."""
+    out = []
+    for path in _corpus_files():
+        d = parser.parse_derivation(path.read_text(encoding="utf-8"))
+        for k, line in enumerate(d.lines, start=1):
+            just = line.justification
+            cited = [getattr(just, f) for f in type(just).__match_args__]
+            i, j = ([n for n in cited if type(n) is int] + [k - 1, k - 2])[:2]
+            for sort in ("e", d.sig.agents[0]):
+                for form in _forms(i, j):
+                    mutated = list(d.lines)
+                    mutated[k - 1] = DerivationLine(k, Statement(sort, line.statement.formula),
+                                                    form)
+                    try:
+                        check_line(Derivation(sig=d.sig, lines=tuple(mutated)), k)
+                        verdict = "ok"
+                    except DerivationCheckError as err:
+                        verdict = f"{err.line} {err.kind}"
+                    out.append(f"{path.name} {k} {sort} {form!r}: {verdict}")
+    return "\n".join(out) + "\n"
+
+
+def test_kernel_outcomes_match_the_golden_file():
+    assert kernel_outcomes() == OUTCOMES.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    print(kernel_outcomes(), end="")
