@@ -14,19 +14,27 @@ axiom to its conclusion alone, over the metavariables ``X``, ``Y`` (world),
 binds the patterns' metavariables and agent against the premise, then
 matches the stated line under the same bindings, so no conclusion is built.
 A sort clash is a ``SortError``, any other clash a ``RuleMismatch``.
-``PropTaut`` abstracts maximal modal subformulas and atoms into
-propositional variables and decides by truth table (exact, capped at 20
-variables).  Variables are keyed by the formulas themselves, and formulas
-compared with ``==``, which walks both in lockstep on an explicit stack
-(:mod:`hyperknow.record`): formula identity is decided there alone, and deep
-nesting costs no recursion.
+Whatever the justification, a line accepted in order is of its stated sort
+over the signature: the stated sort must be ``e`` or a declared agent, and
+the formula of a ``PropTaut`` line or an agent axiom is sort-checked, while
+every other rule assembles its line from parts of a checked premise at the
+sorts its patterns fix.  ``PropTaut`` abstracts maximal modal subformulas
+and atoms into propositional variables and decides by truth table (exact,
+capped at 20 variables).  Variables are keyed by the formulas themselves,
+and formulas compared with ``==``, which walks both in lockstep on an
+explicit stack (:mod:`hyperknow.record`): formula identity is decided there
+alone, and deep nesting costs no recursion.
 
 ``soundness_spotcheck`` replays every accepted statement against all
 enumerated models within bounds; a violation would indicate a kernel bug,
-so it is reported as a result rather than raised.  It runs on the search
+so it is reported as a result rather than raised.  Consecutive lines are
+compiled into one value-numbered program, so a subformula that several
+lines restate is computed once, and each group is swept in one program
+interpretation per run of the structure stream.  It runs on the search
 module's ``first_witness`` over valuations numbered as ``iter_valuations``
-lists them (agent atoms, then environment atoms, in declaration order), so
-the counterexample is the first one that stream gives, and like every
+lists them (agent atoms, then environment atoms, in declaration order): a
+failing group's lines are swept again alone, so the counterexample is the
+first one that stream gives for the first failing line, and like every
 sweep's witness it is re-validated through the evaluator before it is
 returned.
 """
@@ -40,8 +48,8 @@ from .errors import DerivationCheckError, SortError
 from .record import Record
 # iter_valuations is unused here but stays bound: perfbench/tracing.py
 # counts the spotcheck's models by wrapping proofkernel.iter_valuations.
-from .search import (Bounds, _bit_patterns, _revalidate, _structures, compile_program,
-                     first_witness, iter_valuations, scheme_non_emptiness)
+from .search import (_CHUNK_BITS, Bounds, _bit_patterns, _compile_into, _revalidate, _structures,
+                     compile_program, first_witness, iter_valuations, scheme_non_emptiness)
 from .syntax import (
     AAnd,
     AFalse,
@@ -60,6 +68,8 @@ from .syntax import (
     WTrue,
     children,
     desugar,
+    sort_check_agent,
+    sort_check_world,
 )
 
 WORLD_SORT = "e"
@@ -338,6 +348,29 @@ def _premise(lines, k, i):
     return lines[i - 1].statement
 
 
+# The justifications whose line brings a formula of its own.  Every other
+# rule assembles its line from parts of a checked premise (or the
+# non-emptiness axiom from the signature) at the sorts its patterns fix, so
+# in a derivation checked in order that line is of its sort once the stated
+# sort is.
+_OWN_FORMULA = (PropTaut, AxSurjectivity, AxFunctionality)
+
+
+def _check_sort(stmt: Statement, sig: Signature, whole: bool) -> None:
+    """The stated sort is ``e`` or a declared agent and, if ``whole``, the
+    formula is of that sort over the signature."""
+    if stmt.sort != WORLD_SORT and stmt.sort not in sig.agents:
+        _sort_error(f"the stated sort {stmt.sort} is neither e nor a declared agent")
+    if whole:
+        try:
+            if stmt.sort == WORLD_SORT:
+                sort_check_world(stmt.formula, sig)
+            else:
+                sort_check_agent(stmt.formula, stmt.sort, sig)
+        except SortError as err:
+            _sort_error(f"the stated line is not a formula of sort {stmt.sort}: {err}")
+
+
 def check_line(d: Derivation, k: int) -> None:
     """Check line ``k`` (1-based) against the earlier lines.
 
@@ -379,6 +412,7 @@ def check_line(d: Derivation, k: int) -> None:
                     _match(patterns[0], _premise(d.lines, k, fields[0]), env, rule,
                            f"premise {fields[0]}")
                 _match(patterns[-1], stmt, env, rule, "the stated line")
+        _check_sort(stmt, d.sig, type(just) in _OWN_FORMULA)
     except _RuleError as err:
         raise DerivationCheckError(k, err.kind, err.message) from None
 
@@ -398,14 +432,85 @@ class SoundnessCounterexample(Record):
     point: object
 
 
+def _sweep_sort(stmt: Statement) -> str:
+    return "world" if stmt.sort == WORLD_SORT else stmt.sort
+
+
+def _swept_names(sig: Signature, sorts, what: str):
+    """The atoms of ``sorts`` in declaration order, agents' before the
+    environment's, as ``iter_valuations`` varies them."""
+    names = [n for a in sig.agents for n in sig.atoms_for(a) if sorts.get(n) == a]
+    names += [n for n in sig.env_atoms if sorts.get(n) == "world"]
+    if len(names) != len(sorts):
+        raise SortError(f"{what} mentions a name outside its sort's atoms")
+    return names
+
+
+def _groups(d: Derivation, bounds: Bounds):
+    """Consecutive lines compiled into one program, as many as mention at
+    most ``_CHUNK_BITS`` points' worth of atoms on the widest structure.
+    Yields ``(program, lines, sorts)``, ``sorts`` giving the sort of every
+    atom the lines mention; the program's last step is their conjunction
+    (``_conjunction``)."""
+    numbers, lines, roots, sorts = {}, [], [], {}
+    for line in d.lines:
+        sort = _sweep_sort(line.statement)
+        size = len(numbers)
+        root, leaves = _compile_into(numbers, line.statement.formula, sort)
+        _swept_names(d.sig, leaves, f"line {line.index}")
+        merged = {**sorts, **leaves}
+        if lines and sum(bounds.edges if s == "world" else bounds.views
+                         for s in merged.values()) > _CHUNK_BITS:
+            for step in tuple(numbers)[size:]:
+                del numbers[step]
+            yield _conjunction(numbers, roots), lines, sorts
+            numbers, lines, roots = {}, [], []
+            root, merged = _compile_into(numbers, line.statement.formula, sort)
+        lines.append(line)
+        roots.append((sort, root))
+        sorts = merged
+    if lines:
+        yield _conjunction(numbers, roots), lines, sorts
+
+
+def _conjunction(numbers, roots):
+    """The program, up to its last step, of a world formula that holds at a
+    world where every world line holds and every agent line holds at each
+    view there: the world lines and, per agent ``a``, ``A[a]`` of the
+    conjunction of ``a``'s lines.  Each view lies in some world, so it
+    holds everywhere exactly when every line does.  ``roots`` are the
+    lines' sorts and steps in ``numbers``."""
+    def step(*key):
+        return numbers.setdefault(key, len(numbers))
+
+    per_sort = {}
+    for sort, root in roots:
+        k = per_sort.get(sort)
+        per_sort[sort] = root if k is None else step("and", None, k, root)
+    out = None
+    for sort, k in per_sort.items():
+        if sort != "world":
+            k = step("not", None, step("some", sort, step("not", None, k, None), None), None)
+        out = k if out is None else step("and", None, out, k)
+    return tuple(numbers)[:out + 1]
+
+
 def soundness_spotcheck(d: Derivation, bounds: Optional[Bounds] = None
                         ) -> Optional[SoundnessCounterexample]:
     """Replay each accepted line against all models within bounds.
 
     World statements are checked at every edge, agent statements at every
-    view of that agent.  Valuations vary only over the atoms each line
-    mentions (exact: other atoms cannot influence it).  Returns the first
-    violation or None; a violation would mean the kernel itself is unsound.
+    view of that agent.  Consecutive lines are compiled into one program,
+    their equal steps shared, as long as the atoms they mention fit one
+    chunk of the sweep on the widest structure, and each such group is
+    swept as the one world formula that holds where all of its lines do:
+    one program interpretation per run.  Valuations vary only over the
+    atoms the group mentions (exact: a line is unaffected by an atom it
+    does not mention).  The lines of the first group that fails are swept
+    again alone, in order, each over its own atoms, so the counterexample
+    is the first line's first one, as sweeping line by line gives it.
+    Returns the first violation or None; a violation would mean the kernel
+    itself is unsound.
     """
     check_derivation(d)
     sig = d.sig
@@ -413,17 +518,17 @@ def soundness_spotcheck(d: Derivation, bounds: Optional[Bounds] = None
         bounds = Bounds(agents=len(sig.agents), views=2, edges=3)
     bounds.validate()
     structures = _structures(sig.agents, bounds.views, bounds.edges)
-    for line in d.lines:
-        stmt = line.statement
-        sort = "world" if stmt.sort == WORLD_SORT else stmt.sort
-        program, sorts = compile_program(stmt.formula, sort)
-        names = [n for a in sig.agents for n in sig.atoms_for(a) if sorts.get(n) == a]
-        names += [n for n in sig.env_atoms if sorts.get(n) == "world"]
-        if len(names) != len(sorts):
-            raise SortError(f"line {line.index} mentions a name outside its sort's atoms")
-        _, hit = first_witness(program, sort, structures, names, sorts, sig)
-        if hit is not None:
-            model, point = hit
-            _revalidate(model, point, stmt.formula)
-            return SoundnessCounterexample(line.index, model, point)
+    for program, lines, sorts in _groups(d, bounds):
+        names = _swept_names(sig, sorts, "a group of lines")
+        if first_witness(program, "world", structures, names, sorts, sig)[1] is None:
+            continue
+        for line in lines:
+            sort = _sweep_sort(line.statement)
+            program, sorts = compile_program(line.statement.formula, sort)
+            _, hit = first_witness(program, sort, structures,
+                                   _swept_names(sig, sorts, f"line {line.index}"), sorts, sig)
+            if hit is not None:
+                model, point = hit
+                _revalidate(model, point, line.statement.formula)
+                return SoundnessCounterexample(line.index, model, point)
     return None

@@ -17,22 +17,29 @@ class counts its assignments once per labelled structure, so
 
 Every validity sweep (``check_scheme``, ``find_countermodel`` and the proof
 kernel's ``soundness_spotcheck``) runs through ``sweep``: the formula is
-compiled once into a postfix program, and every point's value is one int
+compiled once into a register program, and every point's value is one int
 whose bit ``t`` is its truth value under assignment ``t`` (bit-slicing
-across valuations).  ``compile_program`` reads the derived connectives
-directly, emitting the steps of their core forms, so no caller desugars.
-Assignments are numbered in ``itertools.product`` order and swept in chunks
-of bounded width.  The program is interpreted
-once per *run*, not once per structure: consecutive structures of the
-stream with the same edge count and view counts give every swept name the
-same width, so ``_Stream.runs`` lays them side by side as one structure
-(27 runs for the 146 classes at the default bounds, 59 for the 567 at 3
-agents, 2 views and 3 edges).  In a chunk, the first point of the run false under
-some assignment names the first member that fails there, and the earliest
-such member over all chunks is the first member with a falsifying
-assignment.  Its lowest zero bit gives its first falsifying assignment and
-the first point false under it the witness, exactly as sweeping the
-structures one by one, one valuation at a time, would.
+across valuations).  The program's steps are value-numbered: each step
+names its operands by their indices, and a step equal to one already
+emitted is not emitted again, so each distinct subformula is computed once
+(the spotcheck compiles a whole run of derivation lines into one program).
+After each stretch of ``_STRETCH`` steps the interpreter drops the values
+that no later step reads, so a long program holds about as many values at
+once as a short one.
+``compile_program`` reads the derived connectives directly, emitting the
+steps of their core forms, so no caller desugars.  Assignments are numbered
+in ``itertools.product`` order and swept in chunks of bounded width.  The
+program is interpreted once per *run*, not once per structure: consecutive
+structures of the stream with the same edge count and view counts give
+every swept name the same width, so ``_Stream.runs`` lays them side by side
+as one structure (27 runs for the 146 classes at the default bounds, 59 for
+the 567 at 3 agents, 2 views and 3 edges).  In a chunk, the first point of
+the run false under some assignment names the first member that fails
+there, and the earliest such member over all chunks is the first member
+with a falsifying assignment.  Its lowest zero bit gives its first
+falsifying assignment and the first point false under it the witness,
+exactly as sweeping the structures one by one, one valuation at a time,
+would.
 
 ``check_scheme`` decides whether a scheme (a formula with ``?metavariable``
 leaves) holds at every point of every model within bounds.  Instead of
@@ -477,72 +484,95 @@ def _structures(agents: Tuple[str, ...], views: int, edges: int) -> _Stream:
 
 
 # compile_program's work stack holds (node, sort) pairs still to expand and,
-# as 1-tuples, steps whose operands are already in the program.
-_NOT, _AND = (("not",),), (("and",),)
+# as ((op, arg), None), steps to emit once their operands are numbered.
+def _pending(op, arg=None):
+    return (op, arg), None
+
+
+_NOT, _AND = _pending("not"), _pending("and")
 
 # Per sort, what replaces a node of each type on the work stack, the entry to
-# be taken first last; an atom or metavariable is emitted in place.  A derived
-# connective is replaced by the steps of its form under ``desugar``.
+# be taken first last; an atom, metavariable or constant is emitted in place.
+# A derived connective is replaced by the steps of its form under ``desugar``.
 _NEGATION = lambda f, s: (_NOT, (f.sub, s))
 _CONJUNCTION = lambda f, s: (_AND, (f.right, s), (f.left, s))
 _DISJUNCTION = lambda f, s: (_NOT, _AND, _NOT, (f.right, s), _NOT, (f.left, s))
 _IMPLICATION = lambda f, s: (_NOT, _AND, _NOT, (f.right, s), (f.left, s))
-_TOP = lambda f, s: ((("top", s),),)
-_BOT = lambda f, s: ((("bot", s),),)
 _WORLD_STEPS = {
-    EnvAtom: "atom", WMeta: "meta", WTrue: _TOP, WFalse: _BOT,
+    EnvAtom: "atom", WMeta: "meta", WTrue: "top", WFalse: "bot",
     WNot: _NEGATION, WAnd: _CONJUNCTION, WOr: _DISJUNCTION, WImplies: _IMPLICATION,
-    SomeView: lambda f, s: ((("some", f.agent),), (f.sub, f.agent)),
-    AllViews: lambda f, s: (_NOT, (("some", f.agent),), _NOT, (f.sub, f.agent)),
+    SomeView: lambda f, s: (_pending("some", f.agent), (f.sub, f.agent)),
+    AllViews: lambda f, s: (_NOT, _pending("some", f.agent), _NOT, (f.sub, f.agent)),
 }
 _AGENT_STEPS = {
-    AgentAtom: "atom", AMeta: "meta", ATrue: _TOP, AFalse: _BOT,
+    AgentAtom: "atom", AMeta: "meta", ATrue: "top", AFalse: "bot",
     ANot: _NEGATION, AAnd: _CONJUNCTION, AOr: _DISJUNCTION, AImplies: _IMPLICATION,
-    PossWorld: lambda f, s: ((("poss", s),), (f.sub, "world")),
-    Box: lambda f, s: (_NOT, (("poss", s),), _NOT, (f.sub, "world")),
+    PossWorld: lambda f, s: (_pending("poss", s), (f.sub, "world")),
+    Box: lambda f, s: (_NOT, _pending("poss", s), _NOT, (f.sub, "world")),
 }
 
 
 def compile_program(f, sort: str, allow_metas: bool = False):
-    """Compile a formula of ``sort`` (``"world"`` or an agent) into a postfix
-    program, one step per node of its core form in post-order.
+    """Compile a formula of ``sort`` (``"world"`` or an agent) into a
+    register program: step ``k`` computes value ``k`` of the sweep from
+    earlier values, and the formula's value is the last step's.
 
-    The derived connectives (``|``, ``->``, ``A[a]`` and ``[]``) compile
+    A step is ``(op, arg, i, j)``, where ``i`` and ``j`` are the indices of
+    its operand steps, None where it has fewer (and left out here):
+    ``("top"|"bot", sort)``, ``("atom", name)``, ``("not", None, i)``,
+    ``("and", None, i, j)``, ``("some", a, i)`` for ``E[a]`` and
+    ``("poss", a, i)`` for ``<>`` at a view of ``a``.  Steps are
+    value-numbered: a step equal to one already emitted reuses its index,
+    so each distinct subformula of the core form costs one step.  The
+    derived connectives (``|``, ``->``, ``A[a]`` and ``[]``) compile
     directly to the steps of their core forms: the program is the one the
     formula's ``desugar`` gives.  Returns the program and the sort of each
-    atom or metavariable name, in order of first occurrence.  Steps:
-    ``("top"|"bot", sort)``, ``("atom", name)``, ``("not",)``, ``("and",)``,
-    ``("some", a)`` for ``E[a]`` and ``("poss", a)`` for ``<>`` at a view of
-    ``a``.  If ``allow_metas`` is set, a metavariable ``?x`` compiles like an
-    atom named ``"?x"``, which no atom can be named, so that it never shares
-    a leaf with the atom ``x``.
+    atom or metavariable name, in order of first occurrence.  If
+    ``allow_metas`` is set, a metavariable ``?x`` compiles like an atom
+    named ``"?x"``, which no atom can be named, so that it never shares a
+    leaf with the atom ``x``.
     """
-    program = []
+    numbers = {}
+    _, leaves = _compile_into(numbers, f, sort, allow_metas)
+    return tuple(numbers), leaves
+
+
+def _compile_into(numbers: Dict[tuple, int], f, sort: str, allow_metas: bool = False):
+    """Compile a formula into a program under construction: ``numbers``
+    maps each step to its index, in the order the steps were emitted.
+    Returns the index of the formula's step and the sorts of its leaves.
+    Formulas compiled into one program share their equal steps."""
     leaves: Dict[str, str] = {}
+    done = []                               # indices of operands not yet used
     todo = [(f, sort)]
     while todo:
-        entry = todo.pop()
-        if len(entry) == 1:                 # a step whose operands are done
-            program.append(entry[0])
+        node, s = todo.pop()
+        if s is None:           # a step whose operands top ``done``: replace them
+            op, arg = node
+            j = done.pop() if op == "and" else None
+            done[-1] = numbers.setdefault((op, arg, done[-1], j), len(numbers))
             continue
-        node, s = entry
         kind = (_WORLD_STEPS if s == "world" else _AGENT_STEPS).get(type(node))
         if kind is None:
             if isinstance(node, (WorldFormula, AgentFormula, KB4Formula)):
                 raise SortError(f"not a formula of sort {s}: {node!r}", node=node)
             raise TypeError(f"not a formula: {node!r}")
         if type(kind) is not str:
-            todo.extend(kind(node, s))
+            todo += kind(node, s)
             continue
-        name = node.name
-        if kind == "meta":
-            if not allow_metas:
-                raise SortError(f"cannot evaluate metavariable '?{name}'", node=node)
-            name = "?" + name
-        if leaves.setdefault(name, s) != s:
-            raise SortError(f"'{node.name}' occurs at two sorts", node=node)
-        program.append(("atom", name))
-    return tuple(program), leaves
+        if kind == "top" or kind == "bot":
+            step = (kind, s, None, None)
+        else:
+            name = node.name
+            if kind == "meta":
+                if not allow_metas:
+                    raise SortError(f"cannot evaluate metavariable '?{name}'", node=node)
+                name = "?" + name
+            if leaves.setdefault(name, s) != s:
+                raise SortError(f"'{node.name}' occurs at two sorts", node=node)
+            step = ("atom", name, None, None)
+        done.append(numbers.setdefault(step, len(numbers)))
+    return done[0], leaves
 
 
 # Assignments per chunk of the sweep, as a power of two.
@@ -562,33 +592,60 @@ def _widths(st: _Structure, swept_names, sorts) -> List[int]:
             for n in swept_names]
 
 
+# Steps per stretch of a program, after which the values no later step reads
+# are dropped: a value outlives its last reader by less than one stretch.  A
+# program this short is one stretch, which costs nothing to cut; a longer
+# one is cut again for each interpretation, at a cost linear in its steps.
+_STRETCH = 256
+
+
+def _stretches(program) -> Tuple[Tuple[tuple, Tuple[int, ...]], ...]:
+    """Consecutive stretches of ``_STRETCH`` steps of a program, each with
+    the steps whose value it is the last to read (none for the last
+    stretch, whose values go with the interpretation)."""
+    if len(program) <= _STRETCH:
+        return ((program, ()),)
+    last = {}
+    for k, (_, _, i, j) in enumerate(program):
+        last[i] = last[j] = k // _STRETCH
+    dead = [[] for _ in range(0, len(program), _STRETCH)]
+    for i, s in last.items():
+        if i is not None and s < len(dead) - 1:
+            dead[s].append(i)
+    return tuple((program[s * _STRETCH:(s + 1) * _STRETCH], tuple(d))
+                 for s, d in enumerate(dead))
+
+
 def _evaluate(program, run: _Run, env: Dict[str, List[int]], full: int) -> List[int]:
     """Run a compiled program on a run: ``env[name]`` gives each point of the
-    name's sort an int, ``full`` is the all-true int, and the result is the
-    formula's int at each point of its sort."""
+    name's sort an int, ``full`` is the all-true int.  ``values[k]`` is step
+    ``k``'s int at each point of its sort; the result is the last step's.
+    After each stretch of steps, the values that no later step reads are
+    dropped."""
     view_of = run.view_of
-    stack = []
-    for step in program:
-        op = step[0]
-        if op == "atom":
-            stack.append(env[step[1]])
-        elif op == "not":
-            stack[-1] = [full ^ x for x in stack[-1]]
-        elif op == "and":
-            right = stack.pop()
-            stack[-1] = [x & y for x, y in zip(stack[-1], right)]
-        elif op == "some":
-            sub = stack[-1]
-            stack[-1] = [0 if j is None else sub[j] for j in view_of[step[1]]]
-        elif op == "poss":
-            out = [0] * run.points[step[1]]
-            for x, j in zip(stack[-1], view_of[step[1]]):
-                if j is not None:
-                    out[j] |= x
-            stack[-1] = out
-        else:
-            stack.append([full if op == "top" else 0] * run.points[step[1]])
-    return stack[0]
+    values = []
+    for steps, dead in _stretches(program):
+        for op, arg, i, j in steps:
+            if op == "not":
+                values.append([full ^ x for x in values[i]])
+            elif op == "and":
+                values.append([x & y for x, y in zip(values[i], values[j])])
+            elif op == "atom":
+                values.append(env[arg])
+            elif op == "some":
+                sub = values[i]
+                values.append([0 if v is None else sub[v] for v in view_of[arg]])
+            elif op == "poss":
+                out = [0] * run.points[arg]
+                for x, v in zip(values[i], view_of[arg]):
+                    if v is not None:
+                        out[v] |= x
+                values.append(out)
+            else:
+                values.append([full if op == "top" else 0] * run.points[arg])
+        for k in dead:
+            values[k] = None
+    return values[-1]
 
 
 def extension_chunks(program, run: _Run, swept_names, sorts
@@ -601,8 +658,8 @@ def extension_chunks(program, run: _Run, swept_names, sorts
     numbered in ``itertools.product`` order over the names' masks, the last
     name varying fastest.  Yields ``(first, width, values)`` for consecutive
     chunks of at most ``2**_CHUNK_BITS`` assignments: bit ``t`` of
-    ``values[p]`` is the formula's value at the run's point ``p`` under
-    assignment ``first + t``.
+    ``values[p]`` is the program's last step's value at the run's point
+    ``p`` under assignment ``first + t``.
     """
     widths = _widths(run.members[0], swept_names, sorts)
     total = sum(widths)

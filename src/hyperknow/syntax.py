@@ -454,17 +454,20 @@ def sort_check_agent(f, agent, sig, allow_metas=False):
 
 def _check(f, sig, sort, allow_metas, meta_sorts):
     """Check every node in pre-order, so the first error is the outermost,
-    leftmost one (an unknown agent before the atoms under it)."""
-    for node, s in walk(f, sort):
-        world = s == "world"
-        if not isinstance(node, WorldFormula if world else AgentFormula):
+    leftmost one (an unknown agent before the atoms under it).  Per sort,
+    ``_SORTED`` maps each node type that may stand there to a function that
+    checks the node and returns its children, the last first."""
+    todo = [(f, sort)]
+    while todo:
+        node, s = todo.pop()
+        check = _SORTED[s == "world"].get(type(node))
+        if check is None:
             if not isinstance(node, (WorldFormula, AgentFormula)):
                 raise TypeError(f"not a formula: {node!r}")
-            if world:
+            if s == "world":
                 raise SortError(f"agent formula used in world position: {node!r}", node=node)
             raise SortError(f"world formula used in agent position: {node!r}", node=node)
-        if type(node) in _CHECKED:
-            _CHECKED[type(node)](node, sig, s, allow_metas, meta_sorts)
+        todo += check(node, sig, s, allow_metas, meta_sorts)
 
 
 def _check_atom(f, sig, sort, allow_metas, meta_sorts):
@@ -480,11 +483,13 @@ def _check_atom(f, sig, sort, allow_metas, meta_sorts):
     if sort not in ("world", owner):
         raise AgentMismatchError(
             f"atom '{f.name}' belongs to agent {owner} but occurs under agent {sort}", node=f)
+    return ()
 
 
 def _check_agent(f, sig, sort, allow_metas, meta_sorts):
     if f.agent not in sig.agents:
         raise UnknownAgentError(f"unknown agent '{f.agent}'", node=f)
+    return ((f.sub, f.agent),)
 
 
 def _bind_meta(node, sig, sort, allow_metas, meta_sorts):
@@ -497,12 +502,22 @@ def _bind_meta(node, sig, sort, allow_metas, meta_sorts):
     elif seen != sort:
         raise SortError(
             f"metavariable '?{name}' used at sorts {seen} and {sort}", node=node)
+    return ()
 
 
-# The nodes that need more than the sort of their position checked.
-_CHECKED = {EnvAtom: _check_atom, AgentAtom: _check_atom,
-            WMeta: _bind_meta, AMeta: _bind_meta,
-            SomeView: _check_agent, AllViews: _check_agent}
+_constant = lambda f, *_: ()
+_unary = lambda f, sig, s, *_: ((f.sub, s),)
+_binary = lambda f, sig, s, *_: ((f.right, s), (f.left, s))
+_at_world = lambda f, *_: ((f.sub, "world"),)
+# Indexed by "is the position a world's": the agent sorts' table, then the world's.
+_SORTED = (
+    {ATrue: _constant, AFalse: _constant, AgentAtom: _check_atom, AMeta: _bind_meta,
+     ANot: _unary, AAnd: _binary, AOr: _binary, AImplies: _binary,
+     PossWorld: _at_world, Box: _at_world},
+    {WTrue: _constant, WFalse: _constant, EnvAtom: _check_atom, WMeta: _bind_meta,
+     WNot: _unary, WAnd: _binary, WOr: _binary, WImplies: _binary,
+     SomeView: _check_agent, AllViews: _check_agent},
+)
 
 
 def scheme_meta_sorts(f, sig, agent=None):

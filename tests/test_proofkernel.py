@@ -32,12 +32,15 @@ from hyperknow.proofkernel import (
 from hyperknow.search import Bounds, enumerate_hypergraphs, iter_valuations, knowledge_schemes
 from hyperknow.semantics import Evaluator, View, World
 from hyperknow.syntax import (
+    AAnd,
     AgentAtom,
     AMeta,
     ANot,
+    ATrue,
     EnvAtom,
     PossWorld,
     SomeView,
+    WAnd,
     WMeta,
     WNot,
     atoms_of,
@@ -107,6 +110,40 @@ def test_necessitation_to_an_agent_sort_rejects_the_world_sort():
     assert (err.value.line, err.value.kind) == (2, "SortError")
     with pytest.raises(DerivationCheckError):
         soundness_spotcheck(forged)
+
+
+def _q_implies_q():
+    # The atom q is not declared in SIG.
+    return WNot(WAnd(EnvAtom("q"), WNot(EnvAtom("q"))))
+
+
+def _surjectivity_at(agent):
+    # phi -> <> E[agent] phi at phi := true, in core form.
+    return ANot(AAnd(ATrue(), ANot(PossWorld(SomeView(agent, ATrue())))))
+
+
+@pytest.mark.parametrize("lines", [
+    [(Statement("zz", _a("pa -> pa")), PropTaut())],
+    [(Statement("a", _w("p -> p")), PropTaut())],
+    [(Statement("e", _a("pa -> pa")), PropTaut())],
+    [(Statement("e", _q_implies_q()), PropTaut())],
+    [(Statement("e", _w("p -> p")), PropTaut()),
+     (Statement("zz", ANot(PossWorld(WNot(_w("p -> p"))))), NecA(1))],
+    [(Statement("zz", _surjectivity_at("zz")), AxSurjectivity())],
+], ids=["undeclared-sort", "world-formula-at-agent", "agent-formula-at-world",
+        "undeclared-atom", "necessitation-to-undeclared-sort", "surjectivity-at-undeclared-sort"])
+def test_a_line_must_be_a_formula_of_its_stated_sort(lines):
+    # Whatever the justification, the stated sort is e or a declared agent
+    # and the formula is of that sort over the signature; otherwise the
+    # kernel refuses the line and the spot check never evaluates it.
+    d = Derivation(sig=SIG, lines=tuple(DerivationLine(k, stmt, just)
+                                        for k, (stmt, just) in enumerate(lines, start=1)))
+    with pytest.raises(DerivationCheckError) as err:
+        check_derivation(d)
+    assert (err.value.line, err.value.kind) == (len(lines), "SortError")
+    assert "the stated" in str(err.value)
+    with pytest.raises(DerivationCheckError):
+        soundness_spotcheck(d)
 
 
 SIG2 = hk.Signature(("a", "b"), {"a": ("pa",)}, ("p",))
@@ -481,30 +518,76 @@ def _replay_one_valuation_at_a_time(d, bounds):
     return None
 
 
+def _random_line(rng, sig, sort, depth):
+    if sort == "e":
+        return random_world(rng, sig, depth)
+    return random_agent(rng, sig, sort, depth)
+
+
+def _valid_line(rng, sig, sort, pool):
+    """``f -> f`` or ``(f & g) -> f`` over formulas drawn from a shared
+    pool, in core form, so that lines restate each other's subformulas."""
+    f, g = rng.choice(pool[sort]), rng.choice(pool[sort])
+    if sort == "e":
+        return WNot(WAnd(rng.choice((f, WAnd(f, g))), WNot(f)))
+    return ANot(AAnd(rng.choice((f, AAnd(f, g))), ANot(f)))
+
+
+def _agrees_with_the_replay(d, bounds):
+    got = soundness_spotcheck(d, bounds)
+    expected = _replay_one_valuation_at_a_time(d, bounds)
+    if expected is None:
+        assert got is None
+        return None
+    assert (got.line, got.model, got.point) == expected
+    return got.line
+
+
 def test_spotcheck_reports_the_first_violation_of_the_valuation_stream(monkeypatch):
     # Unsound lines only reach the spot check past the kernel, so the kernel
     # is switched off; the first violation must be the one that replaying
-    # one valuation at a time finds first.
+    # one valuation at a time finds first.  Derivations of 3 to 12 lines
+    # hold up to a random line, so violations come early and late.
     monkeypatch.setattr(proofkernel, "check_derivation", lambda d: None)
     sig = hk.Signature(("a", "b"), {"a": ("pa", "qa"), "b": ("pb",)}, ("p", "r"))
     rng = random.Random("spotcheck")
     bounds = Bounds(agents=2, views=2, edges=2)
-    violations = 0
+    failing = []
     for _ in range(25):
+        pool = {sort: [_random_line(rng, sig, sort, 2) for _ in range(3)]
+                for sort in ("e", "a", "b")}
+        n = rng.randint(3, 12)
+        first_random = rng.randint(1, n + 1)
         lines = []
-        for k in range(1, 4):
+        for k in range(1, n + 1):
             sort = rng.choice(("e", "a", "b"))
-            f = random_world(rng, sig, 3) if sort == "e" else random_agent(rng, sig, sort, 3)
+            f = (_random_line(rng, sig, sort, 3) if k >= first_random
+                 else _valid_line(rng, sig, sort, pool))
             lines.append(DerivationLine(k, Statement(sort, f), PropTaut()))
-        d = Derivation(sig=sig, lines=tuple(lines))
-        got = soundness_spotcheck(d, bounds)
-        expected = _replay_one_valuation_at_a_time(d, bounds)
-        if expected is None:
-            assert got is None
-        else:
-            violations += 1
-            assert (got.line, got.model, got.point) == expected
-    assert violations > 0
+        failing.append(_agrees_with_the_replay(Derivation(sig=sig, lines=tuple(lines)),
+                                               bounds))
+    assert None in failing
+    assert any(k is not None and k <= 2 for k in failing)
+    assert any(k is not None and k >= 6 for k in failing)
+
+
+def test_spotcheck_sweeps_lines_in_groups_that_fit_a_chunk(monkeypatch):
+    # Six environment atoms take 18 bits at 3 edges, more than one chunk
+    # holds, so the lines are swept as two groups: the first four atoms'
+    # lines, then the rest.  A violation in the second group is the one the
+    # replay finds.
+    monkeypatch.setattr(proofkernel, "check_derivation", lambda d: None)
+    sig = hk.Signature(("a", "b"), {}, tuple(f"p{i}" for i in range(1, 7)))
+    bounds = Bounds(agents=2, views=2, edges=3)
+    texts = [f"p{i} -> p{i}" for i in range(1, 7)] + ["p6 -> (p5 -> p6)", "p6 -> p5"]
+    lines = tuple(DerivationLine(k, Statement("e", _w(text, sig)), PropTaut())
+                  for k, text in enumerate(texts, start=1))
+    for d, line in ((Derivation(sig=sig, lines=lines[:-1]), None),
+                    (Derivation(sig=sig, lines=lines), 8)):
+        groups = list(proofkernel._groups(d, bounds))
+        assert [[line.index for line in group] for _, group, _ in groups] == \
+            [[1, 2, 3, 4], list(range(5, len(d.lines) + 1))]
+        assert _agrees_with_the_replay(d, bounds) == line
 
 
 # --- pinned outcomes of a bounded mutation set ---------------------------------

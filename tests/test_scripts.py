@@ -1,7 +1,9 @@
 """The command-line scripts under scripts/ run to completion and print
 their pinned verdicts."""
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,3 +86,27 @@ def test_loc_counts_code_lines(monkeypatch, capsys, tmp_path):
     assert code == 0
     assert [line.split() for line in lines] == [
         ["2", "__init__.py"], ["7", "sub/module.py"], ["9", "total"]]
+
+
+def test_parity_dump_is_deterministic_on_a_small_input(monkeypatch, capsys):
+    # Edge bound 2 and KB4 formulas of at most 3 nodes: 18 scheme rows at
+    # each of the three bounds, 14 formulas, the six corpus derivations;
+    # the text is the same under two hash seeds.
+    code, lines = _run("parity_dump.py", monkeypatch, capsys, "--max-size", "3", "--edges", "2")
+    assert code == 0
+    heads = [line for line in lines if not line.startswith("    ")]
+    assert sum(line.startswith("scheme ") for line in heads) == 54
+    assert "scheme 2/2/2 non_emptiness: valid 32" in heads
+    assert "scheme 3/2/2 ksafe_b: countermodel at World(edge='e1') [PHI=q1]" in heads
+    assert sum(line.startswith("kb4 ") for line in heads) == 14
+    assert "kb4 13 q & q: countermodel at World(edge='e1') []" in heads
+    assert [line for line in heads if line.startswith("corpus ")] == [
+        f"corpus {name}.deriv: sound" for name in (
+            "distribution", "k_axiom", "ksafe_4", "locality", "non_emptiness",
+            "useful_formulas")]
+    src = str(SCRIPTS.parent / "src")
+    outputs = {subprocess.run(
+        [sys.executable, str(SCRIPTS / "parity_dump.py"), "--max-size", "3", "--edges", "2"],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        capture_output=True, text=True, check=True).stdout for seed in ("1", "2")}
+    assert len(outputs) == 1 and outputs.pop().splitlines() == lines

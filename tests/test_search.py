@@ -40,6 +40,7 @@ from hyperknow.syntax import (
     WorldFormula,
     desugar,
     substitute_metas,
+    walk,
 )
 
 from conftest import (RICH_SIG, naive_hypergraph_count, random_agent, random_surface_agent,
@@ -419,6 +420,72 @@ def test_derived_connectives_compile_as_their_core_forms():
         sort = "world" if isinstance(scheme, WorldFormula) else "a"
         assert search.compile_program(scheme, sort, allow_metas=True) == \
             search.compile_program(desugar(scheme), sort, allow_metas=True), name
+
+
+def _distinct_core_pairs(f, sort):
+    """The distinct (subformula, sort) pairs of ``desugar(f)``, told apart
+    with ``==``."""
+    pairs = []
+    for pair in walk(desugar(f), sort):
+        if not any(pair == seen for seen in pairs):
+            pairs.append(pair)
+    return len(pairs)
+
+
+def test_programs_are_value_numbered():
+    # One step per distinct core subformula at its sort: a subformula that
+    # occurs twice, or the steps two derived connectives share, cost one
+    # step; each operand is an earlier step.
+    rng = random.Random("value-numbering")
+    shared = 0
+    for _ in range(500):
+        sort = rng.choice(("world", "a", "b"))
+        f = (random_surface_world(rng, RICH_SIG, 5) if sort == "world"
+             else random_surface_agent(rng, RICH_SIG, sort, 5))
+        program, _ = search.compile_program(f, sort)
+        assert len(program) == _distinct_core_pairs(f, sort), f
+        assert len(set(program)) == len(program)
+        assert all(i is None or i < k for k, step in enumerate(program) for i in step[2:])
+        shared += len(program) < sum(1 for _ in walk(desugar(f), sort))
+    assert shared > 100
+    library = {**knowledge_schemes("a"), **{f"interaction_{k}": s
+                                            for k, s in interaction_schemes("a").items()}}
+    for name, steps in (("kunsafe_4", 16), ("ksafe_4", 12), ("interaction_2", 11)):
+        scheme = library[name]
+        sort = "world" if isinstance(scheme, WorldFormula) else "a"
+        assert len(search.compile_program(scheme, sort, allow_metas=True)[0]) == steps, name
+
+
+def test_values_are_dropped_after_their_last_reader(monkeypatch):
+    # Stretches of three steps: each stretch drops exactly the values that
+    # no later stretch reads, and the sweep finds what it finds in one
+    # stretch.
+    rng = random.Random("stretches")
+    classes = search._structures(("a", "b"), 2, 2)
+    formulas = [random_surface_world(rng, RICH_SIG, 5) for _ in range(100)]
+    whole = [search.first_witness(*_sweep_args(f, classes)) for f in formulas]
+    monkeypatch.setattr(search, "_STRETCH", 3)
+    for f, expected in zip(formulas, whole):
+        args = _sweep_args(f, classes)
+        stretches = search._stretches(args[0])
+        assert [step for steps, _ in stretches for step in steps] == list(args[0])
+        last = {}
+        for s, (steps, _) in enumerate(stretches):
+            for _, _, i, j in steps:
+                last.update({k: s for k in (i, j) if k is not None})
+        assert [sorted(dead) for _, dead in stretches] == [
+            sorted(k for k, s in last.items() if s == t) for t in range(len(stretches) - 1)] + [[]]
+        checked, hit = search.first_witness(*args)
+        assert checked == expected[0]
+        assert (hit is None) == (expected[1] is None)
+        if hit is not None:
+            assert hit[1] == expected[1][1]
+            assert hk.parser.render_model(hit[0]) == hk.parser.render_model(expected[1][0])
+
+
+def _sweep_args(f, classes):
+    program, sorts = search.compile_program(f, "world")
+    return program, "world", classes, list(sorts), sorts, RICH_SIG
 
 
 @pytest.mark.parametrize("b", [Bounds(), Bounds(agents=3, views=2, edges=3)],
