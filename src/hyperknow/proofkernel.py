@@ -7,16 +7,21 @@ the two monotonicity rules, the four directions of the two adjunctions
 linking the modal pairs across sorts, and the three axiom schemes matching
 the defining conditions of chromatic hypergraphs.
 
-The rules are data: ``RULES`` maps each rule with a premise to a pair of
-``(sort, core formula)`` patterns, premise and conclusion, and each agent
-axiom to its conclusion alone, over the metavariables ``X``, ``Y`` (world),
-``x``, ``y`` (agent) and the rule's agent.  One matcher checks a line: it
-binds the patterns' metavariables and agent against the premise, then
-matches the stated line under the same bindings, so no conclusion is built.
-A sort clash is a ``SortError``, any other clash a ``RuleMismatch``.
-Whatever the justification, a line accepted in order is of its stated sort
-over the signature: the stated sort must be ``e`` or a declared agent, and
-the formula of a ``PropTaut`` line or an agent axiom is sort-checked, while
+The rules are data: ``RULES`` maps each rule with premises, modus ponens
+included, to its list of premise patterns and its conclusion pattern, and
+each agent axiom to its conclusion alone.  A pattern is a ``(sort, core
+formula)`` pair over the metavariables ``X``, ``Y`` (world), ``x``, ``y``
+(agent) and the rule's agent; the rows are written with ``->``, ``[]`` and
+``A[a]`` and desugared once, at import.  Modus ponens has two rows, at
+``e`` and at an agent sort, and the stated line's sort picks one.  One
+matcher checks a line: it fetches the premises in order, binds the
+patterns' metavariables and agent against each in turn, then matches the
+stated line under the same bindings, so no conclusion is built.  A sort
+clash is a ``SortError``, any other clash a ``RuleMismatch``.  Whatever the
+justification, a line whose formula is not a formula record is a
+``SortError``, and a line accepted in order is of its stated sort over the
+signature: the stated sort must be ``e`` or a declared agent, and the
+formula of a ``PropTaut`` line or an agent axiom is sort-checked, while
 every other rule assembles its line from parts of a checked premise at the
 sorts its patterns fix.  ``PropTaut`` abstracts maximal modal subformulas
 and atoms into propositional variables and decides by truth table (exact,
@@ -27,20 +32,23 @@ alone, and deep nesting costs no recursion.
 
 ``soundness_spotcheck`` replays every accepted statement against all
 enumerated models within bounds; a violation would indicate a kernel bug,
-so it is reported as a result rather than raised.  Consecutive lines are
-compiled into one value-numbered program, so a subformula that several
-lines restate is computed once, and each group is swept in one program
-interpretation per run of the structure stream.  It runs on the search
-module's ``first_witness`` over valuations numbered as ``iter_valuations``
-lists them (agent atoms, then environment atoms, in declaration order): a
-failing group's lines are swept again alone, so the counterexample is the
-first one that stream gives for the first failing line, and like every
-sweep's witness it is re-validated through the evaluator before it is
-returned.
+so it is reported as a result rather than raised.  When the derivation's
+atoms fit one chunk of the sweep, its lines are swept at once, as one
+world formula, their conjunction, compiled by ``compile_program`` into one
+value-numbered program: a subformula that several lines restate is
+computed once, and the program is interpreted once per run of the
+structure stream.  It runs on the search module's ``first_witness`` over
+valuations numbered as ``iter_valuations`` lists them (agent atoms, then
+environment atoms, in declaration order).  If the conjunction fails, or
+the atoms do not fit, the lines are swept alone, in order, so the
+counterexample is the first one that stream gives for the first failing
+line, and like every sweep's witness it is re-validated through the
+evaluator before it is returned.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Optional, Tuple, Union
 
 from .core import Signature
@@ -48,26 +56,33 @@ from .errors import DerivationCheckError, SortError
 from .record import Record
 # iter_valuations is unused here but stays bound: perfbench/tracing.py
 # counts the spotcheck's models by wrapping proofkernel.iter_valuations.
-from .search import (_CHUNK_BITS, Bounds, _bit_patterns, _compile_into, _revalidate, _structures,
+from .search import (_CHUNK_BITS, Bounds, _bit_patterns, _revalidate, _structures,
                      compile_program, first_witness, iter_valuations, scheme_non_emptiness)
 from .syntax import (
     AAnd,
     AFalse,
     AgentAtom,
+    AgentFormula,
+    AImplies,
+    AllViews,
     AMeta,
     ANot,
     ATrue,
+    Box,
     EnvAtom,
     PossWorld,
     SomeView,
     SourceSpan,
     WAnd,
     WFalse,
+    WImplies,
     WMeta,
     WNot,
+    WorldFormula,
     WTrue,
     children,
     desugar,
+    substitute_metas,
     sort_check_agent,
     sort_check_world,
 )
@@ -163,39 +178,6 @@ class Derivation(Record):
     lines: Tuple[DerivationLine, ...]
 
 
-# --- core-shape helpers ----------------------------------------------------------
-
-
-def _imp_w(l, r):
-    return WNot(WAnd(l, WNot(r)))
-
-
-def _imp_a(l, r):
-    return ANot(AAnd(l, ANot(r)))
-
-
-def _box(x):
-    return ANot(PossWorld(WNot(x)))
-
-
-def _allviews(agent, x):
-    return WNot(SomeView(agent, ANot(x)))
-
-
-def _as_imp_w(f):
-    match f:
-        case WNot(WAnd(l, WNot(r))):
-            return l, r
-    return None
-
-
-def _as_imp_a(f):
-    match f:
-        case ANot(AAnd(l, ANot(r))):
-            return l, r
-    return None
-
-
 class _RuleError(Exception):
     def __init__(self, kind, message):
         self.kind = kind
@@ -213,58 +195,107 @@ def _sort_error(message):
 
 # --- the rule table -----------------------------------------------------------------
 
-_AGENT = object()       # the rule's agent, in a sort or an ``E[a]`` node
+class _Var:
+    """A pattern variable: at its first occurrence it binds a world formula
+    (``X``, ``Y``), an agent formula (``x``, ``y``) or the rule's agent
+    (``a``), which the rest of the row must repeat.  It hashes by
+    identity, so binding one costs no formula hash."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return self.name
+
+
+_AGENT = _Var("a")      # the rule's agent, in a sort or an ``E[a]`` node
 
 
 def _rule_table():
-    """Each rule with a premise as its (premise, conclusion) pair of
-    ``(sort, core formula)`` patterns, each agent axiom as its conclusion
-    alone, keyed by justification class and fixed arguments.  ``X``, ``Y``
-    stand for any world formula, ``x``, ``y`` for any agent formula."""
+    """Each rule with premises as its premise patterns, in order, then its
+    conclusion pattern, and each agent axiom as its conclusion alone; a
+    pattern is a ``(sort, formula)`` pair.  Keyed by justification class
+    and fixed arguments, and ``MP`` by the sort of its line, ``e`` or an
+    agent's.  ``X``, ``Y`` stand for any world formula, ``x``, ``y`` for
+    any agent formula.  The rows are written with ``->``, ``[]`` and
+    ``A[a]``, desugared here, once, and their metavariables then replaced
+    by pattern variables."""
     X, Y, x, y, a, e = WMeta("X"), WMeta("Y"), AMeta("x"), AMeta("y"), _AGENT, WORLD_SORT
     rules = {
-        (NecA,): ((e, X), (a, _box(X))),
-        (NecE,): ((a, x), (e, _allviews(a, x))),
-        (RM, "diamond"): ((e, _imp_w(X, Y)), (a, _imp_a(PossWorld(X), PossWorld(Y)))),
-        (RM, "box"): ((e, _imp_w(X, Y)), (a, _imp_a(_box(X), _box(Y)))),
-        (RMPrime, "some"): ((a, _imp_a(x, y)), (e, _imp_w(SomeView(a, x), SomeView(a, y)))),
-        (RMPrime, "all"): ((a, _imp_a(x, y)), (e, _imp_w(_allviews(a, x), _allviews(a, y)))),
-        (Adj1Down,): ((e, _imp_w(X, _allviews(a, y))), (a, _imp_a(PossWorld(X), y))),
-        (Adj2Down,): ((a, _imp_a(x, _box(Y))), (e, _imp_w(SomeView(a, x), Y))),
-        (AxSurjectivity,): ((a, _imp_a(x, PossWorld(SomeView(a, x)))),),
-        (AxFunctionality,): ((a, _imp_a(PossWorld(SomeView(a, x)), x)),),
+        (MP, e): ((e, WImplies(X, Y)), (e, X), (e, Y)),
+        (MP, a): ((a, AImplies(x, y)), (a, x), (a, y)),
+        (NecA,): ((e, X), (a, Box(X))),
+        (NecE,): ((a, x), (e, AllViews(a, x))),
+        (RM, "diamond"): ((e, WImplies(X, Y)), (a, AImplies(PossWorld(X), PossWorld(Y)))),
+        (RM, "box"): ((e, WImplies(X, Y)), (a, AImplies(Box(X), Box(Y)))),
+        (RMPrime, "some"): ((a, AImplies(x, y)), (e, WImplies(SomeView(a, x), SomeView(a, y)))),
+        (RMPrime, "all"): ((a, AImplies(x, y)), (e, WImplies(AllViews(a, x), AllViews(a, y)))),
+        (Adj1Down,): ((e, WImplies(X, AllViews(a, y))), (a, AImplies(PossWorld(X), y))),
+        (Adj2Down,): ((a, AImplies(x, Box(Y))), (e, WImplies(SomeView(a, x), Y))),
+        (AxSurjectivity,): ((a, AImplies(x, PossWorld(SomeView(a, x)))),),
+        (AxFunctionality,): ((a, AImplies(PossWorld(SomeView(a, x)), x)),),
     }
     # Each adjunction's upward direction is its downward one read backwards.
     rules[Adj1Up,] = rules[Adj1Down,][::-1]
     rules[Adj2Up,] = rules[Adj2Down,][::-1]
-    return rules
+    variables = {name: _Var(name) for name in "XYxy"}
+    return {key: tuple((sort, substitute_metas(desugar(f), variables)) for sort, f in row)
+            for key, row in rules.items()}
 
 
 RULES = _rule_table()
 
 
-def _match(pattern, stmt: Statement, env: dict, rule: str, role: str) -> None:
-    """Match ``stmt`` against a ``(sort, formula)`` pattern, binding its
-    metavariables and the agent in ``env``; a bound one must repeat ``==``.
-    Nothing is built: the pattern and the formula are walked in lockstep on
-    an explicit stack."""
-    sort, formula = pattern
-    if sort is _AGENT and stmt.sort != WORLD_SORT:
-        sort = env.setdefault(_AGENT, stmt.sort)
-    if stmt.sort != sort:
-        need = "an agent sort" if sort is _AGENT else f"sort {sort}"
-        _sort_error(f"{rule}: {role} has sort {stmt.sort}, the rule needs {need}")
-    todo = [(formula, stmt.formula)]
-    while todo:
-        p, f = todo.pop()
-        if p is _AGENT or type(p) in (WMeta, AMeta):
-            bound = env.setdefault(p, f)
-            if bound is f or bound == f:
-                continue
-        elif type(p) is type(f):
-            todo += zip(p._key(p), f._key(f))
-            continue
-        _mismatch(f"{rule}: {role} does not have the shape the rule needs")
+def _match(lines, k: int, stmt: Statement, just) -> None:
+    """Check line ``k``, ``stmt``, by its row of ``RULES``: fetch the
+    premises ``just`` cites, in order, match each against its pattern, then
+    the stated line against the last.  The premise indices are a
+    justification's first argument, or both of ``MP``'s, and a further
+    argument names the row.  Pattern variables bind at their first
+    occurrence, and a bound one must repeat ``==``.  Nothing is built: each
+    pattern and its formula are walked in lockstep on an explicit stack."""
+    args = just._key(just) if isinstance(just, Record) else ()
+    if type(just) is MP:
+        row, cited = RULES[MP, WORLD_SORT if stmt.sort == WORLD_SORT else _AGENT], args
+    else:
+        row, cited = RULES.get((type(just), *args[1:])), args[:1]
+    if row is None:
+        _mismatch(f"unknown justification {just!r}")
+    stmts = []
+    for i in cited:
+        if not 1 <= i < k:
+            raise _RuleError("BadReference", f"premise {i} does not precede line {k}")
+        stmts.append(lines[i - 1].statement)
+    stmts.append(stmt)
+    env = {}
+    for n, (sort, pattern) in enumerate(row):
+        given = stmts[n]
+        if sort is _AGENT and given.sort != WORLD_SORT:
+            sort = env.setdefault(_AGENT, given.sort)
+        if given.sort != sort:
+            need = "an agent sort" if sort is _AGENT else f"sort {sort}"
+            _sort_error(f"{_where(just, cited, n)} has sort {given.sort}, the rule needs {need}")
+        p, f, todo = pattern, given.formula, []
+        while True:
+            if type(p) is _Var:
+                bound = env.setdefault(p, f)
+                if bound is not f and not bound == f:
+                    _mismatch(f"{_where(just, cited, n)} does not have the shape the rule needs")
+            elif type(p) is type(f):
+                todo += zip(p._key(p), f._key(f))
+            else:
+                _mismatch(f"{_where(just, cited, n)} does not have the shape the rule needs")
+            if not todo:
+                break
+            p, f = todo.pop()
+
+
+def _where(just, cited, n) -> str:
+    """``"RM diamond: premise 1"``: the rule, then the line of pattern ``n``."""
+    rule = " ".join([type(just).__name__, *[v for v in just._key(just) if type(v) is str]])
+    return f"{rule}: " + (f"premise {cited[n]}" if n < len(cited) else "the stated line")
 
 
 # --- the non-emptiness axiom ----------------------------------------------------------
@@ -309,12 +340,11 @@ def abstract_propositional(f):
             steps.append(g)
         elif isinstance(g, _PROP_VARIABLES):
             steps.append(("var", numbers.setdefault(g, len(numbers))))
-        else:
-            todo.append(_PROP_STEPS.get(type(g), ("bad", g)))
+        elif type(g) in _PROP_STEPS:
+            todo.append(_PROP_STEPS[type(g)])
             todo.extend(reversed([kid for kid, _ in children(g, None)]))
-    for op, *arg in steps:
-        if op == "bad":
-            raise _RuleError("SortError", f"not a core formula: {arg[0]!r}")
+        else:
+            raise _RuleError("SortError", f"not a core formula: {g!r}")
     return tuple(steps), len(numbers)
 
 
@@ -341,13 +371,6 @@ def is_tautology(f) -> bool:
 # --- the checker ------------------------------------------------------------------
 
 
-def _premise(lines, k, i):
-    if not (1 <= i < k):
-        raise _RuleError("BadReference",
-                         f"premise {i} does not precede line {k}")
-    return lines[i - 1].statement
-
-
 # The justifications whose line brings a formula of its own.  Every other
 # rule assembles its line from parts of a checked premise (or the
 # non-emptiness axiom from the signature) at the sorts its patterns fix, so
@@ -367,7 +390,7 @@ def _check_sort(stmt: Statement, sig: Signature, whole: bool) -> None:
                 sort_check_world(stmt.formula, sig)
             else:
                 sort_check_agent(stmt.formula, stmt.sort, sig)
-        except SortError as err:
+        except (SortError, TypeError) as err:
             _sort_error(f"the stated line is not a formula of sort {stmt.sort}: {err}")
 
 
@@ -375,45 +398,29 @@ def check_line(d: Derivation, k: int) -> None:
     """Check line ``k`` (1-based) against the earlier lines.
 
     Raises :class:`DerivationCheckError` when the justification does not
-    produce exactly the stated statement.
+    produce exactly the stated statement, and ``IndexError`` when there is
+    no line ``k``.
     """
-    line = d.lines[k - 1]
-    stmt = line.statement
-    just = line.justification
+    lines = d.lines
+    if not 1 <= k <= len(lines):
+        raise IndexError(f"no line {k} in a derivation of {len(lines)} lines")
+    line = lines[k - 1]
+    stmt, just = line.statement, line.justification
     try:
-        match just:
-            case PropTaut():
-                if not is_tautology(stmt.formula):
-                    raise _RuleError("NotATautology",
-                                     "the propositional abstraction is falsifiable")
-            case MP(i, j):
-                impl = _premise(d.lines, k, i)
-                ante = _premise(d.lines, k, j)
-                if impl.sort != stmt.sort or ante.sort != stmt.sort:
-                    _sort_error("modus ponens premises must share the line's sort")
-                pair = _as_imp_w(impl.formula) if stmt.sort == WORLD_SORT \
-                    else _as_imp_a(impl.formula)
-                if pair is None:
-                    _mismatch(f"line {i} is not an implication")
-                l, r = pair
-                if ante.formula != l:
-                    _mismatch(f"line {j} is not the antecedent of line {i}")
-                if stmt.formula != r:
-                    _mismatch("stated formula is not the consequent of the implication")
-            case AxNonEmptiness():
-                _match_non_emptiness(stmt, d.sig)
-            case _:
-                fields = [getattr(just, f) for f in getattr(just, "__match_args__", ())]
-                patterns = RULES.get((type(just), *fields[1:]))
-                if patterns is None:
-                    _mismatch(f"unknown justification {just!r}")
-                rule, env = " ".join([type(just).__name__, *fields[1:]]), {}
-                if len(patterns) == 2:
-                    _match(patterns[0], _premise(d.lines, k, fields[0]), env, rule,
-                           f"premise {fields[0]}")
-                _match(patterns[-1], stmt, env, rule, "the stated line")
+        if type(just) is PropTaut:
+            if not is_tautology(stmt.formula):
+                raise _RuleError("NotATautology",
+                                 "the propositional abstraction is falsifiable")
+        elif type(just) is AxNonEmptiness:
+            _match_non_emptiness(stmt, d.sig)
+        else:
+            _match(lines, k, stmt, just)
         _check_sort(stmt, d.sig, type(just) in _OWN_FORMULA)
     except _RuleError as err:
+        # A formula that is not a formula record fails every rule, and this
+        # is the error to report.
+        if not isinstance(stmt.formula, (WorldFormula, AgentFormula)):
+            err = _RuleError("SortError", f"the stated line is not a formula: {stmt.formula!r}")
         raise DerivationCheckError(k, err.kind, err.message) from None
 
 
@@ -432,10 +439,6 @@ class SoundnessCounterexample(Record):
     point: object
 
 
-def _sweep_sort(stmt: Statement) -> str:
-    return "world" if stmt.sort == WORLD_SORT else stmt.sort
-
-
 def _swept_names(sig: Signature, sorts, what: str):
     """The atoms of ``sorts`` in declaration order, agents' before the
     environment's, as ``iter_valuations`` varies them."""
@@ -446,53 +449,20 @@ def _swept_names(sig: Signature, sorts, what: str):
     return names
 
 
-def _groups(d: Derivation, bounds: Bounds):
-    """Consecutive lines compiled into one program, as many as mention at
-    most ``_CHUNK_BITS`` points' worth of atoms on the widest structure.
-    Yields ``(program, lines, sorts)``, ``sorts`` giving the sort of every
-    atom the lines mention; the program's last step is their conjunction
-    (``_conjunction``)."""
-    numbers, lines, roots, sorts = {}, [], [], {}
-    for line in d.lines:
-        sort = _sweep_sort(line.statement)
-        size = len(numbers)
-        root, leaves = _compile_into(numbers, line.statement.formula, sort)
-        _swept_names(d.sig, leaves, f"line {line.index}")
-        merged = {**sorts, **leaves}
-        if lines and sum(bounds.edges if s == "world" else bounds.views
-                         for s in merged.values()) > _CHUNK_BITS:
-            for step in tuple(numbers)[size:]:
-                del numbers[step]
-            yield _conjunction(numbers, roots), lines, sorts
-            numbers, lines, roots = {}, [], []
-            root, merged = _compile_into(numbers, line.statement.formula, sort)
-        lines.append(line)
-        roots.append((sort, root))
-        sorts = merged
-    if lines:
-        yield _conjunction(numbers, roots), lines, sorts
-
-
-def _conjunction(numbers, roots):
-    """The program, up to its last step, of a world formula that holds at a
-    world where every world line holds and every agent line holds at each
-    view there: the world lines and, per agent ``a``, ``A[a]`` of the
-    conjunction of ``a``'s lines.  Each view lies in some world, so it
-    holds everywhere exactly when every line does.  ``roots`` are the
-    lines' sorts and steps in ``numbers``."""
-    def step(*key):
-        return numbers.setdefault(key, len(numbers))
-
+def _conjunction(lines):
+    """A world formula that holds at a world where every world line holds
+    and every agent line holds at each view there: the conjunction of the
+    world lines and, per agent ``a``, ``A[a]`` of the conjunction of
+    ``a``'s lines.  Each view lies in some world, so it holds everywhere
+    exactly when every line does."""
     per_sort = {}
-    for sort, root in roots:
-        k = per_sort.get(sort)
-        per_sort[sort] = root if k is None else step("and", None, k, root)
-    out = None
-    for sort, k in per_sort.items():
-        if sort != "world":
-            k = step("not", None, step("some", sort, step("not", None, k, None), None), None)
-        out = k if out is None else step("and", None, out, k)
-    return tuple(numbers)[:out + 1]
+    for line in lines:
+        sort, f = line.statement.sort, line.statement.formula
+        if sort in per_sort:
+            f = (WAnd if sort == WORLD_SORT else AAnd)(per_sort[sort], f)
+        per_sort[sort] = f
+    return reduce(WAnd, [f if sort == WORLD_SORT else AllViews(sort, f)
+                         for sort, f in per_sort.items()])
 
 
 def soundness_spotcheck(d: Derivation, bounds: Optional[Bounds] = None
@@ -500,17 +470,15 @@ def soundness_spotcheck(d: Derivation, bounds: Optional[Bounds] = None
     """Replay each accepted line against all models within bounds.
 
     World statements are checked at every edge, agent statements at every
-    view of that agent.  Consecutive lines are compiled into one program,
-    their equal steps shared, as long as the atoms they mention fit one
-    chunk of the sweep on the widest structure, and each such group is
-    swept as the one world formula that holds where all of its lines do:
-    one program interpretation per run.  Valuations vary only over the
-    atoms the group mentions (exact: a line is unaffected by an atom it
-    does not mention).  The lines of the first group that fails are swept
-    again alone, in order, each over its own atoms, so the counterexample
-    is the first line's first one, as sweeping line by line gives it.
-    Returns the first violation or None; a violation would mean the kernel
-    itself is unsound.
+    view of that agent.  If the atoms of the derivation fit one chunk of
+    the sweep on the widest structure, the lines are swept at once, as
+    their conjunction (``_conjunction``): one program, whose steps the
+    lines share, interpreted once per run.  If that fails, or the atoms do
+    not fit, the lines are swept alone, in order, so the counterexample is
+    the first failing line's first one, as sweeping line by line gives it.
+    Valuations vary only over the atoms swept (exact: a line is unaffected
+    by an atom it does not mention).  Returns the first violation or None;
+    a violation would mean the kernel itself is unsound.
     """
     check_derivation(d)
     sig = d.sig
@@ -518,17 +486,20 @@ def soundness_spotcheck(d: Derivation, bounds: Optional[Bounds] = None
         bounds = Bounds(agents=len(sig.agents), views=2, edges=3)
     bounds.validate()
     structures = _structures(sig.agents, bounds.views, bounds.edges)
-    for program, lines, sorts in _groups(d, bounds):
-        names = _swept_names(sig, sorts, "a group of lines")
-        if first_witness(program, "world", structures, names, sorts, sig)[1] is None:
-            continue
-        for line in lines:
-            sort = _sweep_sort(line.statement)
-            program, sorts = compile_program(line.statement.formula, sort)
-            _, hit = first_witness(program, sort, structures,
-                                   _swept_names(sig, sorts, f"line {line.index}"), sorts, sig)
-            if hit is not None:
-                model, point = hit
-                _revalidate(model, point, line.statement.formula)
-                return SoundnessCounterexample(line.index, model, point)
+    if d.lines:
+        program, sorts = compile_program(_conjunction(d.lines), "world")
+        if sum(bounds.edges if s == "world" else bounds.views
+               for s in sorts.values()) <= _CHUNK_BITS:
+            names = _swept_names(sig, sorts, "the derivation")
+            if first_witness(program, "world", structures, names, sorts, sig)[1] is None:
+                return None
+    for line in d.lines:
+        sort = "world" if line.statement.sort == WORLD_SORT else line.statement.sort
+        program, sorts = compile_program(line.statement.formula, sort)
+        _, hit = first_witness(program, sort, structures,
+                               _swept_names(sig, sorts, f"line {line.index}"), sorts, sig)
+        if hit is not None:
+            model, point = hit
+            _revalidate(model, point, line.statement.formula)
+            return SoundnessCounterexample(line.index, model, point)
     return None

@@ -21,8 +21,7 @@ compiled once into a register program, and every point's value is one int
 whose bit ``t`` is its truth value under assignment ``t`` (bit-slicing
 across valuations).  The program's steps are value-numbered: each step
 names its operands by their indices, and a step equal to one already
-emitted is not emitted again, so each distinct subformula is computed once
-(the spotcheck compiles a whole run of derivation lines into one program).
+emitted is not emitted again, so each distinct subformula is computed once.
 After each stretch of ``_STRETCH`` steps the interpreter drops the values
 that no later step reads, so a long program holds about as many values at
 once as a short one.
@@ -532,16 +531,7 @@ def compile_program(f, sort: str, allow_metas: bool = False):
     named ``"?x"``, which no atom can be named, so that it never shares a
     leaf with the atom ``x``.
     """
-    numbers = {}
-    _, leaves = _compile_into(numbers, f, sort, allow_metas)
-    return tuple(numbers), leaves
-
-
-def _compile_into(numbers: Dict[tuple, int], f, sort: str, allow_metas: bool = False):
-    """Compile a formula into a program under construction: ``numbers``
-    maps each step to its index, in the order the steps were emitted.
-    Returns the index of the formula's step and the sorts of its leaves.
-    Formulas compiled into one program share their equal steps."""
+    numbers: Dict[tuple, int] = {}          # each step's index, in emission order
     leaves: Dict[str, str] = {}
     done = []                               # indices of operands not yet used
     todo = [(f, sort)]
@@ -572,7 +562,7 @@ def _compile_into(numbers: Dict[tuple, int], f, sort: str, allow_metas: bool = F
                 raise SortError(f"'{node.name}' occurs at two sorts", node=node)
             step = ("atom", name, None, None)
         done.append(numbers.setdefault(step, len(numbers)))
-    return done[0], leaves
+    return tuple(numbers), leaves
 
 
 # Assignments per chunk of the sweep, as a power of two.

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import hyperknow as hk
-from hyperknow import parser, proofkernel
+from hyperknow import parser, proofkernel, search
 from hyperknow.errors import DerivationCheckError
 from hyperknow.proofkernel import (
     MP,
@@ -146,17 +146,76 @@ def test_a_line_must_be_a_formula_of_its_stated_sort(lines):
         soundness_spotcheck(d)
 
 
+@pytest.mark.parametrize("formula", [None, "p"], ids=["None", "str"])
+@pytest.mark.parametrize("premise", [False, True], ids=["alone", "after-a-premise"])
+def test_a_line_that_is_not_a_formula_is_a_sort_error(formula, premise):
+    # Under every justification, with or without a line it may cite.
+    first = [DerivationLine(1, Statement("e", _w("p -> p")), PropTaut())] if premise else []
+    for just in _forms(1, 1):
+        d = Derivation(sig=SIG, lines=(*first, DerivationLine(len(first) + 1,
+                                                             Statement("e", formula), just)))
+        with pytest.raises(DerivationCheckError) as err:
+            check_derivation(d)
+        assert (err.value.line, err.value.kind) == (len(d.lines), "SortError"), just
+        with pytest.raises(DerivationCheckError):
+            soundness_spotcheck(d)
+
+
+@pytest.mark.parametrize("stmt, just", [
+    (Statement("e", WNot(None)), PropTaut()),
+    # x -> <> E[a] x at x := None has the axiom's shape.
+    (Statement("a", ANot(AAnd(None, ANot(PossWorld(SomeView("a", None)))))), AxSurjectivity()),
+], ids=["taut", "surjectivity"])
+def test_a_non_formula_inside_a_line_the_kernel_reads_is_a_sort_error(stmt, just):
+    d = Derivation(sig=SIG, lines=(DerivationLine(1, stmt, just),))
+    with pytest.raises(DerivationCheckError) as err:
+        check_derivation(d)
+    assert (err.value.line, err.value.kind) == (1, "SortError")
+
+
+def test_check_line_rejects_a_line_number_outside_the_derivation():
+    # Line 0 or -1 must not stand for the last line: line 3 of ksafe_4.deriv
+    # cites line 2, and a last line justified by taut checks anywhere.
+    d = parser.parse_derivation((CORPUS / "ksafe_4.deriv").read_text())
+    taut = _derivation(("e", "p -> p", PropTaut()), ("e", "p | ~p", PropTaut()))
+    for derivation in (d, taut):
+        n = len(derivation.lines)
+        for k in (0, -1, -n, n + 1, 9):
+            with pytest.raises(IndexError, match=f"no line {k} in a derivation of {n} lines"):
+                check_line(derivation, k)
+        for k in range(1, n + 1):
+            check_line(derivation, k)
+
+
 SIG2 = hk.Signature(("a", "b"), {"a": ("pa",)}, ("p",))
 
 # Each rule of the table: its justification, an accepted premise (None for
-# an axiom) and stated line, then faults.  A fault replaces the premise
-# and/or the stated line (None keeps it) and names the expected error kind,
-# at the rule's line.  A statement is (sort, text), or (sort, text, the sort
-# the text is parsed at).  The faults are: a premise of the wrong sort or
-# shape, a stated line of the wrong sort or formula, a metavariable bound
-# twice differently, and an agent clash.  NecA and NecE take any premise
-# formula, and NecA and RM name their agent only in the stated sort.
+# an axiom, a list for MP's two) and stated line, then faults.  A fault
+# replaces the premise(s) and/or the stated line (None keeps it) and names
+# the expected error kind, at the rule's line.  A statement is (sort, text),
+# or (sort, text, the sort the text is parsed at).  The faults are: a
+# premise of the wrong sort or shape, a stated line of the wrong sort or
+# formula, a metavariable bound twice differently, and an agent clash.
+# NecA and NecE take any premise formula, and NecA and RM name their agent
+# only in the stated sort.  MP's faults: an implication that is not one, an
+# antecedent of the wrong sort or not the implication's, a wrong
+# consequent, and a stated line of the other sort.
+_MP_E = [("e", "(p -> p) -> (p | ~p)"), ("e", "p -> p")]
+_MP_A = [("a", "(pa -> pa) -> (pa | ~pa)"), ("a", "pa -> pa")]
 _RULE_CASES = [
+    (MP(1, 2), _MP_E, ("e", "p | ~p"), [
+        ([("e", "(p -> p) & (p | ~p)"), _MP_E[1]], None, "RuleMismatch"),
+        ([_MP_E[0], ("a", "p -> p", "e")], None, "SortError"),
+        ([_MP_E[0], ("e", "p -> ~p")], None, "RuleMismatch"),
+        (None, ("e", "p | p"), "RuleMismatch"),
+        (None, ("a", "p | ~p", "e"), "SortError")]),
+    (MP(1, 2), _MP_A, ("a", "pa | ~pa"), [
+        ([("a", "(pa -> pa) & (pa | ~pa)"), _MP_A[1]], None, "RuleMismatch"),
+        ([_MP_A[0], ("e", "pa -> pa", "a")], None, "SortError"),
+        ([_MP_A[0], ("b", "pa -> pa", "a")], None, "SortError"),
+        ([_MP_A[0], ("a", "pa -> ~pa")], None, "RuleMismatch"),
+        (None, ("a", "pa | pa"), "RuleMismatch"),
+        (None, ("e", "pa | ~pa", "a"), "SortError")]),
     (NecA(1), ("e", "p -> p"), ("a", "[] (p -> p)"), [
         (("a", "<> p -> <> p"), None, "SortError"),
         (None, ("e", "[] (p -> p)", "a"), "SortError"),
@@ -238,24 +297,32 @@ _RULE_CASES = [
 
 
 def _case(premise, stated, just):
-    """The derivation of ``premise`` (taken as a tautology) and ``stated``."""
+    """The derivation of the premise(s) (taken as tautologies) and
+    ``stated``."""
+    premises = premise if isinstance(premise, list) else [premise] if premise else []
     lines = []
-    for stmt, j in ((premise, PropTaut()), (stated, just)):
-        if stmt is not None:
-            sort, text, *parsed_at = stmt
-            at = (parsed_at or [sort])[0]
-            f = _w(text, SIG2) if at == "e" else parser.parse_agent(text, at, SIG2)
-            lines.append(DerivationLine(len(lines) + 1, Statement(sort, f), j))
+    for stmt, j in [*[(p, PropTaut()) for p in premises], (stated, just)]:
+        sort, text, *parsed_at = stmt
+        at = (parsed_at or [sort])[0]
+        f = _w(text, SIG2) if at == "e" else parser.parse_agent(text, at, SIG2)
+        lines.append(DerivationLine(len(lines) + 1, Statement(sort, f), j))
     return Derivation(sig=SIG2, lines=tuple(lines))
 
 
 def test_rule_table_cases_cover_every_rule():
-    assert {(type(j), *[getattr(j, f) for f in type(j).__match_args__][1:])
-            for j, *_ in _RULE_CASES} == set(RULES)
+    # A row is keyed by the justification's class and its arguments after
+    # the premise index; MP's two rows by the stated sort, e or an agent's.
+    def key(just, stated):
+        if type(just) is MP:
+            return MP, "e" if stated[0] == "e" else proofkernel._AGENT
+        return (type(just), *[getattr(just, f) for f in type(just).__match_args__][1:])
+    keys = [key(just, stated) for just, _, stated, _ in _RULE_CASES]
+    assert len(keys) == len(set(keys)) and set(keys) == set(RULES)
 
 
 @pytest.mark.parametrize("just, premise, stated, faults", _RULE_CASES,
-                         ids=[repr(case[0]) for case in _RULE_CASES])
+                         ids=[f"MP at {stated[0]}" if type(just) is MP else repr(just)
+                              for just, _, stated, _ in _RULE_CASES])
 def test_rule_table(just, premise, stated, faults):
     d = _case(premise, stated, just)
     check_derivation(d)
@@ -439,10 +506,26 @@ def test_corpus_checks(path):
     check_derivation(d)
 
 
+def _counting_sweeps(monkeypatch):
+    """The programs the spot check sweeps, each with its sort, in order."""
+    swept = []
+
+    def first_witness(program, sort, *args):
+        swept.append((program, sort))
+        return search.first_witness(program, sort, *args)
+    monkeypatch.setattr(proofkernel, "first_witness", first_witness)
+    return swept
+
+
 @pytest.mark.parametrize("path", [p.name for p in sorted(CORPUS.glob('*.deriv'))])
-def test_corpus_soundness(path):
+def test_corpus_soundness(path, monkeypatch):
+    # Every corpus file's atoms fit one chunk, so its lines are swept at
+    # once, as their conjunction.
+    swept = _counting_sweeps(monkeypatch)
     d = parser.parse_derivation((CORPUS / path).read_text())
     assert soundness_spotcheck(d) is None
+    assert swept == [(search.compile_program(proofkernel._conjunction(d.lines), "world")[0],
+                      "world")]
 
 
 def _corrupt(line):
@@ -547,8 +630,11 @@ def test_spotcheck_reports_the_first_violation_of_the_valuation_stream(monkeypat
     # Unsound lines only reach the spot check past the kernel, so the kernel
     # is switched off; the first violation must be the one that replaying
     # one valuation at a time finds first.  Derivations of 3 to 12 lines
-    # hold up to a random line, so violations come early and late.
+    # hold up to a random line, so violations come early and late.  The
+    # atoms fit one chunk, so each derivation is swept at once, and one
+    # that fails is swept again line by line, up to its failing line.
     monkeypatch.setattr(proofkernel, "check_derivation", lambda d: None)
+    swept = _counting_sweeps(monkeypatch)
     sig = hk.Signature(("a", "b"), {"a": ("pa", "qa"), "b": ("pb",)}, ("p", "r"))
     rng = random.Random("spotcheck")
     bounds = Bounds(agents=2, views=2, edges=2)
@@ -564,19 +650,21 @@ def test_spotcheck_reports_the_first_violation_of_the_valuation_stream(monkeypat
             f = (_random_line(rng, sig, sort, 3) if k >= first_random
                  else _valid_line(rng, sig, sort, pool))
             lines.append(DerivationLine(k, Statement(sort, f), PropTaut()))
+        swept.clear()
         failing.append(_agrees_with_the_replay(Derivation(sig=sig, lines=tuple(lines)),
                                                bounds))
+        assert len(swept) == 1 + (failing[-1] or 0)
     assert None in failing
     assert any(k is not None and k <= 2 for k in failing)
     assert any(k is not None and k >= 6 for k in failing)
 
 
-def test_spotcheck_sweeps_lines_in_groups_that_fit_a_chunk(monkeypatch):
+def test_spotcheck_sweeps_lines_alone_when_their_atoms_overflow_a_chunk(monkeypatch):
     # Six environment atoms take 18 bits at 3 edges, more than one chunk
-    # holds, so the lines are swept as two groups: the first four atoms'
-    # lines, then the rest.  A violation in the second group is the one the
-    # replay finds.
+    # holds, so the lines are swept alone, in order, and a violation is the
+    # one the replay finds.
     monkeypatch.setattr(proofkernel, "check_derivation", lambda d: None)
+    swept = _counting_sweeps(monkeypatch)
     sig = hk.Signature(("a", "b"), {}, tuple(f"p{i}" for i in range(1, 7)))
     bounds = Bounds(agents=2, views=2, edges=3)
     texts = [f"p{i} -> p{i}" for i in range(1, 7)] + ["p6 -> (p5 -> p6)", "p6 -> p5"]
@@ -584,10 +672,10 @@ def test_spotcheck_sweeps_lines_in_groups_that_fit_a_chunk(monkeypatch):
                   for k, text in enumerate(texts, start=1))
     for d, line in ((Derivation(sig=sig, lines=lines[:-1]), None),
                     (Derivation(sig=sig, lines=lines), 8)):
-        groups = list(proofkernel._groups(d, bounds))
-        assert [[line.index for line in group] for _, group, _ in groups] == \
-            [[1, 2, 3, 4], list(range(5, len(d.lines) + 1))]
+        swept.clear()
         assert _agrees_with_the_replay(d, bounds) == line
+        assert swept == [(search.compile_program(line.statement.formula, "world")[0], "world")
+                         for line in d.lines]
 
 
 # --- pinned outcomes of a bounded mutation set ---------------------------------
