@@ -134,10 +134,10 @@ def build_frame_model(agents, worlds, classes, atoms=(), val=None) -> PartialEpi
     fixed = {}
     for atom in atoms:
         members = frozenset(val.get(atom, frozenset()))
-        for w in members - known:
+        for w in sorted(members - known):
             problems.append(f"valuation: atom {atom} mentions unknown world '{w}'")
         fixed[atom] = members
-    for atom in set(val) - set(atoms):
+    for atom in sorted(set(val) - set(atoms)):
         problems.append(f"valuation: undeclared atom '{atom}'")
     if problems:
         raise ValidationError(problems)

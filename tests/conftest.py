@@ -245,3 +245,9 @@ MODEL_LINES = (
     "atoms a: pa", "atoms[]: p", "agents a", "agents: a,", "mode generalized", "mode: other",
     "atoms[env]: p q", "view\ta:\ta2\r")
 MODEL_SOUP = soup(MODEL_HEADERS, MODEL_LINES)
+
+FRAME_HEADERS = ("agents: a, b\nworlds: w1, w2\nclass a: w1, w2\n",)
+FRAME_LINES = (
+    "worlds: w1, w2", "worlds: w1", "class a: w1, w2", "class a: w1", "class b: w2",
+    "class b: w1, w2", "class zz: w1", "env p: w1", "env q:", "env p: w3")
+FRAME_SOUP = soup(FRAME_HEADERS, FRAME_LINES)

@@ -13,13 +13,10 @@ import hyperknow as hk
 from hyperknow import cli, parser
 from hyperknow.errors import HyperknowError
 
-from conftest import MODEL_SOUP, WORD_SOUP, soup
+from conftest import FRAME_SOUP, MODEL_SOUP, WORD_SOUP, soup
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
 
-_FRAMES = soup(("agents: a, b\nworlds: w1, w2\nclass a: w1, w2\n",), (
-    "worlds: w1, w2", "worlds: w1", "class a: w1, w2", "class a: w1", "class b: w2",
-    "class b: w1, w2", "class zz: w1", "env p: w1", "env q:", "env p: w3"))
 _DERIVATIONS = soup(("agents: a, b\natoms[a]: pa\natoms[env]: p\n",), (
     "atoms[a]: pa", "atoms[env]: p", "atoms[zz]: s", "agents: e",
     "1. e: p -> p ; taut", "1. a: pa -> pa ; taut", "2. a: [] (p -> p) ; nec_a 1",
@@ -33,7 +30,7 @@ _SIG = hk.Signature(("a", "b"), {"a": ("pa",), "b": ("pb",)}, ("p", "q"))
 
 
 @FUZZ
-@given(MODEL_SOUP, _FRAMES, _DERIVATIONS)
+@given(MODEL_SOUP, FRAME_SOUP, _DERIVATIONS)
 def test_file_parsers_raise_only_hyperknow_errors(model, frame, derivation):
     for read, text in ((parser.parse_model, model), (parser.parse_frame, frame),
                        (parser.parse_derivation, derivation)):
@@ -69,7 +66,7 @@ def _run(argv, stdin_text):
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(MODEL_SOUP, _FRAMES, _DERIVATIONS, _formulas)
+@given(MODEL_SOUP, FRAME_SOUP, _DERIVATIONS, _formulas)
 def test_cli_exits_0_1_or_2_without_traceback(model, frame, derivation, formula):
     for argv, text in ((["valid", "--model", "-", "--formula", formula], model),
                        (["check", "--model", "-", "--world", "e1", "--formula", formula], model),

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +21,8 @@ from hyperknow.syntax import (
     desugar,
 )
 
-from conftest import (MODEL_HEADERS, MODEL_LINES, MODEL_SOUP, random_agent, random_world,
-                      small_model_pool)
+from conftest import (FRAME_HEADERS, FRAME_LINES, MODEL_HEADERS, MODEL_LINES, MODEL_SOUP,
+                      random_agent, random_world, small_model_pool)
 
 
 @pytest.fixture
@@ -473,3 +475,103 @@ def test_builtin_renderings_take_the_word_path(name):
     assert m is not None
     assert m == parser._model_by_tokens(text)
     assert parser.render_model(m) == text
+
+
+# --- pinned outcomes of the file readers -----------------------------------------
+#
+# tests/data/file_reader_outcomes.txt holds file_reader_outcomes() byte for
+# byte: for each group of inputs a ``[group]`` line, then one line per input,
+# a digest of its text and its outcome: the error's type, span and message,
+# or ``read`` and a digest of what was read.  Print the current text with
+# ``PYTHONPATH=src python tests/test_parser.py``.
+
+OUTCOMES = Path(__file__).parent / "data" / "file_reader_outcomes.txt"
+
+_MUTATION_CHARS = ' \t\r\n{}:,[]#"-a_e'
+# Every declaration form of a frame file, and a derivation's header lines.
+_SMALL_FRAME = ('agents: a, b\nworlds: w1, "w 2"\nclass a: w1, "w 2"\nclass b: w1\n'
+                'class b: "w 2"\nenv p: w1\nenv q:\n')
+_DERIVATION_HEADER = 'agents: a, b\natoms[a]: pa\natoms[env]: p, "r s"\n'
+
+
+def _mutations(text, upto):
+    """``text`` with one character deleted, replaced or inserted at each
+    position up to ``upto``."""
+    for i in range(upto + 1):
+        yield text[:i] + text[i + 1:]
+        for c in _MUTATION_CHARS:
+            yield text[:i] + c + text[i + 1:]
+            yield text[:i] + c + text[i:]
+
+
+def _pairs(headers, lines):
+    for header in (*headers, ""):
+        for first in lines:
+            yield f"{header}{first}\n"
+            for second in lines:
+                yield f"{header}{first}\n{second}\n"
+
+
+def _golden_groups():
+    """The golden file's groups: name -> (file format, input texts)."""
+    groups = {"model-pairs": ("model", _pairs(MODEL_HEADERS, MODEL_LINES))}
+    for text, name in zip(_SMALL_MODELS, ("functional", "generalized")):
+        groups[f"model-mutation-{name}"] = ("model", _mutations(text, len(text)))
+    for name, text in _BUILTIN_TEXTS.items():
+        groups[f"model-respelled-{name}"] = ("model", _respellings(text))
+    pool = list(_POOL_TEXTS.values())
+    for i in range(0, len(pool), 8):
+        groups[f"model-respelled-pool-{i}"] = (
+            "model", [v for text in pool[i:i + 8] for v in _respellings(text)])
+    groups["frame-pairs"] = ("frame", _pairs(FRAME_HEADERS, FRAME_LINES))
+    groups["frame-mutation"] = ("frame", _mutations(_SMALL_FRAME, len(_SMALL_FRAME)))
+    groups["derivation-header-mutation"] = (
+        "derivation", _mutations(_DERIVATION_HEADER + _DERIVATION_BODY, len(_DERIVATION_HEADER)))
+    return {name: (fmt, list(dict.fromkeys(texts))) for name, (fmt, texts) in groups.items()}
+
+
+def _digest(text):
+    return hashlib.sha1(text.encode()).hexdigest()[:8]
+
+
+def _read(fmt, text):
+    """What reading ``text`` gives, as text: the model or frame rendered
+    with its valuations, or the derivation's record."""
+    if fmt == "model":
+        m = parser.parse_model(text)
+        return repr((type(m).__name__, parser.render_model(m),
+                     sorted((a, sorted((atom, sorted(v)) for atom, v in val.items()))
+                            for a, val in m.val_agent.items()),
+                     sorted((atom, sorted(v)) for atom, v in m.val_env.items())))
+    if fmt == "frame":
+        fm = parser.parse_frame(text)
+        return repr((parser.render_frame(fm), sorted((a, sorted(v)) for a, v in fm.val.items())))
+    return repr(parser.parse_derivation(text))
+
+
+def _outcome(fmt, text):
+    try:
+        return f"read {_digest(_read(fmt, text))}"
+    except HyperknowError as err:
+        span = getattr(err, "span", None)
+        where = f" {span.start}-{span.end}" if span is not None else ""
+        # Escaped, so that a '\r' in a name stays on its line.
+        message = str(err).encode("unicode_escape").decode("ascii")
+        return f"{type(err).__name__}{where} {message}"
+
+
+def _group_outcomes(name, fmt, texts):
+    return [f"[{name}]", *[f"{_digest(text)} {_outcome(fmt, text)}" for text in texts]]
+
+
+def file_reader_outcomes() -> str:
+    return "".join(line + "\n" for name, (fmt, texts) in _golden_groups().items()
+                   for line in _group_outcomes(name, fmt, texts))
+
+
+def test_file_reader_outcomes_match_the_golden_file():
+    assert file_reader_outcomes() == OUTCOMES.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    print(file_reader_outcomes(), end="")
