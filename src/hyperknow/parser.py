@@ -33,9 +33,12 @@ pieces and subformulas.
 The module also reads and writes the model, frame, and derivation file
 formats.  Files are line-oriented; ``#`` starts a comment.  Names are bare
 tokens or double-quoted strings (quoting is needed for the view names
-produced by the frame-to-hypergraph conversion).  A model file of bare names
-alone is read by splitting its lines into words, without tokens; every other
-file, and every fault, goes through the tokenizer (see ``parse_model``).
+produced by the frame-to-hypergraph conversion).  Model and frame files,
+and the header lines of derivation files, are read by one walk over each
+line's words, the texts its tokens have, without building tokens: a file of
+bare names and ``{ } : , [ ]`` alone is spaced at those marks and split
+with ``str.split``, any other file is split by the tokenizer's piece shapes.
+Only when the walk finds a fault is the file tokenized, for its span.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .core import (
     build_generalized_model,
     build_model,
 )
-from .errors import ParseError, SortError, ValidationError
+from .errors import ParseError, SortError
 from .frames import PartialEpistemicModel, build_frame_model
 from .syntax import (
     AAnd,
@@ -591,6 +594,11 @@ def _match(pattern, node, kids):
 
 
 # --- line-oriented files ------------------------------------------------------
+#
+# The walk over a line's words (see the module docstring) is made of helpers
+# that take the words and an index into them.  On a mismatch they raise a
+# ``_Fault`` that points at a word; only then is the file tokenized, to turn
+# the word into its token's span.
 
 
 class _Lines:
@@ -611,61 +619,148 @@ class _Lines:
                 current.append(tok)
 
 
-def _name_token(p: _FormulaParser, what: str) -> Tuple[str, Token]:
-    tok = p.peek()
-    if tok.kind == "IDENT":
-        p.advance()
-        return tok.text, tok
-    if tok.kind == "STRING":
-        p.advance()
-        return tok.text[1:-1], tok
-    raise ParseError(f"expected {what}", tok.span)
+# A file of these characters alone, spaced at its marks, splits by
+# ``str.split`` into the texts of its tokens, unless it holds "[]": that is
+# one token, and no valid file holds it.
+_WORD_FILE_RE = re.compile(r"[A-Za-z0-9_ \t\r\n{}:,\[\]]*")
+# Any other file is split line by line into the tokenizer's pieces without
+# blanks; a comment is the last piece of its line.
+_WORD_RE = re.compile(r'#.*|->|<>|\[\]|[A-Za-z0-9_]+|"[^"]*"|[^ \t\r]')
+_IDENT_FIRST = frozenset(_IDENT_CHARS)
 
 
-def _name_list(p: _FormulaParser, what: str, allow_empty: bool = False) -> List[str]:
-    if allow_empty and p.peek().kind == "EOF":
-        return []
-    names = [_name_token(p, what)[0]]
-    while p.peek().kind == "COMMA":
-        p.advance()
-        names.append(_name_token(p, what)[0])
-    return names
+def _spaced(text: str) -> bool:
+    """Whether ``_lines`` splits ``text`` at its spaced marks."""
+    return "[]" not in text and _WORD_FILE_RE.fullmatch(text) is not None
+
+
+def _piece_words(line: str) -> List[str]:
+    """The texts of the tokens of ``line``, a line of a file."""
+    words = _WORD_RE.findall(line)
+    if words and words[-1][0] == "#":
+        words.pop()
+    return words
+
+
+def _lines(text: str) -> List[List[str]]:
+    """The words of each line of ``text`` that has a token, in order: the
+    texts of the tokens that ``_Lines`` gives, with ``""`` for the line's end.
+    Both splits give the same words where both apply."""
+    if _spaced(text):
+        for mark in "{}:,[]":
+            text = text.replace(mark, f" {mark} ")
+        split = map(str.split, text.split("\n"))
+    else:
+        split = map(_piece_words, text.split("\n"))
+    lines = []
+    for words in split:
+        if words:
+            words.append("")
+            lines.append(words)
+    return lines
+
+
+class _Fault(Exception):
+    """A mismatch that a walk over words found: its message, and the index
+    of the word it points at on line ``k`` of the file's word lines, which
+    the walk fills in when the fault is not on the line being read."""
+
+    def __init__(self, message: str, i: int, k: Optional[int] = None):
+        super().__init__(message)
+        self.message, self.i, self.k = message, i, k
+
+    def error(self, text: str, k: int) -> ParseError:
+        """This fault of ``text``, found while line ``k`` was read, as a
+        ``ParseError``.  The file is tokenized first, so an unexpected
+        character anywhere in it is reported instead; else the span is that
+        of the token the fault's word is the text of."""
+        line = _Lines(text).lines[k if self.k is None else self.k]
+        return ParseError(self.message, line[self.i].span)
+
+
+def _name(words: List[str], i: int, what: str) -> Tuple[str, int]:
+    """The name at word ``i``, bare or quoted, and the index after it."""
+    w = words[i]
+    if w[:1] in _IDENT_FIRST:
+        return w, i + 1
+    if len(w) > 1 and w[0] == '"':
+        return w[1:-1], i + 1
+    raise _Fault(f"expected {what}", i)
+
+
+def _names(words: List[str], i: int, what: str) -> Tuple[List[str], int]:
+    """The names of the comma list at word ``i``, and the index after it."""
+    name, i = _name(words, i, what)
+    names = [name]
+    while words[i] == ",":
+        name, i = _name(words, i + 1, what)
+        names.append(name)
+    return names, i
+
+
+def _ident(words: List[str], i: int, what: str) -> str:
+    """The bare name at word ``i``."""
+    w = words[i]
+    if w[:1] not in _IDENT_FIRST:
+        raise _Fault(f"expected {what}", i)
+    return w
+
+
+def _mark(words: List[str], i: int, mark: str) -> int:
+    """The index after ``mark``, which must be word ``i``."""
+    if words[i] != mark:
+        raise _Fault(f"expected '{mark}'", i)
+    return i + 1
+
+
+def _end(words: List[str], i: int) -> None:
+    """Word ``i`` must be the end of the line."""
+    if words[i]:
+        raise _Fault(f"unexpected trailing input {words[i]!r}", i)
+
+
+def _unknown(head: str) -> _Fault:
+    """The fault of a line that starts with ``head`` and is no declaration."""
+    if head[:1] in _IDENT_FIRST:
+        return _Fault(f"unknown declaration '{head}'", 0)
+    return _Fault("expected a declaration", 0)
+
+
+def _missing(what: str) -> ParseError:
+    return ParseError(f"missing '{what}' declaration", SourceSpan(0, 0, 1, 1))
 
 
 class _Header:
-    """The signature header that model and derivation files share: one
-    ``agents:`` line and at most one ``atoms[owner]:`` line per owner."""
+    """The signature header that all three file formats share: one
+    ``agents:`` line and, but in frame files, at most one ``atoms[owner]:``
+    line per owner."""
 
     def __init__(self):
         self.agents: Optional[List[str]] = None
-        self.atoms = {}     # owner -> (names, span of the line)
+        self.atoms = {}     # owner -> (names, index of the line)
 
-    def read(self, p: _FormulaParser, head: Token):
-        """Read the ``agents:`` or ``atoms[...]:`` line that ``head`` starts."""
-        p.advance()
-        if head.text == "agents":
-            p.expect("COLON", "':'")
+    def read(self, words: List[str], k: int):
+        """Read the ``agents:`` or ``atoms[...]:`` line ``words``, line ``k``."""
+        if words[0] == "agents":
+            i = _mark(words, 1, ":")
             if self.agents is not None:
-                raise ParseError("duplicate 'agents' declaration", head.span)
-            self.agents = _name_list(p, "agent name")
-            p.expect_eof()
+                raise _Fault("duplicate 'agents' declaration", 0)
+            self.agents, i = _names(words, i, "agent name")
+            _end(words, i)
             return
-        p.expect("LBRACK", "'['")
-        owner = p.expect("IDENT", "agent name or 'env'").text
-        p.expect("RBRACK", "']'")
-        p.expect("COLON", "':'")
-        names = _name_list(p, "atom name")
-        p.expect_eof()
+        owner = _ident(words, _mark(words, 1, "["), "agent name or 'env'")
+        names, i = _names(words, _mark(words, _mark(words, 3, "]"), ":"), "atom name")
+        _end(words, i)
         if owner in self.atoms:
-            raise ParseError(f"duplicate 'atoms[{owner}]' declaration", head.span)
-        self.atoms[owner] = (names, head.span)
+            raise _Fault(f"duplicate 'atoms[{owner}]' declaration", 0)
+        self.atoms[owner] = (names, k)
 
     def signature(self) -> Signature:
         if self.agents is None:
-            raise ParseError("missing 'agents' declaration", SourceSpan(0, 0, 1, 1))
-        for owner, (_, span) in self.atoms.items():
+            raise _missing("agents")
+        for owner, (_, k) in self.atoms.items():
             if owner != "env" and owner not in self.agents:
-                raise ParseError(f"atoms declared for unknown agent '{owner}'", span)
+                raise _Fault(f"atoms declared for unknown agent '{owner}'", 0, k)
         return _signature(self.agents, {owner: names for owner, (names, _) in self.atoms.items()})
 
 
@@ -682,211 +777,88 @@ def parse_model(text: str):
     the file declares ``mode: generalized`` (which permits several views of
     one agent in the same edge).
 
-    A file of bare names and ``{ } : , [ ]`` alone, which is what
-    ``render_model`` writes for bare names, is read by words and never
-    tokenized.  Any other file, and any file the word reader finds a fault
-    in, is read by the token reader, which makes every error report.
+    The faults are checked in this order: each line's, in order; a missing
+    ``agents`` line, then atoms of an unknown owner; the signature's own;
+    views, then edges, of an unknown agent; then the model builder's.
     """
-    if _WORD_FILE_RE.fullmatch(text):
-        try:
-            model = _model_by_words(text)
-        except ValidationError:
-            model = None
-        if model is not None:
-            return model
-    return _model_by_tokens(text)
-
-
-# The characters of a file the word reader takes.  Spaced at its marks, such
-# a file splits into words that are each a bare name or one mark.
-_WORD_FILE_RE = re.compile(r"[A-Za-z0-9_ \t\r\n{}:,\[\]]*")
-_MARKS = frozenset("{}:,[]")
-
-
-def _word_names(words):
-    """The names of ``name , name , ... , name``, or None for other words."""
-    names = words[::2]
-    if (len(words) % 2 and words[1::2].count(",") == len(words) // 2
-            and _MARKS.isdisjoint(names)):
-        return names
-    return None
-
-
-def _model_by_words(text: str):
-    """The model of a file of bare names and marks, read by words, or None
-    where a line or a check does not fit; then the token reader reads it.
-
-    It accepts only files that the token reader accepts, with the same
-    result.  Duplicate views and edges, and edges naming an unknown agent,
-    fail the builder's checks with ``ValidationError``, so only the faults
-    the builder cannot see are checked here.  An agent or owner that is a
-    mark is never a declared agent.
-    """
-    for mark in "{}:,[]":
-        text = text.replace(mark, f" {mark} ")
-    agents = None
-    atoms = {}              # owner -> [name, ...]
-    generalized = False
-    views = {}              # agent -> [view, ...]
-    view_atoms = []         # (agent, view, [atom, ...], None)
-    edges = []
-    edge_views = []         # (edge, agent, view, None)
-    edge_env = []           # (edge, [atom, ...])
-    for line in text.split("\n"):
-        words = line.split()
-        if not words:
-            continue
-        head = words[0]
-        if head == "view":
-            # view A : V   or   view A : V { names }
-            if len(words) < 4 or words[2] != ":" or words[3] in _MARKS:
-                return None
-            names = []
-            if len(words) > 4:
-                if words[4] != "{" or words[-1] != "}":
-                    return None
-                names = _word_names(words[5:-1])
-                if names is None:
-                    return None
-            views.setdefault(words[1], []).append(words[3])
-            view_atoms.append((words[1], words[3], names, None))
-        elif head == "edge":
-            # edge E { A : V , ... , A : V }   then optionally   env { names }
-            close = words.index("}") if "}" in words else 0
-            if close < 3:
-                return None
-            ename, body, rest = words[1], words[3:close], words[close + 1:]
-            k = (len(body) + 1) // 4
-            if (words[2] != "{" or ename in _MARKS
-                    or len(body) % 4 != 3 or body[1::4].count(":") != k
-                    or body[3::4].count(",") != k - 1 or not _MARKS.isdisjoint(body[::2])):
-                return None
-            agents_here = body[::4]
-            if not generalized and len(set(agents_here)) != k:
-                return None
-            if rest:
-                names = _word_names(rest[2:-1])
-                if rest[:2] != ["env", "{"] or rest[-1] != "}" or names is None:
-                    return None
-                edge_env.append((ename, names))
-            edges.append(ename)
-            edge_views += [(ename, a, v, None) for a, v in zip(agents_here, body[2::4])]
-        elif head == "atoms":
-            # atoms [ O ] : names
-            names = _word_names(words[5:])
-            if names is None or words[1] != "[" or words[3:5] != ["]", ":"] or words[2] in atoms:
-                return None
-            atoms[words[2]] = names
-        elif head == "agents":
-            if agents is not None or words[1:2] != [":"]:
-                return None
-            agents = _word_names(words[2:])
-            if agents is None:
-                return None
-        elif words == ["mode", ":", "generalized"]:
-            generalized = True
-        else:
-            return None
-    if agents is None or not atoms.keys() - {"env"} <= set(agents):
-        return None
-    sig = _signature(agents, atoms)
-    if not views.keys() <= set(sig.agents):
-        return None
-    return _model_from(sig, generalized, views, edges, view_atoms, edge_views, edge_env)
-
-
-def _model_by_tokens(text: str):
-    """The model of a file in the model format, read token by token; every
-    fault in the file is reported from here."""
     header = _Header()
     generalized = False
     views = {}          # agent -> [view, ...]
     seen_views = set()  # (agent, view)
-    view_atoms = []     # (agent, view, [atom, ...], agent token)
+    view_atoms = []     # (agent, view, [atom, ...], index of the line)
     edges = []          # edge name in declaration order
     seen_edges = set()
-    edge_views = []     # (edge, agent, view, view token)
+    edge_views = []     # (edge, agent, view, (index of the line, of the view))
     edge_env = []       # (edge, [atom, ...])
-
-    for line in _Lines(text).lines:
-        p = _FormulaParser(line)
-        head = p.peek()
-        if head.kind != "IDENT":
-            raise ParseError("expected a declaration", head.span)
-        if head.text in ("agents", "atoms"):
-            header.read(p, head)
-        elif head.text == "mode":
-            p.advance()
-            p.expect("COLON", "':'")
-            mode = p.expect("IDENT", "mode name")
-            p.expect_eof()
-            if mode.text != "generalized":
-                raise ParseError(f"unknown mode '{mode.text}'", mode.span)
-            generalized = True
-        elif head.text == "view":
-            p.advance()
-            atok = p.expect("IDENT", "agent name")
-            agent = atok.text
-            p.expect("COLON", "':'")
-            vname, vtok = _name_token(p, "view name")
-            atoms = []
-            if p.peek().kind == "LBRACE":
-                p.advance()
-                atoms = _name_list(p, "atom name")
-                p.expect("RBRACE", "'}'")
-            p.expect_eof()
-            if (agent, vname) in seen_views:
-                raise ParseError(f"duplicate view '{vname}' of agent {agent}", vtok.span)
-            seen_views.add((agent, vname))
-            views.setdefault(agent, []).append(vname)
-            view_atoms.append((agent, vname, atoms, atok))
-        elif head.text == "edge":
-            p.advance()
-            ename, etok = _name_token(p, "edge name")
-            if ename in seen_edges:
-                raise ParseError(f"duplicate edge label '{ename}'", etok.span)
-            seen_edges.add(ename)
-            edges.append(ename)
-            p.expect("LBRACE", "'{'")
-            seen_agents = set()
-            while True:
-                agent = p.expect("IDENT", "agent name").text
-                p.expect("COLON", "':'")
-                vname, vtok = _name_token(p, "view name")
-                if agent in seen_agents and not generalized:
-                    raise ParseError(
-                        f"agent {agent} listed twice in edge {ename} "
-                        "(only legal under 'mode: generalized')", vtok.span)
-                seen_agents.add(agent)
-                edge_views.append((ename, agent, vname, vtok))
-                if p.peek().kind == "COMMA":
-                    p.advance()
-                    continue
-                break
-            p.expect("RBRACE", "'}'")
-            if p.peek().kind == "IDENT" and p.peek().text == "env":
-                p.advance()
-                p.expect("LBRACE", "'{'")
-                atoms = _name_list(p, "atom name")
-                p.expect("RBRACE", "'}'")
-                edge_env.append((ename, atoms))
-            p.expect_eof()
-        else:
-            raise ParseError(f"unknown declaration '{head.text}'", head.span)
-
-    sig = header.signature()
-    for agent, vname, _, atok in view_atoms:
-        if agent not in sig.agents:
-            raise ParseError(f"view '{vname}' declared for unknown agent '{agent}'",
-                             atok.span)
-    for ename, agent, vname, vtok in edge_views:
-        if agent not in sig.agents:
-            raise ParseError(f"edge '{ename}' mentions unknown agent '{agent}'", vtok.span)
+    try:
+        for k, words in enumerate(_lines(text)):
+            head = words[0]
+            if head == "view":
+                # view A: V   or   view A: V { names }
+                agent = _ident(words, 1, "agent name")
+                vname, i = _name(words, _mark(words, 2, ":"), "view name")
+                atoms = []
+                if words[i] == "{":
+                    atoms, i = _names(words, i + 1, "atom name")
+                    i = _mark(words, i, "}")
+                _end(words, i)
+                if (agent, vname) in seen_views:
+                    raise _Fault(f"duplicate view '{vname}' of agent {agent}", 3)
+                seen_views.add((agent, vname))
+                views.setdefault(agent, []).append(vname)
+                view_atoms.append((agent, vname, atoms, k))
+            elif head == "edge":
+                # edge E { A: V, ..., A: V }   then optionally   env { names }
+                ename, i = _name(words, 1, "edge name")
+                if ename in seen_edges:
+                    raise _Fault(f"duplicate edge label '{ename}'", 1)
+                seen_edges.add(ename)
+                edges.append(ename)
+                i = _mark(words, i, "{")
+                seen_agents = set()
+                while True:
+                    agent = _ident(words, i, "agent name")
+                    v = _mark(words, i + 1, ":")
+                    vname, i = _name(words, v, "view name")
+                    if agent in seen_agents and not generalized:
+                        raise _Fault(f"agent {agent} listed twice in edge {ename} "
+                                     "(only legal under 'mode: generalized')", v)
+                    seen_agents.add(agent)
+                    edge_views.append((ename, agent, vname, (k, v)))
+                    if words[i] != ",":
+                        break
+                    i += 1
+                i = _mark(words, i, "}")
+                if words[i] == "env":
+                    atoms, i = _names(words, _mark(words, i + 1, "{"), "atom name")
+                    i = _mark(words, i, "}")
+                    edge_env.append((ename, atoms))
+                _end(words, i)
+            elif head == "agents" or head == "atoms":
+                header.read(words, k)
+            elif head == "mode":
+                mode = _ident(words, _mark(words, 1, ":"), "mode name")
+                _end(words, 3)
+                if mode != "generalized":
+                    raise _Fault(f"unknown mode '{mode}'", 2)
+                generalized = True
+            else:
+                raise _unknown(head)
+        sig = header.signature()
+        for agent, vname, _, k in view_atoms:
+            if agent not in sig.agents:
+                raise _Fault(f"view '{vname}' declared for unknown agent '{agent}'", 1, k)
+        for ename, agent, vname, (k, i) in edge_views:
+            if agent not in sig.agents:
+                raise _Fault(f"edge '{ename}' mentions unknown agent '{agent}'", i, k)
+    except _Fault as fault:
+        # A fault is raised only once a line has been read, so ``k`` is bound.
+        raise fault.error(text, k) from None
     return _model_from(sig, generalized, views, edges, view_atoms, edge_views, edge_env)
 
 
 def _model_from(sig, generalized, views, edges, view_atoms, edge_views, edge_env):
-    """Build the model that either reader has read."""
+    """Build the model that ``parse_model`` has read."""
     val_agent = {a: {atom: set() for atom in sig.atoms_for(a)} for a in sig.agents}
     for agent, vname, atoms, _ in view_atoms:
         for atom in atoms:
@@ -916,54 +888,50 @@ def parse_frame(text: str) -> PartialEpistemicModel:
     and optional environment valuations."""
     header = _Header()
     worlds: Optional[List[str]] = None
-    classes = []      # (agent, [world, ...], agent token)
+    classes = []      # (agent, [world, ...], index of the line)
     env_lines = []    # (atom, [world, ...])
     env_atoms = set()
-
-    for line in _Lines(text).lines:
-        p = _FormulaParser(line)
-        head = p.peek()
-        if head.kind != "IDENT":
-            raise ParseError("expected a declaration", head.span)
-        if head.text == "agents":
-            header.read(p, head)
-        elif head.text == "worlds":
-            p.advance()
-            p.expect("COLON", "':'")
-            if worlds is not None:
-                raise ParseError("duplicate 'worlds' declaration", head.span)
-            worlds = _name_list(p, "world name")
-            p.expect_eof()
-        elif head.text == "class":
-            p.advance()
-            atok = p.expect("IDENT", "agent name")
-            p.expect("COLON", "':'")
-            members = _name_list(p, "world name")
-            p.expect_eof()
-            classes.append((atok.text, members, atok))
-        elif head.text == "env":
-            p.advance()
-            atom = p.expect("IDENT", "atom name").text
-            p.expect("COLON", "':'")
-            members = _name_list(p, "world name", allow_empty=True)
-            p.expect_eof()
-            if atom in env_atoms:
-                raise ParseError(f"duplicate 'env {atom}' declaration", head.span)
-            env_atoms.add(atom)
-            env_lines.append((atom, members))
-        else:
-            raise ParseError(f"unknown declaration '{head.text}'", head.span)
-
-    agents = header.agents
-    if agents is None:
-        raise ParseError("missing 'agents' declaration", SourceSpan(0, 0, 1, 1))
-    if worlds is None:
-        raise ParseError("missing 'worlds' declaration", SourceSpan(0, 0, 1, 1))
-    class_map = {a: [] for a in agents}
-    for agent, members, atok in classes:
-        if agent not in class_map:
-            raise ParseError(f"class declared for unknown agent '{agent}'", atok.span)
-        class_map[agent].append(tuple(members))
+    try:
+        for k, words in enumerate(_lines(text)):
+            head = words[0]
+            if head == "class":
+                agent = _ident(words, 1, "agent name")
+                members, i = _names(words, _mark(words, 2, ":"), "world name")
+                _end(words, i)
+                classes.append((agent, members, k))
+            elif head == "env":
+                atom = _ident(words, 1, "atom name")
+                i = _mark(words, 2, ":")
+                members = []
+                if words[i]:
+                    members, i = _names(words, i, "world name")
+                _end(words, i)
+                if atom in env_atoms:
+                    raise _Fault(f"duplicate 'env {atom}' declaration", 0)
+                env_atoms.add(atom)
+                env_lines.append((atom, members))
+            elif head == "worlds":
+                i = _mark(words, 1, ":")
+                if worlds is not None:
+                    raise _Fault("duplicate 'worlds' declaration", 0)
+                worlds, i = _names(words, i, "world name")
+                _end(words, i)
+            elif head == "agents":
+                header.read(words, k)
+            else:
+                raise _unknown(head)
+        agents = header.agents
+        if agents is None:
+            raise _missing("agents")
+        if worlds is None:
+            raise _missing("worlds")
+        class_map = {a: [] for a in agents}
+        for agent, members, k in classes:
+            if agent not in class_map:
+                raise _Fault(f"class declared for unknown agent '{agent}'", 1, k)
+            class_map[agent].append(tuple(members))
+    except _Fault as fault:
+        raise fault.error(text, k) from None
     atoms = tuple(atom for atom, _ in env_lines)
     val = {atom: frozenset(members) for atom, members in env_lines}
     return build_frame_model(tuple(agents), tuple(worlds), class_map, atoms, val)
@@ -973,64 +941,70 @@ def parse_derivation(text: str) -> proofkernel.Derivation:
     """Read a derivation file: signature header plus numbered proof lines.
 
     Line format: ``k. <sort>: <formula> ; <rule> [premise indices]`` where
-    the sort is ``e`` for world statements or an agent name.
+    the sort is ``e`` for world statements or an agent name.  The header
+    lines are walked by their tokens' texts, as model files are.
     """
     header = _Header()
     lines = []
-
     sig = None
-    for raw_line in _Lines(text).lines:
-        p = _FormulaParser(raw_line)
-        head = p.peek()
-        if head.kind == "IDENT" and (head.text, p.peek(1).kind) in (
-                ("agents", "COLON"), ("atoms", "LBRACK")):
-            if lines:
-                raise ParseError("signature header must precede the numbered lines",
+    try:
+        for k, raw_line in enumerate(_Lines(text).lines):
+            p = _FormulaParser(raw_line)
+            head = p.peek()
+            if head.kind == "IDENT" and (head.text, p.peek(1).kind) in (
+                    ("agents", "COLON"), ("atoms", "LBRACK")):
+                if lines:
+                    raise ParseError("signature header must precede the numbered lines",
+                                     head.span)
+                header.read([tok.text for tok in raw_line[:-1]] + [""], k)
+                if "e" in (header.agents or ()):
+                    raise ParseError(
+                        "agent name 'e' conflicts with the world sort marker", head.span)
+                continue
+            # A numbered derivation line.
+            if header.agents is None:
+                raise ParseError("derivation lines must follow an 'agents' declaration",
                                  head.span)
-            header.read(p, head)
-            if "e" in (header.agents or ()):
-                raise ParseError(
-                    "agent name 'e' conflicts with the world sort marker", head.span)
-            continue
-        # A numbered derivation line.
-        if header.agents is None:
-            raise ParseError("derivation lines must follow an 'agents' declaration",
-                             head.span)
+            if sig is None:
+                sig = header.signature()
+            lines.append(_derivation_line(p, sig, len(lines) + 1))
         if sig is None:
             sig = header.signature()
-        idx_tok = p.expect("IDENT", "line number")
-        if not idx_tok.text.isdigit():
-            raise ParseError("expected a line number", idx_tok.span)
-        index = int(idx_tok.text)
-        if index != len(lines) + 1:
-            raise ParseError(
-                f"expected line number {len(lines) + 1}, got {index}", idx_tok.span)
-        p.expect("DOT", "'.'")
-        sort_tok = p.expect("IDENT", "sort ('e' or an agent name)")
-        sort = sort_tok.text
-        if sort != "e" and sort not in sig.agents:
-            raise ParseError(f"unknown sort '{sort}'", sort_tok.span)
-        p.expect("COLON", "':'")
-        if sort == "e":
-            raw = p.formula("world")
-            sort_check_world(raw, sig)
-        else:
-            raw = p.formula("agent")
-            sort_check_agent(raw, sort, sig)
-        formula = desugar(raw)
-        p.expect("SEMI", "';' before the justification")
-        just = _parse_justification(p)
-        p.expect_eof()
-        lines.append(proofkernel.DerivationLine(
-            index=index,
-            statement=proofkernel.Statement(sort, formula),
-            justification=just,
-            span=idx_tok.span,
-        ))
-
-    if sig is None:
-        sig = header.signature()
+    except _Fault as fault:
+        raise fault.error(text, k) from None
     return proofkernel.Derivation(sig=sig, lines=tuple(lines))
+
+
+def _derivation_line(p: _FormulaParser, sig: Signature, expected: int):
+    """The numbered line that ``p`` reads, which must be line ``expected``."""
+    idx_tok = p.expect("IDENT", "line number")
+    if not idx_tok.text.isdigit():
+        raise ParseError("expected a line number", idx_tok.span)
+    index = int(idx_tok.text)
+    if index != expected:
+        raise ParseError(f"expected line number {expected}, got {index}", idx_tok.span)
+    p.expect("DOT", "'.'")
+    sort_tok = p.expect("IDENT", "sort ('e' or an agent name)")
+    sort = sort_tok.text
+    if sort != "e" and sort not in sig.agents:
+        raise ParseError(f"unknown sort '{sort}'", sort_tok.span)
+    p.expect("COLON", "':'")
+    if sort == "e":
+        raw = p.formula("world")
+        sort_check_world(raw, sig)
+    else:
+        raw = p.formula("agent")
+        sort_check_agent(raw, sort, sig)
+    formula = desugar(raw)
+    p.expect("SEMI", "';' before the justification")
+    just = _parse_justification(p)
+    p.expect_eof()
+    return proofkernel.DerivationLine(
+        index=index,
+        statement=proofkernel.Statement(sort, formula),
+        justification=just,
+        span=idx_tok.span,
+    )
 
 
 # Rule keyword -> (justification class, its fixed arguments): the premise

@@ -18,8 +18,8 @@ matcher checks a line: it fetches the premises in order, binds the
 patterns' metavariables and agent against each in turn, then matches the
 stated line under the same bindings, so no conclusion is built.  A sort
 clash is a ``SortError``, any other clash a ``RuleMismatch``.  Whatever the
-justification, a line whose formula is not a formula record is a
-``SortError``, and a line accepted in order is of its stated sort over the
+justification, a line whose formula has a node that is not a formula
+record is a ``SortError``, and a line accepted in order is of its stated sort over the
 signature: the stated sort must be ``e`` or a declared agent, and the
 formula of a ``PropTaut`` line or an agent axiom is sort-checked, while
 every other rule assembles its line from parts of a checked premise at the
@@ -85,6 +85,7 @@ from .syntax import (
     substitute_metas,
     sort_check_agent,
     sort_check_world,
+    walk,
 )
 
 WORLD_SORT = "e"
@@ -417,11 +418,24 @@ def check_line(d: Derivation, k: int) -> None:
             _match(lines, k, stmt, just)
         _check_sort(stmt, d.sig, type(just) in _OWN_FORMULA)
     except _RuleError as err:
-        # A formula that is not a formula record fails every rule, and this
-        # is the error to report.
-        if not isinstance(stmt.formula, (WorldFormula, AgentFormula)):
+        # A formula with a node that is not a formula record fails every
+        # rule, and this is the error to report.
+        if not _is_formula(stmt.formula):
             err = _RuleError("SortError", f"the stated line is not a formula: {stmt.formula!r}")
         raise DerivationCheckError(k, err.kind, err.message) from None
+
+
+def _is_formula(f) -> bool:
+    """Whether ``f`` is a world or agent formula record all through:
+    ``walk`` raises ``TypeError`` at a node that is no formula."""
+    if not isinstance(f, (WorldFormula, AgentFormula)):
+        return False
+    try:
+        for _ in walk(f, None):
+            pass
+    except TypeError:
+        return False
+    return True
 
 
 def check_derivation(d: Derivation) -> None:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import re
@@ -375,25 +376,16 @@ def test_parse_error_messages_and_spans_are_pinned(fmt, text, message, span):
     assert (got.start, got.end, got.line, got.column) == span
 
 
-# --- the two model readers ----------------------------------------------------------
+# --- model, frame and derivation files, pinned -------------------------------------
 #
-# ``parse_model`` reads a file of bare names and marks by words and falls
-# back to the token reader (``_model_by_tokens``) for anything else.  Both
-# must give equal models, or the same error with the same span.
+# tests/data/file_reader_outcomes.txt holds file_reader_outcomes() byte for
+# byte, as the token reader that came before the word walk gave them: for
+# each group of inputs a ``[group]`` line, then one line per input, a digest
+# of its text and its outcome: the error's type, span and message, or
+# ``read`` and a digest of what was read.  Print the current text with
+# ``PYTHONPATH=src python tests/test_parser.py``.
 
-
-def _read_outcome(read, text):
-    try:
-        m = read(text)
-    except HyperknowError as err:
-        span = getattr(err, "span", None)
-        return type(err), str(err), span and (span.start, span.end, span.line, span.column)
-    return m, parser.render_model(m), m.val_agent, m.val_env
-
-
-def _assert_readers_agree(text):
-    assert _read_outcome(parser.parse_model, text) == \
-        _read_outcome(parser._model_by_tokens, text), text
+OUTCOMES = Path(__file__).parent / "data" / "file_reader_outcomes.txt"
 
 
 def _builtin_model_texts():
@@ -414,84 +406,20 @@ def _respellings(text):
 
 
 _BUILTIN_TEXTS = _builtin_model_texts()
-_POOL_TEXTS = {f"pool-{i}": parser.render_model(m) for i, m in enumerate(small_model_pool())}
+_POOL_TEXTS = [parser.render_model(m) for m in small_model_pool()]
 
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(MODEL_SOUP)
-def test_model_readers_agree_on_the_fuzz_soup(text):
-    _assert_readers_agree(text)
-
-
-def test_model_readers_agree_on_every_pair_of_soup_lines():
-    for header in (*MODEL_HEADERS, ""):
-        for first in MODEL_LINES:
-            _assert_readers_agree(f"{header}{first}\n")
-            for second in MODEL_LINES:
-                _assert_readers_agree(f"{header}{first}\n{second}\n")
-
-
-# Every declaration form in two small files, one generalized.
-_SMALL_MODELS = (
-    "agents: a, b\natoms[a]: p\natoms[env]: q\nview a: x { p }\nview b: z\n"
-    "edge e { a: x, b: z } env { q }\nedge f { b: z }\n",
-    "agents: a\natoms[a]: p\nmode: generalized\nview a: x\nview a: y { p }\n"
-    "edge e { a: x, a: y }\n",
-)
-
-
-@pytest.mark.parametrize("text", _SMALL_MODELS, ids=("functional", "generalized"))
-def test_model_readers_agree_on_every_one_character_mutation(text):
-    chars = ' \t\r\n{}:,[]#"-a_e'
-    for i in range(len(text) + 1):
-        _assert_readers_agree(text[:i] + text[i + 1:])
-        for c in chars:
-            _assert_readers_agree(text[:i] + c + text[i + 1:])
-            _assert_readers_agree(text[:i] + c + text[i:])
-
-
-@pytest.mark.parametrize("name", [*_BUILTIN_TEXTS, *list(_POOL_TEXTS)[::8]])
-def test_model_readers_agree_on_respelled_renderings(name):
-    for variant in _respellings(_BUILTIN_TEXTS.get(name) or _POOL_TEXTS[name]):
-        _assert_readers_agree(variant)
-
-
-@settings(derandomize=True, deadline=None, max_examples=500)
-@given(st.sampled_from([v for t in _BUILTIN_TEXTS.values() for v in _respellings(t)])
-       | st.sampled_from([v for t in _POOL_TEXTS.values() for v in _respellings(t)]),
-       st.sampled_from(("delete", "replace", "insert")), st.floats(0, 1, exclude_max=True),
-       st.sampled_from(' \t\r\n{}:,[]#"-ab0_e'))
-def test_model_readers_agree_on_one_character_mutations(text, how, where, char):
-    i = int(where * len(text))
-    rest = text[i:] if how == "insert" else text[i + 1:]
-    _assert_readers_agree(text[:i] + ("" if how == "delete" else char) + rest)
-
-
-@pytest.mark.parametrize("name", _BUILTIN_TEXTS)
-def test_builtin_renderings_take_the_word_path(name):
-    """The benchmarked model files are read by words, with no fallback."""
-    text = _BUILTIN_TEXTS[name]
-    m = parser._model_by_words(text)
-    assert m is not None
-    assert m == parser._model_by_tokens(text)
-    assert parser.render_model(m) == text
-
-
-# --- pinned outcomes of the file readers -----------------------------------------
-#
-# tests/data/file_reader_outcomes.txt holds file_reader_outcomes() byte for
-# byte: for each group of inputs a ``[group]`` line, then one line per input,
-# a digest of its text and its outcome: the error's type, span and message,
-# or ``read`` and a digest of what was read.  Print the current text with
-# ``PYTHONPATH=src python tests/test_parser.py``.
-
-OUTCOMES = Path(__file__).parent / "data" / "file_reader_outcomes.txt"
-
-_MUTATION_CHARS = ' \t\r\n{}:,[]#"-a_e'
-# Every declaration form of a frame file, and a derivation's header lines.
+# Every declaration form: in two small model files, one generalized, in a
+# frame file, and in a derivation's header lines.
+_SMALL_MODELS = {
+    "functional": "agents: a, b\natoms[a]: p\natoms[env]: q\nview a: x { p }\nview b: z\n"
+                  "edge e { a: x, b: z } env { q }\nedge f { b: z }\n",
+    "generalized": "agents: a\natoms[a]: p\nmode: generalized\nview a: x\nview a: y { p }\n"
+                   "edge e { a: x, a: y }\n",
+}
 _SMALL_FRAME = ('agents: a, b\nworlds: w1, "w 2"\nclass a: w1, "w 2"\nclass b: w1\n'
                 'class b: "w 2"\nenv p: w1\nenv q:\n')
 _DERIVATION_HEADER = 'agents: a, b\natoms[a]: pa\natoms[env]: p, "r s"\n'
+_MUTATION_CHARS = ' \t\r\n{}:,[]#"-a_e'
 
 
 def _mutations(text, upto):
@@ -515,19 +443,21 @@ def _pairs(headers, lines):
 def _golden_groups():
     """The golden file's groups: name -> (file format, input texts)."""
     groups = {"model-pairs": ("model", _pairs(MODEL_HEADERS, MODEL_LINES))}
-    for text, name in zip(_SMALL_MODELS, ("functional", "generalized")):
+    for name, text in _SMALL_MODELS.items():
         groups[f"model-mutation-{name}"] = ("model", _mutations(text, len(text)))
     for name, text in _BUILTIN_TEXTS.items():
         groups[f"model-respelled-{name}"] = ("model", _respellings(text))
-    pool = list(_POOL_TEXTS.values())
-    for i in range(0, len(pool), 8):
+    for i in range(0, len(_POOL_TEXTS), 8):
         groups[f"model-respelled-pool-{i}"] = (
-            "model", [v for text in pool[i:i + 8] for v in _respellings(text)])
+            "model", [v for text in _POOL_TEXTS[i:i + 8] for v in _respellings(text)])
     groups["frame-pairs"] = ("frame", _pairs(FRAME_HEADERS, FRAME_LINES))
     groups["frame-mutation"] = ("frame", _mutations(_SMALL_FRAME, len(_SMALL_FRAME)))
     groups["derivation-header-mutation"] = (
         "derivation", _mutations(_DERIVATION_HEADER + _DERIVATION_BODY, len(_DERIVATION_HEADER)))
     return {name: (fmt, list(dict.fromkeys(texts))) for name, (fmt, texts) in groups.items()}
+
+
+_GROUPS = _golden_groups()
 
 
 def _digest(text):
@@ -565,12 +495,112 @@ def _group_outcomes(name, fmt, texts):
 
 
 def file_reader_outcomes() -> str:
-    return "".join(line + "\n" for name, (fmt, texts) in _golden_groups().items()
+    return "".join(line + "\n" for name, (fmt, texts) in _GROUPS.items()
                    for line in _group_outcomes(name, fmt, texts))
 
 
-def test_file_reader_outcomes_match_the_golden_file():
-    assert file_reader_outcomes() == OUTCOMES.read_text(encoding="utf-8")
+@functools.cache
+def _golden():
+    """The golden file's lines by group, the ``[group]`` lines dropped."""
+    groups = {}
+    for line in OUTCOMES.read_text(encoding="utf-8").split("\n")[:-1]:
+        if line.startswith("["):
+            lines = groups[line[1:-1]] = []
+        else:
+            lines.append(line)
+    return groups
+
+
+def _assert_group_is_pinned(name):
+    fmt, texts = _GROUPS[name]
+    want = _golden()[name]
+    assert len(want) == len(texts)
+    for text, line in zip(texts, want):
+        assert f"{_digest(text)} {_outcome(fmt, text)}" == line, text
+
+
+def test_golden_file_holds_every_group_and_input():
+    assert {name: [line.split(" ", 1)[0] for line in lines]
+            for name, lines in _golden().items()} == \
+        {name: [_digest(text) for text in texts] for name, (_, texts) in _GROUPS.items()}
+
+
+# The model reader agrees with the token reader it replaced, whose outcomes
+# the golden file holds.
+def test_model_readers_agree_on_every_pair_of_soup_lines():
+    _assert_group_is_pinned("model-pairs")
+
+
+@pytest.mark.parametrize("name", _SMALL_MODELS)
+def test_model_readers_agree_on_every_one_character_mutation(name):
+    _assert_group_is_pinned(f"model-mutation-{name}")
+
+
+@pytest.mark.parametrize("name", [*_BUILTIN_TEXTS, *[f"pool-{i}" for i in
+                                                     range(0, len(_POOL_TEXTS), 8)]])
+def test_model_readers_agree_on_respelled_renderings(name):
+    _assert_group_is_pinned(f"model-respelled-{name}")
+
+
+@pytest.mark.parametrize("name", ["frame-pairs", "frame-mutation", "derivation-header-mutation"])
+def test_frame_and_derivation_headers_are_pinned(name):
+    _assert_group_is_pinned(name)
+
+
+def test_word_lines_are_the_texts_of_the_tokens():
+    # A file of names and marks is split at its spaced marks, and its words
+    # are those of the piece split; either way they are the tokens' texts.
+    for _, texts in _GROUPS.values():
+        for text in texts:
+            lines = parser._lines(text)
+            if parser._spaced(text):
+                pieces = [parser._piece_words(line) for line in text.split("\n")]
+                assert lines == [[*words, ""] for words in pieces if words], text
+            try:
+                tokens = parser._Lines(text).lines
+            except ParseError:
+                continue
+            assert lines == [[tok.text for tok in line[:-1]] + [""] for line in tokens], text
+
+
+@pytest.mark.parametrize("name", _BUILTIN_TEXTS)
+def test_builtin_renderings_take_the_word_path(name):
+    """The benchmarked model files are split at their spaced marks."""
+    text = _BUILTIN_TEXTS[name]
+    assert parser._spaced(text)
+    assert parser.render_model(parser.parse_model(text)) == text
+
+
+def _assert_reads_back_or_points_into(text):
+    """A model's rendering reads back to an equal model; a ``ParseError``
+    points into the text, at the line and column it names."""
+    try:
+        m = parser.parse_model(text)
+    except ParseError as err:
+        span = err.span
+        assert 0 <= span.start <= span.end <= len(text), text
+        assert (span.line, span.column) == _line_and_column(text, span.start), text
+        return
+    except HyperknowError:
+        return
+    assert parser.parse_model(parser.render_model(m)) == m, text
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(MODEL_SOUP)
+def test_model_soup_reads_back_or_points_into_the_text(text):
+    _assert_reads_back_or_points_into(text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.sampled_from([v for t in _BUILTIN_TEXTS.values() for v in _respellings(t)])
+       | st.sampled_from([v for t in _POOL_TEXTS for v in _respellings(t)]),
+       st.sampled_from(("delete", "replace", "insert")), st.floats(0, 1, exclude_max=True),
+       st.sampled_from(' \t\r\n{}:,[]#"-ab0_e'))
+def test_mutated_renderings_read_back_or_point_into_the_text(text, how, where, char):
+    i = int(where * len(text))
+    rest = text[i:] if how == "insert" else text[i + 1:]
+    _assert_reads_back_or_points_into(text[:i] + ("" if how == "delete" else char) + rest)
 
 
 if __name__ == "__main__":

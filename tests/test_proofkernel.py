@@ -146,7 +146,7 @@ def test_a_line_must_be_a_formula_of_its_stated_sort(lines):
         soundness_spotcheck(d)
 
 
-@pytest.mark.parametrize("formula", [None, "p"], ids=["None", "str"])
+@pytest.mark.parametrize("formula", [None, "p", WNot(None)], ids=["None", "str", "WNot(None)"])
 @pytest.mark.parametrize("premise", [False, True], ids=["alone", "after-a-premise"])
 def test_a_line_that_is_not_a_formula_is_a_sort_error(formula, premise):
     # Under every justification, with or without a line it may cite.
@@ -333,6 +333,12 @@ def test_rule_table(just, premise, stated, faults):
         with pytest.raises(DerivationCheckError) as err:
             check_line(bad, k)
         assert (err.value.line, err.value.kind) == (k, kind), (bad_premise, bad_stated)
+    # A stated line with a node that is not a formula record, at its sort.
+    malformed = Statement(stated[0], WNot(None) if stated[0] == "e" else ANot(None))
+    bad = Derivation(sig=SIG2, lines=(*d.lines[:-1], DerivationLine(k, malformed, just)))
+    with pytest.raises(DerivationCheckError) as err:
+        check_line(bad, k)
+    assert (err.value.line, err.value.kind) == (k, "SortError")
 
 
 def test_wrong_conclusion_rejected():
