@@ -6,8 +6,9 @@ Three parts, one line per verdict (a countermodel adds its model, rendered
 in the model file format):
 
 - the scheme library under ``check_scheme`` at ``Bounds(edges=3)``,
-  ``Bounds()`` and 3 agents/2 views/3 edges: verdict and ``models_checked``,
-  or the witness point, metavariable assignment and model;
+  ``Bounds()`` and 3 agents with 2 views and 3 edges, 2 views and 4 edges,
+  and 3 views and 4 edges: verdict and ``models_checked``, or the witness
+  point, metavariable assignment and model;
 - ``find_countermodel`` at ``Bounds()`` on ``kb4.translate`` of every KB4
   formula of ``enumerate_kb4_formulas(("q",), ("a", "b"), max_size=N)``;
 - ``soundness_spotcheck`` on each corpus derivation.
@@ -56,7 +57,8 @@ def main():
                     help="edge bound of the scheme sweeps, at most 4 (default 4)")
     args = ap.parse_args()
 
-    grid = [search.Bounds(edges=3), search.Bounds(), search.Bounds(agents=3, views=2, edges=3)]
+    grid = [search.Bounds(edges=3), search.Bounds(), search.Bounds(agents=3, views=2, edges=3),
+            search.Bounds(agents=3, views=2, edges=4), search.Bounds(agents=3, views=3, edges=4)]
     out = []
     for b in grid:
         if b.edges > args.edges:

@@ -15,6 +15,19 @@ view names, assignment and point) is the labelled sweep's.  A fully swept
 class counts its assignments once per labelled structure, so
 ``models_checked`` is the labelled total.
 
+Only the *connected* classes are swept, those whose edges form one
+component, two edges meeting where they share a view: 63 of the 146
+classes at the default bounds, 302 of the 567 at 3 agents, 2 views and 3
+edges.  Every modality moves along a shared view (``E[a]``/``A[a]`` from a
+world to its views, ``<>``/``[]`` from a view to its fiber), so a point's
+truth depends only on its component.  Each component of a disconnected
+class is itself a structure of the stream (its views covered, no edge
+empty) with view counts no larger and not all equal, so it comes earlier in
+the stream: if a disconnected class has a falsifying assignment, an earlier
+connected class has one too, and the first witness is always in a
+connected class.  A skipped class still counts its weight times its
+assignments, which its shape gives without a sweep.
+
 Every validity sweep (``check_scheme``, ``find_countermodel`` and the proof
 kernel's ``soundness_spotcheck``) runs through ``sweep``: the formula is
 compiled once into a register program, and every point's value is one int
@@ -22,23 +35,24 @@ whose bit ``t`` is its truth value under assignment ``t`` (bit-slicing
 across valuations).  The program's steps are value-numbered: each step
 names its operands by their indices, and a step equal to one already
 emitted is not emitted again, so each distinct subformula is computed once.
-After each stretch of ``_STRETCH`` steps the interpreter drops the values
-that no later step reads, so a long program holds about as many values at
-once as a short one.
+After each stretch of ``_STRETCH`` steps, fewer on chunks wider than
+``_WIDE`` bits, the interpreter drops the values that no later step reads,
+so a long program holds about as many values at once as a short one, and a
+wide chunk no more bits than a narrow one.
 ``compile_program`` reads the derived connectives directly, emitting the
 steps of their core forms, so no caller desugars.  Assignments are numbered
 in ``itertools.product`` order and swept in chunks of bounded width.  The
 program is interpreted once per *run*, not once per structure: consecutive
 structures of the stream with the same edge count and view counts give
-every swept name the same width, so ``_Stream.runs`` lays them side by side
-as one structure (27 runs for the 146 classes at the default bounds, 59 for
-the 567 at 3 agents, 2 views and 3 edges).  In a chunk, the first point of
-the run false under some assignment names the first member that fails
-there, and the earliest such member over all chunks is the first member
-with a falsifying assignment.  Its lowest zero bit gives its first
-falsifying assignment and the first point false under it the witness,
-exactly as sweeping the structures one by one, one valuation at a time,
-would.
+every swept name the same width, so ``_Stream.runs`` lays the connected
+ones side by side as one structure (20 runs interpreted for the 63
+connected classes at the default bounds, 49 for the 302 at 3 agents, 2
+views and 3 edges).  In a chunk, the first point of the run false under
+some assignment names the first member that fails there, and the earliest
+such member over all chunks is the first member with a falsifying
+assignment.  Its lowest zero bit gives its first falsifying assignment and
+the first point false under it the witness, exactly as sweeping the
+structures one by one, one valuation at a time, would.
 
 ``check_scheme`` decides whether a scheme (a formula with ``?metavariable``
 leaves) holds at every point of every model within bounds.  Instead of
@@ -358,16 +372,18 @@ class _Structure:
     Per agent, ``view_of[a][i]`` is the index of the agent's view in edge
     ``i`` (None where the agent is absent); equal columns are one shared
     tuple.  ``weight`` is the number of labelled structures the structure
-    stands for.
+    stands for.  A structure that is not ``connected`` is counted by its
+    weight and never swept.
     """
 
-    __slots__ = ("edges", "views", "view_of", "weight")
+    __slots__ = ("edges", "views", "view_of", "weight", "connected")
 
     def __init__(self, edges, views, view_of: Dict[str, tuple], intern: Dict[tuple, tuple],
-                 weight: int):
+                 weight: int, connected: bool = True):
         self.edges = edges
         self.views = views
         self.weight = weight
+        self.connected = connected
         self.view_of = {a: intern.setdefault(col, col) for a, col in view_of.items()}
 
 
@@ -376,26 +392,36 @@ def _shape(st: _Structure):
 
 
 class _Run:
-    """Consecutive structures of a stream with one shape (edge count and
-    view count per agent), laid side by side as one structure: member ``m``'s
-    edge ``i`` is the run's edge ``m * k + i`` for ``k`` edges per member, and
-    likewise for each agent's views.  Every swept name has the same width on
-    each member, so one program interpretation sweeps them all.
+    """A stretch of consecutive structures of a stream with one shape (edge
+    count and view count per agent), its connected ones, the *members*, laid
+    side by side as one structure: member ``m``'s edge ``i`` is the run's
+    edge ``m * k + i`` for ``k`` edges per member, and likewise for each
+    agent's views.  Every swept name has the same width on each member, so
+    one program interpretation sweeps them all.
 
+    ``head`` is the stretch's first structure, which gives the shape.
     ``points[s]`` is the run's number of points of sort ``s``, ``view_of``
     the union's table, as on a structure, and ``weights[m]`` the summed
-    weight of the members before member ``m``.
+    weight of the stretch's structures before member ``m``, the skipped ones
+    included; the last entry is the whole stretch's weight.
     """
 
-    __slots__ = ("members", "points", "view_of", "weights")
+    __slots__ = ("head", "members", "points", "view_of", "weights")
 
-    def __init__(self, members: Tuple[_Structure, ...]):
-        self.members = members
-        self.weights = tuple(itertools.accumulate((st.weight for st in members), initial=0))
-        k, counts = _shape(members[0])
+    def __init__(self, stretch: Tuple[_Structure, ...]):
+        self.head = stretch[0]
+        self.members = tuple(st for st in stretch if st.connected)
+        weights, total = [], 0
+        for st in stretch:
+            if st.connected:
+                weights.append(total)
+            total += st.weight
+        self.weights = (*weights, total)
+        members = self.members
+        k, counts = _shape(self.head)
         self.points = {"world": len(members) * k}
         self.view_of = {}
-        for a, c in zip(members[0].views, counts):
+        for a, c in zip(self.head.views, counts):
             self.points[a] = len(members) * c
             self.view_of[a] = tuple(None if j is None else m * c + j
                                     for m, st in enumerate(members) for j in st.view_of[a])
@@ -412,12 +438,21 @@ class _Stream(tuple):
     @cached_property
     def runs(self) -> Tuple[_Run, ...]:
         """Maximal stretches of consecutive structures of one shape, split
-        where a run would exceed ``_RUN_EDGES`` edges."""
+        before a connected structure where the run would exceed
+        ``_RUN_EDGES`` edges.  A shape without a connected structure is one
+        run without members."""
         out = []
         for (k, _), group in itertools.groupby(self, _shape):
-            group = tuple(group)
             step = max(1, _RUN_EDGES // k)
-            out.extend(_Run(group[i:i + step]) for i in range(0, len(group), step))
+            stretch, members = [], 0
+            for st in group:
+                if st.connected:
+                    if members == step:
+                        out.append(_Run(tuple(stretch)))
+                        stretch, members = [], 0
+                    members += 1
+                stretch.append(st)
+            out.append(_Run(tuple(stretch)))
         return tuple(out)
 
 
@@ -442,7 +477,9 @@ def _structures(agents: Tuple[str, ...], views: int, edges: int) -> _Stream:
     class is therefore the least one: a sorted sequence that no view
     renaming turns into a smaller sorted sequence.  That member is kept, with
     the same edge and view names; its weight sums the orderings of the
-    class's distinct sorted sequences.
+    class's distinct sorted sequences.  A structure is marked ``connected``
+    when its edges form one component, two edges meeting where they share
+    a view; see the module docstring for why only those are swept.
     """
     Bounds(agents=len(agents), views=views, edges=edges).validate()
     intern: Dict[tuple, tuple] = {}
@@ -467,7 +504,8 @@ def _structures(agents: Tuple[str, ...], views: int, edges: int) -> _Stream:
         for k in range(1, edges + 1):
             edge_names = tuple(f"e{i + 1}" for i in range(k))
             for seq in itertools.combinations_with_replacement(range(len(rows)), k):
-                if reduce(or_, [cover[r] for r in seq]) != everything:
+                covers = [cover[r] for r in seq]
+                if reduce(or_, covers) != everything:
                     continue
                 images = {seq}
                 for renaming in renamings:
@@ -478,8 +516,21 @@ def _structures(agents: Tuple[str, ...], views: int, edges: int) -> _Stream:
                 else:
                     view_of = {a: tuple(rows[r][i] for r in seq) for i, a in enumerate(agents)}
                     out.append(_Structure(edge_names, names, view_of, intern,
-                                          sum(map(_orderings, images))))
+                                          sum(map(_orderings, images)), _connected(covers)))
     return _Stream(out)
+
+
+def _connected(covers: List[int]) -> bool:
+    """Whether edges with these view masks form one component, two edges
+    meeting where they share a view."""
+    reach, rest = covers[0], set(covers[1:])
+    while rest:
+        near = {c for c in rest if c & reach}
+        if not near:
+            return False
+        reach |= reduce(or_, near)
+        rest -= near
+    return True
 
 
 # compile_program's work stack holds (node, sort) pairs still to expand and,
@@ -582,27 +633,31 @@ def _widths(st: _Structure, swept_names, sorts) -> List[int]:
             for n in swept_names]
 
 
-# Steps per stretch of a program, after which the values no later step reads
-# are dropped: a value outlives its last reader by less than one stretch.  A
-# program this short is one stretch, which costs nothing to cut; a longer
-# one is cut again for each interpretation, at a cost linear in its steps.
+# Steps per stretch of a program on chunks of at most ``_WIDE`` bits, after
+# which the values no later step reads are dropped: a value outlives its last
+# reader by less than one stretch.  Wider chunks get stretches shorter in
+# proportion, so that a stretch's values at a point hold at most
+# ``_STRETCH * _WIDE`` bits.  A program no longer than its stretch is one
+# stretch, which costs nothing to cut; a longer one is cut again for each
+# interpretation, at a cost linear in its steps.
 _STRETCH = 256
+_WIDE = 1 << 10
 
 
-def _stretches(program) -> Tuple[Tuple[tuple, Tuple[int, ...]], ...]:
-    """Consecutive stretches of ``_STRETCH`` steps of a program, each with
-    the steps whose value it is the last to read (none for the last
-    stretch, whose values go with the interpretation)."""
-    if len(program) <= _STRETCH:
+def _stretches(program, length: int) -> Tuple[Tuple[tuple, Tuple[int, ...]], ...]:
+    """Consecutive stretches of ``length`` steps of a program, each with the
+    steps whose value it is the last to read (none for the last stretch,
+    whose values go with the interpretation)."""
+    if len(program) <= length:
         return ((program, ()),)
     last = {}
     for k, (_, _, i, j) in enumerate(program):
-        last[i] = last[j] = k // _STRETCH
-    dead = [[] for _ in range(0, len(program), _STRETCH)]
+        last[i] = last[j] = k // length
+    dead = [[] for _ in range(0, len(program), length)]
     for i, s in last.items():
         if i is not None and s < len(dead) - 1:
             dead[s].append(i)
-    return tuple((program[s * _STRETCH:(s + 1) * _STRETCH], tuple(d))
+    return tuple((program[s * length:(s + 1) * length], tuple(d))
                  for s, d in enumerate(dead))
 
 
@@ -614,7 +669,8 @@ def _evaluate(program, run: _Run, env: Dict[str, List[int]], full: int) -> List[
     dropped."""
     view_of = run.view_of
     values = []
-    for steps, dead in _stretches(program):
+    length = max(1, _STRETCH * _WIDE // max(full.bit_length(), _WIDE))
+    for steps, dead in _stretches(program, length):
         for op, arg, i, j in steps:
             if op == "not":
                 values.append([full ^ x for x in values[i]])
@@ -651,7 +707,7 @@ def extension_chunks(program, run: _Run, swept_names, sorts
     ``values[p]`` is the program's last step's value at the run's point
     ``p`` under assignment ``first + t``.
     """
-    widths = _widths(run.members[0], swept_names, sorts)
+    widths = _widths(run.head, swept_names, sorts)
     total = sum(widths)
     chunk = min(total, _CHUNK_BITS)
     width = 1 << chunk
@@ -677,14 +733,17 @@ def sweep(program, sort: str, run: _Run, swept_names, sorts):
     Returns ``(assignments swept, None)`` when there is none, else
     ``(assignments swept, (member, assignment, point))``: the member's first
     falsifying assignment in ``extension_chunks`` order and the first point,
-    in the member's order, where it fails.  Members before it count their
-    assignments ``weight`` times, the member itself its assignments up to
-    the falsifying one once.  A later member can fail in an earlier chunk,
-    so a failing run's remaining chunks are swept before choosing.
+    in the member's order, where it fails.  The structures of the run's
+    stretch before it, the skipped ones included, count their assignments
+    ``weight`` times, the member itself its assignments up to the falsifying
+    one once; a run without a hit counts its whole stretch, and one without
+    members is not interpreted.  A later member can fail in an earlier
+    chunk, so a failing run's remaining chunks are swept before choosing.
     """
     members = run.members
     best, hit = len(members), None
-    for first, width, values in extension_chunks(program, run, swept_names, sorts):
+    chunks = extension_chunks(program, run, swept_names, sorts) if members else ()
+    for first, width, values in chunks:
         full = (1 << width) - 1
         if reduce(and_, values, full) == full:
             continue
@@ -698,9 +757,7 @@ def sweep(program, sort: str, run: _Run, swept_names, sorts):
             best, hit = m, (first + t, [x >> t & 1 for x in part].index(0))
             if m == 0:
                 break
-    # A finished loop's last chunk ends at the number of assignments; a
-    # broken one counts no member before the first.
-    swept = (first + width) * run.weights[best]
+    swept = run.weights[best] << sum(_widths(run.head, swept_names, sorts))
     if hit is None:
         return swept, None
     st, (assignment, idx) = members[best], hit
@@ -747,8 +804,10 @@ def first_witness(program, sort: str, structures: _Stream, names, sorts, sig: Si
 
     Returns ``(assignments swept, None)`` when none does, else ``(assignments
     swept, (model, point))``: the witness ``witness_model`` builds from the
-    first falsifying assignment of the first structure that has one.  A
-    fully swept structure counts its assignments ``weight`` times.
+    first falsifying assignment of the first structure that has one.  Every
+    structure before it, swept or skipped as not connected, counts its
+    assignments ``weight`` times, so a stream of class representatives
+    counts as the labelled stream would.
     """
     checked = 0
     for run in structures.runs:

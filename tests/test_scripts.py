@@ -90,12 +90,13 @@ def test_loc_counts_code_lines(monkeypatch, capsys, tmp_path):
 
 def test_parity_dump_is_deterministic_on_a_small_input(monkeypatch, capsys):
     # Edge bound 2 and KB4 formulas of at most 3 nodes: 18 scheme rows at
-    # each of the three bounds, 14 formulas, the six corpus derivations;
+    # each of the five bounds, 14 formulas, the six corpus derivations;
     # the text is the same under two hash seeds.
     code, lines = _run("parity_dump.py", monkeypatch, capsys, "--max-size", "3", "--edges", "2")
     assert code == 0
     heads = [line for line in lines if not line.startswith("    ")]
-    assert sum(line.startswith("scheme ") for line in heads) == 54
+    assert sum(line.startswith("scheme ") for line in heads) == 90
+    assert sum(line.startswith("scheme 3/3/2 ") for line in heads) == 18
     assert "scheme 2/2/2 non_emptiness: valid 32" in heads
     assert "scheme 3/2/2 ksafe_b: countermodel at World(edge='e1') [PHI=q1]" in heads
     assert sum(line.startswith("kb4 ") for line in heads) == 14

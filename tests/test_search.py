@@ -1,6 +1,9 @@
 import itertools
 import random
 import re
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -464,23 +467,62 @@ def test_values_are_dropped_after_their_last_reader(monkeypatch):
     classes = search._structures(("a", "b"), 2, 2)
     formulas = [random_surface_world(rng, RICH_SIG, 5) for _ in range(100)]
     whole = [search.first_witness(*_sweep_args(f, classes)) for f in formulas]
-    monkeypatch.setattr(search, "_STRETCH", 3)
-    for f, expected in zip(formulas, whole):
-        args = _sweep_args(f, classes)
-        stretches = search._stretches(args[0])
-        assert [step for steps, _ in stretches for step in steps] == list(args[0])
-        last = {}
-        for s, (steps, _) in enumerate(stretches):
-            for _, _, i, j in steps:
-                last.update({k: s for k in (i, j) if k is not None})
-        assert [sorted(dead) for _, dead in stretches] == [
-            sorted(k for k, s in last.items() if s == t) for t in range(len(stretches) - 1)] + [[]]
-        checked, hit = search.first_witness(*args)
-        assert checked == expected[0]
-        assert (hit is None) == (expected[1] is None)
-        if hit is not None:
-            assert hit[1] == expected[1][1]
-            assert hk.parser.render_model(hit[0]) == hk.parser.render_model(expected[1][0])
+    with monkeypatch.context() as m:
+        m.setattr(search, "_STRETCH", 3)
+        for f, expected in zip(formulas, whole):
+            args = _sweep_args(f, classes)
+            stretches = search._stretches(args[0], 3)
+            assert [step for steps, _ in stretches for step in steps] == list(args[0])
+            last = {}
+            for s, (steps, _) in enumerate(stretches):
+                for _, _, i, j in steps:
+                    last.update({k: s for k in (i, j) if k is not None})
+            assert [sorted(dead) for _, dead in stretches] == [
+                sorted(k for k, s in last.items() if s == t)
+                for t in range(len(stretches) - 1)] + [[]]
+            checked, hit = search.first_witness(*args)
+            assert checked == expected[0]
+            assert (hit is None) == (expected[1] is None)
+            if hit is not None:
+                assert hit[1] == expected[1][1]
+                assert hk.parser.render_model(hit[0]) == hk.parser.render_model(expected[1][0])
+
+    # A wide chunk: a valid formula of about 200 steps over four environment
+    # atoms is 16 bits at 4 edges, so chunks of 2**14 bits and stretches of
+    # 16 steps.  It counts what one stretch counts and holds far fewer
+    # values at once.
+    sig = hk.Signature(("a", "b"), {}, ("q1", "q2", "q3", "q4"))
+    x = random_surface_world(rng, sig, 5)
+    while len(search.compile_program(x, "world")[0]) < 200:
+        x = WAnd(x, random_surface_world(rng, sig, 5))
+    f = WOr(x, WNot(x))
+    program, sorts = search.compile_program(f, "world")
+    assert sorted(sorts) == ["q1", "q2", "q3", "q4"] and len(program) <= 256
+    lengths = []
+    stretches = search._stretches
+
+    def spy(program, length):
+        lengths.append(length)
+        return stretches(program, length)
+
+    def peak():
+        search._structures(("a", "b"), 2, 4)
+        tracemalloc.start()
+        try:
+            return find_countermodel(f, Bounds()), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(search, "_stretches", spy)
+    cut, cut_peak = peak()
+    assert min(lengths) == 16
+    lengths.clear()
+    monkeypatch.setattr(search, "_WIDE", 1 << 14)
+    one, one_peak = peak()
+    assert set(lengths) == {256}
+    labelled = sum(16 ** len(h.edges) for h in enumerate_hypergraphs(Bounds()))
+    assert cut == one == ValidWithinBounds(models_checked=labelled)
+    assert 3 * cut_peak < one_peak, (cut_peak, one_peak)
 
 
 def _sweep_args(f, classes):
@@ -654,6 +696,11 @@ def test_sweep_witness_past_the_first_chunk(monkeypatch):
     assert late > 0 and several > 0
 
 
+def _swept(st):
+    """A structure of the class stream as one that is swept, connected or not."""
+    return search._Structure(st.edges, st.views, st.view_of, {}, st.weight)
+
+
 def _per_class(program, sort, structures, names, sorts):
     """Reference: sweep each structure alone, as a run of one, until one has
     a falsifying assignment; the assignments swept, the hit, and each
@@ -676,9 +723,11 @@ def _per_class(program, sort, structures, names, sorts):
 def test_run_sweep_matches_a_per_class_loop(agents, views, edges, chunk_bits, run_edges,
                                             monkeypatch):
     # One interpretation per run of same-shape classes finds what sweeping
-    # the class stream one class at a time finds, also when a later member
-    # of a run fails in an earlier chunk than its first failing member, and
-    # when long runs are split.
+    # the classes one at a time finds, also when a later member of a run
+    # fails in an earlier chunk than its first failing member, and when long
+    # runs are split.  The class stream's runs hold its connected classes
+    # only, and sweeping them finds what sweeping every class one at a time
+    # finds: the same count and the same witness.
     monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
     monkeypatch.setattr(search, "_RUN_EDGES", run_edges)
     rng = random.Random(f"runs/{agents}-{views}-{edges}")
@@ -686,21 +735,22 @@ def test_run_sweep_matches_a_per_class_loop(agents, views, edges, chunk_bits, ru
     sig = hk.Signature(agent_names, {"a": ("pa", "qa"), "b": ("pb",)}, ("u", "v"))
     classes = search._Stream(search._structures(agent_names, views, edges))
     runs = classes.runs
-    assert [st for run in runs for st in run.members] == list(classes)
+    assert [st for run in runs for st in run.members] == [st for st in classes if st.connected]
     assert len(runs) < len(classes)
     assert all(run.points["world"] <= max(run_edges, edges) for run in runs)
+    whole = search._Stream(map(_swept, classes))
     crossed = 0
     for _ in range(40):
         sort = rng.choice(("world", "a", "b"))
         f = random_world(rng, sig, 4) if sort == "world" else random_agent(rng, sig, sort, 4)
         program, sorts = search.compile_program(f, sort)
         names = list(sorts)
-        for run in runs:
+        for run in whole.runs:
             checked, hit, failures = _per_class(program, sort, run.members, names, sorts)
             assert search.sweep(program, sort, run, names, sorts) == (checked, hit)
             chunk = min(sum(search._widths(run.members[0], names, sorts)), chunk_bits)
             crossed += any(t >> chunk < failures[0] >> chunk for t in failures[1:])
-        checked, hit, _ = _per_class(program, sort, classes, names, sorts)
+        checked, hit, _ = _per_class(program, sort, whole, names, sorts)
         fast_checked, fast = search.first_witness(program, sort, classes, names, sorts, sig)
         assert fast_checked == checked
         if hit is None:
@@ -759,6 +809,65 @@ def test_class_representatives_are_distinct_and_cover_the_stream(agents, views, 
         assert not orbit & seen
         seen |= orbit
     assert seen == {_key(st) for st in _labelled_structures(agent_names, views, edges)}
+
+
+def _components(st):
+    """The components of a structure, two edges meeting where they share a
+    view (union-find over shared views), each a structure of its own with
+    the views it holds."""
+    parent = list(range(len(st.edges)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    owner = {}
+    for a, column in st.view_of.items():
+        for i, v in enumerate(column):
+            if v is not None:
+                parent[find(i)] = find(owner.setdefault((a, v), i))
+    groups = {}
+    for i in range(len(st.edges)):
+        groups.setdefault(find(i), []).append(i)
+    out = []
+    for edges in groups.values():
+        views, view_of = {}, {}
+        for a, column in st.view_of.items():
+            held = sorted({column[i] for i in edges} - {None})
+            views[a] = tuple(st.views[a][v] for v in held)
+            view_of[a] = tuple(None if column[i] is None else held.index(column[i])
+                               for i in edges)
+        out.append(search._Structure(tuple(st.edges[i] for i in edges), views, view_of, {}, 1))
+    return out
+
+
+@pytest.mark.parametrize("agents,views,edges", _GRID, ids=["-".join(map(str, g)) for g in _GRID])
+def test_skipped_classes_split_into_earlier_classes(agents, views, edges):
+    # A class is marked connected exactly when it has one component, and
+    # each component of one that is not is, up to isomorphism, an earlier
+    # class of the stream: the first witness is never in a skipped class.
+    classes = search._structures(search.default_agents(agents), views, edges)
+    position = {_key(st): n for n, st in enumerate(classes)}
+    for n, st in enumerate(classes):
+        parts = _components(st)
+        assert st.connected == (len(parts) == 1)
+        for part in parts if len(parts) > 1 else ():
+            earlier = {position[k] for k in _orbit(part) if k in position}
+            assert len(earlier) == 1 and min(earlier) < n
+
+
+def test_golden_witnesses_are_connected():
+    # Every countermodel pinned by the witness files lies in a connected
+    # structure, as the skip rule requires.
+    intern, seen = {}, 0
+    for name in ("countermodel_witnesses.txt", "sweep_witnesses.txt"):
+        text = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+        for block in re.findall(r"(?:^    .*\n)+", text, re.M):
+            model = hk.parse_model(textwrap.dedent(block))
+            assert len(_components(_tables(model.hypergraph, intern))) == 1, block
+            seen += 1
+    assert seen > 100
 
 
 def _labelled_sweep(monkeypatch, verdict):
