@@ -2,8 +2,8 @@
 """Print a deterministic dump of the sweep verdicts, for comparing two trees
 of this repository with ``cmp``.
 
-Three parts, one line per verdict (a countermodel adds its model, rendered
-in the model file format):
+Four parts, one line per verdict (a countermodel adds its model, rendered
+in the model file format) or per rendered formula:
 
 - the scheme library under ``check_scheme`` at ``Bounds(edges=3)``,
   ``Bounds()`` and 3 agents with 2 views and 3 edges, 2 views and 4 edges,
@@ -11,11 +11,14 @@ in the model file format):
   point, metavariable assignment and model;
 - ``find_countermodel`` at ``Bounds()`` on ``kb4.translate`` of every KB4
   formula of ``enumerate_kb4_formulas(("q",), ("a", "b"), max_size=N)``;
-- ``soundness_spotcheck`` on each corpus derivation.
+- ``soundness_spotcheck`` on each corpus derivation;
+- ``parser.render`` of every library scheme at 2 agents and of every line
+  of each corpus derivation, so that the renderer's rules are compared too.
 
 The text depends on no hash seed: models are rendered, not ``repr``-ed.
 Run it as ``PYTHONPATH=src python3 scripts/parity_dump.py > dump.txt`` in
-each tree; ``--max-size`` and ``--edges`` shrink the inputs.
+each tree; ``--max-size`` and ``--edges`` shrink the inputs (a bound of
+the grid that the edge limit makes equal to an earlier one is swept once).
 """
 
 import argparse
@@ -59,10 +62,14 @@ def main():
 
     grid = [search.Bounds(edges=3), search.Bounds(), search.Bounds(agents=3, views=2, edges=3),
             search.Bounds(agents=3, views=2, edges=4), search.Bounds(agents=3, views=3, edges=4)]
-    out = []
+    bounds = []
     for b in grid:
         if b.edges > args.edges:
             b = search.Bounds(agents=b.agents, views=b.views, edges=args.edges)
+        if b not in bounds:
+            bounds.append(b)
+    out = []
+    for b in bounds:
         agents = search.default_agents(b.agents)
         for name, (scheme, agent) in scheme_library(agents).items():
             out += verdict_lines(f"scheme {b.agents}/{b.views}/{b.edges} {name}",
@@ -73,13 +80,21 @@ def main():
         out += verdict_lines(f"kb4 {k} {parser.render(f)}",
                              search.find_countermodel(kb4.translate(f), search.Bounds()))
 
-    for path in sorted(CORPUS.glob("*.deriv")):
-        hit = soundness_spotcheck(parser.parse_derivation(path.read_text(encoding="utf-8")))
+    derivations = {path.name: parser.parse_derivation(path.read_text(encoding="utf-8"))
+                   for path in sorted(CORPUS.glob("*.deriv"))}
+    for name, d in derivations.items():
+        hit = soundness_spotcheck(d)
         if hit is None:
-            out.append(f"corpus {path.name}: sound")
+            out.append(f"corpus {name}: sound")
         else:
-            out += [f"corpus {path.name}: line {hit.line} fails at {hit.point!r}",
+            out += [f"corpus {name}: line {hit.line} fails at {hit.point!r}",
                     *("    " + line for line in parser.render_model(hit.model).splitlines())]
+
+    for name, (scheme, _) in scheme_library(search.default_agents(2)).items():
+        out.append(f"render scheme {name}: {parser.render(scheme)}")
+    for name, d in derivations.items():
+        out += [f"render {name} {line.index}: {parser.render(line.statement.formula)}"
+                for line in d.lines]
     print("\n".join(out))
 
 

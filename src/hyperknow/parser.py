@@ -24,11 +24,15 @@ three; parentheses and runs of prefix operators go on an explicit stack, so
 nesting depth costs no recursion.
 
 ``parse_*`` return well-sorted core formulas with source spans;
-``render`` prints canonical text whose re-parse is structurally identical:
-one rule table per sort re-introduces the derived connectives greedily,
-indexed by node type and first child type so that a node tries only the
-rules that can match it, and the renderer works through a stack of text
-pieces and subformulas.
+``render`` prints canonical text whose re-parse is structurally identical.
+It reads ``_GRAMMARS`` backwards, so each surface form is stated once, for
+reading and writing alike: at import, every form of a sort is built by its
+row's builder on metavariables and desugared, which gives the core shape it
+stands for, and its metavariables become pattern variables.  At each node
+the renderer writes the first form whose shape ``syntax.match`` finds there
+(the order is stated at ``_Grammar``), trying only the forms whose node
+type and first child type fit, and it works through a stack of text pieces
+and subformulas.
 
 The module also reads and writes the model, frame, and derivation file
 formats.  Files are line-oriented; ``#`` starts a comment.  Names are bare
@@ -85,11 +89,17 @@ from .syntax import (
     WorldFormula,
     WOr,
     WTrue,
+    Var,
+    alive,
     children,
     desugar,
+    ksafe,
+    kunsafe,
+    match,
     sort_check_agent,
     sort_check_kb4,
     sort_check_world,
+    substitute_metas,
     walk,
 )
 
@@ -176,15 +186,6 @@ _PREC_AND = 3
 _PREC_UNARY = 4
 
 
-def _ksafe(agent, sub, span):
-    return SomeView(agent, Box(sub, span=sub.span), span=span)
-
-
-def _knows(agent, sub, span):
-    # K[a]: knowledge transported to worlds, vacuous where the agent is dead.
-    return AllViews(agent, Box(sub, span=sub.span), span=span)
-
-
 def _kb4_or(left, right, span):
     return KB4Not(KB4And(KB4Not(left, span=left.span), KB4Not(right, span=right.span),
                          span=span), span=span)
@@ -192,10 +193,6 @@ def _kb4_or(left, right, span):
 
 def _kb4_implies(left, right, span):
     return KB4Not(KB4And(left, KB4Not(right, span=right.span), span=span), span=span)
-
-
-def _alive(agent, span):
-    return SomeView(agent.text, ATrue(span=agent.span), span=span)
 
 
 class _Grammar(NamedTuple):
@@ -206,6 +203,13 @@ class _Grammar(NamedTuple):
     and ``heads`` does the same for the modal heads written ``NAME[agent]``;
     ``calls`` maps the leaves written ``NAME(agent)`` to their builders; then
     come the constants, and the atom and metavariable node types.
+
+    ``render`` reads the tables backwards and writes, at each node, the
+    first form that fits: it tries the calls, then the heads, the binary
+    operators, the prefixes, the constants, and last the atom and the
+    metavariable, each table in its order.  So a form whose core shape is an
+    instance of another's comes first: ``K`` before ``A``, ``Ksafe`` before
+    ``E``, ``|`` before ``->``, ``[]`` before ``~``.
     """
 
     what: str
@@ -221,21 +225,21 @@ class _Grammar(NamedTuple):
 _GRAMMARS = {
     "world": _Grammar(
         "a world formula",
-        {"ARROW": (_PREC_IMP, True, WImplies), "PIPE": (_PREC_OR, False, WOr),
+        {"PIPE": (_PREC_OR, False, WOr), "ARROW": (_PREC_IMP, True, WImplies),
          "AMP": (_PREC_AND, False, WAnd)},
         {"TILDE": (WNot, "world")},
-        {"E": (SomeView, "agent"), "A": (AllViews, "agent"),
-         "Ksafe": (_ksafe, "world"), "K": (_knows, "world")},
-        {"alive": _alive}, {"true": WTrue, "false": WFalse}, EnvAtom, WMeta),
+        {"Ksafe": (ksafe, "world"), "E": (SomeView, "agent"),
+         "K": (kunsafe, "world"), "A": (AllViews, "agent")},
+        {"alive": alive}, {"true": WTrue, "false": WFalse}, EnvAtom, WMeta),
     "agent": _Grammar(
         "an agent formula",
-        {"ARROW": (_PREC_IMP, True, AImplies), "PIPE": (_PREC_OR, False, AOr),
+        {"PIPE": (_PREC_OR, False, AOr), "ARROW": (_PREC_IMP, True, AImplies),
          "AMP": (_PREC_AND, False, AAnd)},
-        {"TILDE": (ANot, "agent"), "DIAMOND": (PossWorld, "world"), "BOX": (Box, "world")},
+        {"BOX": (Box, "world"), "TILDE": (ANot, "agent"), "DIAMOND": (PossWorld, "world")},
         {}, {}, {"true": ATrue, "false": AFalse}, AgentAtom, AMeta),
     "kb4": _Grammar(
         "a KB4 formula",
-        {"ARROW": (_PREC_IMP, True, _kb4_implies), "PIPE": (_PREC_OR, False, _kb4_or),
+        {"PIPE": (_PREC_OR, False, _kb4_or), "ARROW": (_PREC_IMP, True, _kb4_implies),
          "AMP": (_PREC_AND, False, KB4And)},
         {"TILDE": (KB4Not, "kb4")},
         {"K": (KB4Knows, "kb4")}, {}, {}, KB4Atom, None),
@@ -365,7 +369,7 @@ class _FormulaParser:
             self.advance()
             agent = self.expect("IDENT", "agent name")
             close = self.expect("RPAREN", "')'")
-            return g.calls[tok.text](agent, _join(tok.span, close.span))
+            return g.calls[tok.text](agent.text, span=_join(tok.span, close.span))
         self.advance()
         if tok.text in g.constants:
             return g.constants[tok.text](span=tok.span)
@@ -452,63 +456,48 @@ def parse_world_inferring(text: str, agents: Tuple[str, ...]):
 
 # --- rendering ----------------------------------------------------------------
 #
-# Rules per sort and node type, tried in order, greedily re-introduce the
-# derived connectives.  A pattern is (type, sub-pattern, ...) over the node's
-# children; a string names the child found there.  A rule gives the
-# precedence of its text (None: never parenthesized) and its pieces: text, in
-# which "{a}" is the agent of the outermost view quantifier and "{n}" the
-# name of an atom or metavariable, or (child name, precedence of its place).
+# A rule is (pattern, precedence of its text or None when it is never
+# parenthesized, pieces).  A piece is text, in which "{a}" is the agent and
+# "{n}" the name of an atom or metavariable, or (pattern variable, sort of
+# the operand there, precedence of its place).
+
+_OPERATOR_TEXT = {"PIPE": " | ", "ARROW": " -> ", "AMP": " & ",
+                  "TILDE": "~", "DIAMOND": "<> ", "BOX": "[] "}
+# The metavariable that stands for an operand of each sort; KB4 has none of
+# its own and borrows the world's.
+_OPERAND = {"world": WMeta, "agent": AMeta, "kb4": WMeta}
+_PATTERN_VARS = {name: Var(name) for name in "lrx"}
 
 
-def _connectives(Not, And):
-    return {
-        Not: [
-            ((Not, (And, (Not, "l"), (Not, "r"))), _PREC_OR,
-             (("l", _PREC_OR), " | ", ("r", _PREC_OR + 1))),
-            ((Not, (And, "l", (Not, "r"))), _PREC_IMP,
-             (("l", _PREC_IMP + 1), " -> ", ("r", _PREC_IMP))),
-            ((Not, "x"), None, ("~", ("x", _PREC_UNARY))),
-        ],
-        And: [((And, "l", "r"), _PREC_AND, (("l", _PREC_AND), " & ", ("r", _PREC_AND + 1)))],
-    }
+def _pattern(f):
+    """The core shape of ``f``, its metavariables turned pattern variables."""
+    return substitute_metas(desugar(f), _PATTERN_VARS)
 
 
-def _prefixed(text, pattern):
-    return (pattern, None, (text, ("x", _PREC_UNARY)))
+def _render_rules(sort, g: _Grammar):
+    """The rules of one sort, read off its grammar, in the order that
+    ``render`` tries them."""
+    rules = [(_pattern(build(Var("a"))), None, (f"{name}({{a}})",))
+             for name, build in g.calls.items()]
+    rules += [(_pattern(build(Var("a"), _OPERAND[operand]("x"))), None,
+               (f"{name}[{{a}}] ", ("x", operand, _PREC_UNARY)))
+              for name, (build, operand) in g.heads.items()]
+    rules += [(_pattern(build(_OPERAND[sort]("l"), _OPERAND[sort]("r"), span=None)), prec,
+               (("l", sort, prec + right), _OPERATOR_TEXT[kind], ("r", sort, prec + (not right))))
+              for kind, (prec, right, build) in g.binary.items()]
+    rules += [(_pattern(build(_OPERAND[operand]("x"))), None,
+               (_OPERATOR_TEXT[kind], ("x", operand, _PREC_UNARY)))
+              for kind, (build, operand) in g.prefix.items()]
+    rules += [(build(), None, (name,)) for name, build in g.constants.items()]
+    rules.append((g.atom(Var("n")), None, ("{n}",)))
+    if g.meta is not None:
+        rules.append((g.meta(Var("n")), None, ("?{n}",)))
+    return rules
 
 
-def _leaf_rule(cls, text):
-    return {cls: [((cls,), None, (text,))]}
-
-
-_WORLD_RULES = {
-    **_leaf_rule(WTrue, "true"), **_leaf_rule(WFalse, "false"),
-    **_leaf_rule(EnvAtom, "{n}"), **_leaf_rule(WMeta, "?{n}"),
-    **_connectives(WNot, WAnd),
-    SomeView: [
-        ((SomeView, (ATrue,)), None, ("alive({a})",)),
-        _prefixed("Ksafe[{a}] ", (SomeView, (ANot, (PossWorld, (WNot, "x"))))),
-        _prefixed("E[{a}] ", (SomeView, "x")),
-    ],
-}
-_WORLD_RULES[WNot] = [
-    _prefixed("K[{a}] ", (WNot, (SomeView, (ANot, (ANot, (PossWorld, (WNot, "x"))))))),
-    _prefixed("A[{a}] ", (WNot, (SomeView, (ANot, "x")))),
-] + _WORLD_RULES[WNot]
-
-_AGENT_RULES = {
-    **_leaf_rule(ATrue, "true"), **_leaf_rule(AFalse, "false"),
-    **_leaf_rule(AgentAtom, "{n}"), **_leaf_rule(AMeta, "?{n}"),
-    **_connectives(ANot, AAnd),
-    PossWorld: [_prefixed("<> ", (PossWorld, "x"))],
-}
-_AGENT_RULES[ANot] = [_prefixed("[] ", (ANot, (PossWorld, (WNot, "x"))))] + _AGENT_RULES[ANot]
-
-_KB4_RULES = {
-    **_leaf_rule(KB4Atom, "{n}"),
-    **_connectives(KB4Not, KB4And),
-    KB4Knows: [_prefixed("K[{a}] ", (KB4Knows, "x"))],
-}
+def _first_child_type(f):
+    kids = children(f, None)
+    return type(kids[0][0]) if kids else None
 
 
 class _RuleIndex(dict):
@@ -522,16 +511,14 @@ class _RuleIndex(dict):
 
     def __missing__(self, key):
         node_type, child_type = key
-        fits = self[key] = [rule for rule in self.rules.get(node_type, ())
-                            if len(rule[0]) < 2 or isinstance(rule[0][1], str)
-                            or rule[0][1][0] is child_type]
+        fits = self[key] = [rule for rule in self.rules if type(rule[0]) is node_type
+                            and _first_child_type(rule[0]) in (Var, child_type)]
         return fits
 
 
-# Keyed by sort: "world", any agent, and None for KB4 (whose nodes keep it).
-_RULES = {"world": (_RuleIndex(_WORLD_RULES), "not a core world formula"),
-          "agent": (_RuleIndex(_AGENT_RULES), "not a core agent formula"),
-          None: (_RuleIndex(_KB4_RULES), "not a KB4 formula")}
+_RULES = {sort: _RuleIndex(_render_rules(sort, g)) for sort, g in _GRAMMARS.items()}
+_NOT_RENDERED = {"world": "not a core world formula", "agent": "not a core agent formula",
+                 "kb4": "not a KB4 formula"}
 
 
 def render(f) -> str:
@@ -546,7 +533,7 @@ def render(f) -> str:
     elif isinstance(f, AgentFormula):
         sort = "agent"
     elif isinstance(f, KB4Formula):
-        sort = None
+        sort = "kb4"
     else:
         raise TypeError(f"not a formula: {f!r}")
     out = []
@@ -557,40 +544,18 @@ def render(f) -> str:
             out.append(item)
             continue
         node, s, ctx = item
-        rules, error = _RULES[s if s is None or s == "world" else "agent"]
-        kids = children(node, s)
-        for pattern, prec, pieces in rules[type(node), type(kids[0][0]) if kids else None]:
-            binds = _match(pattern, node, kids)
-            if binds is not None:
+        for pattern, prec, pieces in _RULES[s][type(node), _first_child_type(node)]:
+            env = {}
+            if match(pattern, node, env):
                 break
         else:
-            raise TypeError(f"{error}: {node!r}")
-        parts = [piece.format_map(binds) if isinstance(piece, str)
-                 else (*binds[piece[0]], piece[1]) for piece in pieces]
+            raise TypeError(f"{_NOT_RENDERED[s]}: {node!r}")
+        parts = [piece.format_map(env) if isinstance(piece, str)
+                 else (env[piece[0]], *piece[1:]) for piece in pieces]
         if prec is not None and prec < ctx:
             parts = ["(", *parts, ")"]
         todo.extend(reversed(parts))
     return "".join(out)
-
-
-def _match(pattern, node, kids):
-    """The bindings of a rendering pattern at ``node``, whose type the
-    pattern's head already is, or None.  ``kids`` are the node's children."""
-    binds = {"n": getattr(node, "name", None)}
-    if isinstance(node, (SomeView, KB4Knows)):
-        binds["a"] = node.agent
-    todo = [(sub, c, cs) for sub, (c, cs) in zip(pattern[1:], kids)]
-    while todo:
-        pat, n, s = todo.pop()
-        if isinstance(pat, str):
-            binds[pat] = (n, s)
-            continue
-        if type(n) is not pat[0]:
-            return None
-        if "a" not in binds and isinstance(n, (SomeView, KB4Knows)):
-            binds["a"] = n.agent
-        todo.extend((sub, c, cs) for sub, (c, cs) in zip(pat[1:], children(n, s)))
-    return binds
 
 
 # --- line-oriented files ------------------------------------------------------

@@ -16,11 +16,13 @@ formula)`` pair over the metavariables ``X``, ``Y`` (world), ``x``, ``y``
 ``e`` and at an agent sort, and the stated line's sort picks one.  One
 matcher checks a line: it fetches the premises in order, binds the
 patterns' metavariables and agent against each in turn, then matches the
-stated line under the same bindings, so no conclusion is built.  A sort
-clash is a ``SortError``, any other clash a ``RuleMismatch``.  Whatever the
-justification, a line whose formula has a node that is not a formula
-record is a ``SortError``, and a line accepted in order is of its stated sort over the
-signature: the stated sort must be ``e`` or a declared agent, and the
+stated line under the same bindings, so no conclusion is built; the walk
+over a pattern and its formula is ``syntax.match``, which the renderer
+shares.  A sort clash is a ``SortError``, any other clash a
+``RuleMismatch``.  Whatever the justification, a line whose formula has a
+node that is not a formula record is a ``SortError``, and a line accepted
+in order is of its stated sort over the signature: the stated sort must be
+``e`` or a declared agent, and the
 formula of a ``PropTaut`` line or an agent axiom is sort-checked, while
 every other rule assembles its line from parts of a checked premise at the
 sorts its patterns fix.  ``PropTaut`` abstracts maximal modal subformulas
@@ -80,8 +82,10 @@ from .syntax import (
     WNot,
     WorldFormula,
     WTrue,
+    Var,
     children,
     desugar,
+    match,
     substitute_metas,
     sort_check_agent,
     sort_check_world,
@@ -196,22 +200,7 @@ def _sort_error(message):
 
 # --- the rule table -----------------------------------------------------------------
 
-class _Var:
-    """A pattern variable: at its first occurrence it binds a world formula
-    (``X``, ``Y``), an agent formula (``x``, ``y``) or the rule's agent
-    (``a``), which the rest of the row must repeat.  It hashes by
-    identity, so binding one costs no formula hash."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-_AGENT = _Var("a")      # the rule's agent, in a sort or an ``E[a]`` node
+_AGENT = Var("a")       # the rule's agent, in a sort or an ``E[a]`` node
 
 
 def _rule_table():
@@ -241,7 +230,7 @@ def _rule_table():
     # Each adjunction's upward direction is its downward one read backwards.
     rules[Adj1Up,] = rules[Adj1Down,][::-1]
     rules[Adj2Up,] = rules[Adj2Down,][::-1]
-    variables = {name: _Var(name) for name in "XYxy"}
+    variables = {name: Var(name) for name in "XYxy"}
     return {key: tuple((sort, substitute_metas(desugar(f), variables)) for sort, f in row)
             for key, row in rules.items()}
 
@@ -254,9 +243,9 @@ def _match(lines, k: int, stmt: Statement, just) -> None:
     premises ``just`` cites, in order, match each against its pattern, then
     the stated line against the last.  The premise indices are a
     justification's first argument, or both of ``MP``'s, and a further
-    argument names the row.  Pattern variables bind at their first
-    occurrence, and a bound one must repeat ``==``.  Nothing is built: each
-    pattern and its formula are walked in lockstep on an explicit stack."""
+    argument names the row.  The patterns share one set of bindings, and
+    each is matched by ``syntax.match``: a variable binds at its first
+    occurrence and must repeat ``==`` after, and nothing is built."""
     args = just._key(just) if isinstance(just, Record) else ()
     if type(just) is MP:
         row, cited = RULES[MP, WORLD_SORT if stmt.sort == WORLD_SORT else _AGENT], args
@@ -274,23 +263,12 @@ def _match(lines, k: int, stmt: Statement, just) -> None:
     for n, (sort, pattern) in enumerate(row):
         given = stmts[n]
         if sort is _AGENT and given.sort != WORLD_SORT:
-            sort = env.setdefault(_AGENT, given.sort)
+            sort = env.setdefault(_AGENT.name, given.sort)
         if given.sort != sort:
             need = "an agent sort" if sort is _AGENT else f"sort {sort}"
             _sort_error(f"{_where(just, cited, n)} has sort {given.sort}, the rule needs {need}")
-        p, f, todo = pattern, given.formula, []
-        while True:
-            if type(p) is _Var:
-                bound = env.setdefault(p, f)
-                if bound is not f and not bound == f:
-                    _mismatch(f"{_where(just, cited, n)} does not have the shape the rule needs")
-            elif type(p) is type(f):
-                todo += zip(p._key(p), f._key(f))
-            else:
-                _mismatch(f"{_where(just, cited, n)} does not have the shape the rule needs")
-            if not todo:
-                break
-            p, f = todo.pop()
+        if not match(pattern, given.formula, env):
+            _mismatch(f"{_where(just, cited, n)} does not have the shape the rule needs")
 
 
 def _where(just, cited, n) -> str:

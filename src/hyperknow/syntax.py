@@ -28,6 +28,11 @@ is given a memo, because a shared subformula object (as ``substitute_metas``
 puts at every occurrence of a metavariable) must otherwise be visited at
 each place it occurs.  Whether two formulas are the same is decided by
 ``==`` alone.
+
+A pattern is a formula with pattern variables (``Var``) in some of its
+fields; ``match`` binds them against a formula, walking both in lockstep on
+an explicit stack.  The renderer's rules and the proof kernel's rule rows
+are patterns.
 """
 
 from __future__ import annotations
@@ -255,21 +260,23 @@ class KB4Knows(_Labelled, KB4Formula):
 
 
 # --- sugar helpers ----------------------------------------------------------
+#
+# The parser builds the sugar with these too, passing the spans of the text.
 
 
-def alive(agent: str) -> WorldFormula:
+def alive(agent: str, span=None) -> WorldFormula:
     """The world contains a view of ``agent``."""
-    return SomeView(agent, ATrue())
+    return SomeView(agent, ATrue(span=span), span=span)
 
 
-def ksafe(agent: str, f: WorldFormula) -> WorldFormula:
+def ksafe(agent: str, f: WorldFormula, span=None) -> WorldFormula:
     """Safe knowledge: some view of the agent knows ``f`` (false where dead)."""
-    return SomeView(agent, Box(f))
+    return SomeView(agent, Box(f, span=f.span), span=span)
 
 
-def kunsafe(agent: str, f: WorldFormula) -> WorldFormula:
+def kunsafe(agent: str, f: WorldFormula, span=None) -> WorldFormula:
     """Unsafe knowledge: every view of the agent knows ``f`` (vacuous where dead)."""
-    return AllViews(agent, Box(f))
+    return AllViews(agent, Box(f, span=f.span), span=span)
 
 
 def disj(left, right):
@@ -376,6 +383,43 @@ _REBUILD = {node_type: build for node_types, build in (
     ((SomeView, AllViews, KB4Knows),
      lambda f, k: f if k[0] is f.sub else type(f)(f.agent, k[0], span=f.span)),
 ) for node_type in node_types}
+
+
+# --- patterns -------------------------------------------------------------------
+
+
+class Var:
+    """A pattern variable: at its first occurrence it binds whatever stands
+    there (a formula, an agent, a name), which its later occurrences must
+    repeat.  Bindings are keyed by ``name``."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return self.name
+
+
+def match(pattern, f, env) -> bool:
+    """Whether ``f`` has the shape of ``pattern``, a record with a ``Var``
+    in some of its fields, binding the variables in ``env`` (bindings made
+    before the call stand).  A bound variable must repeat ``==``.  Nothing
+    is built: the two are walked in lockstep on an explicit stack."""
+    todo = []
+    while True:
+        if type(pattern) is Var:
+            bound = env.setdefault(pattern.name, f)
+            if bound is not f and not bound == f:
+                return False
+        elif type(pattern) is type(f):
+            todo += zip(pattern._key(pattern), f._key(f))
+        else:
+            return False
+        if not todo:
+            return True
+        pattern, f = todo.pop()
 
 
 # --- desugaring -------------------------------------------------------------

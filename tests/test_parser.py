@@ -11,10 +11,12 @@ import hyperknow as hk
 from hyperknow import parser
 from hyperknow.errors import HyperknowError, ParseError, SortError
 from hyperknow.syntax import (
+    AgentAtom,
     AllViews,
     ATrue,
     Box,
     EnvAtom,
+    KB4Atom,
     KB4Knows,
     PossWorld,
     SomeView,
@@ -52,16 +54,58 @@ def test_syntax_error_offset(sig):
     assert err.value.span.start == 3
 
 
-def test_render_resugars_dual(sig):
-    f = parser.parse_world("~E[a]~pa", sig)
-    assert parser.render(f) == "A[a] pa"
+# The canonical text of each kind of grammar row, written out by hand:
+# binary and prefix operators by token kind, over the operands "{l}", "{r}"
+# and "{x}".  A row of a new kind fails below until its text is added here.
+_ROW_TEXT = {"PIPE": "{l} | {r}", "ARROW": "{l} -> {r}", "AMP": "{l} & {r}",
+             "TILDE": "~{x}", "DIAMOND": "<> {x}", "BOX": "[] {x}",
+             "head": "{name}[a] {x}", "call": "{name}(a)", "constant": "{name}",
+             "atom": "{x}", "meta": "?{x}"}
+# An atom of each operand sort, and a second one for right operands, over
+# the ``sig`` fixture.
+_OPERANDS = {"world": (EnvAtom("p"), EnvAtom("solo")),
+             "agent": (AgentAtom("pa"), AgentAtom("qa")),
+             "kb4": (KB4Atom("p"), KB4Atom("solo"))}
+_PARSE = {"world": lambda text, sig: parser.parse_world(text, sig, allow_metas=True),
+          "agent": lambda text, sig: parser.parse_agent(text, "a", sig, allow_metas=True),
+          "kb4": parser.parse_kb4}
 
 
-def test_render_knowledge_sugar(sig):
-    assert parser.render(parser.parse_world("Ksafe[a] p", sig)) == "Ksafe[a] p"
-    assert parser.render(parser.parse_world("K[a] p", sig)) == "K[a] p"
-    assert parser.render(parser.parse_world("E[a] ~<>~p", sig)) == "Ksafe[a] p"
-    assert parser.render(parser.parse_world("A[a] []p", sig)) == "K[a] p"
+def _grammar_rows():
+    """(sort, kind, name, instance over atoms, the names filling its text)
+    for every row of every sort's grammar."""
+    for sort, g in parser._GRAMMARS.items():
+        left, right = _OPERANDS[sort]
+        for kind, (_, _, build) in g.binary.items():
+            yield (sort, kind, kind, build(left, right, span=None),
+                   {"l": left.name, "r": right.name})
+        for kind, (build, operand) in g.prefix.items():
+            x = _OPERANDS[operand][0]
+            yield sort, kind, kind, build(x), {"x": x.name}
+        for name, (build, operand) in g.heads.items():
+            x = _OPERANDS[operand][0]
+            yield sort, "head", name, build("a", x), {"name": name, "x": x.name}
+        for name, build in g.calls.items():
+            yield sort, "call", name, build("a"), {"name": name}
+        for name, build in g.constants.items():
+            yield sort, "constant", name, build(), {"name": name}
+        yield sort, "atom", "atom", left, {"x": left.name}
+        if g.meta is not None:
+            yield sort, "meta", "meta", g.meta("X"), {"x": "X"}
+
+
+_ROWS = list(_grammar_rows())
+
+
+@pytest.mark.parametrize("sort, kind, name, f, names", _ROWS,
+                         ids=[f"{sort}-{kind}-{name}" if kind == "head" else f"{sort}-{name}"
+                              for sort, kind, name, _, _ in _ROWS])
+def test_every_grammar_row_round_trips(sig, sort, kind, name, f, names):
+    # Each surface form of each sort renders to its own text, not to another
+    # form with the same core shape (K[a] p, not A[a] [] p), and reads back.
+    text = _ROW_TEXT[kind].format_map(names)
+    assert parser.render(f) == text
+    assert _PARSE[sort](text, sig) == desugar(f)
 
 
 def test_precedence(sig):
@@ -164,7 +208,6 @@ def test_metavariables(sig):
 def test_parse_kb4(sig):
     f = parser.parse_kb4("~K[a] K[b] p", sig)
     assert f == hk.syntax.KB4Not(KB4Knows("a", KB4Knows("b", hk.syntax.KB4Atom("p"))))
-    assert parser.render(f) == "~K[a] K[b] p"
     g = parser.parse_kb4("p -> K[a](p | solo)", sig)
     assert parser.parse_kb4(parser.render(g), sig) == g
 

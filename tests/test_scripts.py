@@ -89,18 +89,21 @@ def test_loc_counts_code_lines(monkeypatch, capsys, tmp_path):
 
 
 def test_parity_dump_is_deterministic_on_a_small_input(monkeypatch, capsys):
-    # Edge bound 2 and KB4 formulas of at most 3 nodes: 18 scheme rows at
-    # each of the five bounds, 14 formulas, the six corpus derivations;
-    # the text is the same under two hash seeds.
+    # Edge bound 2 and KB4 formulas of at most 3 nodes: the five bounds
+    # clamp to three distinct ones (2/2/2, 3/2/2, 3/3/2), each swept once
+    # for 18 scheme rows; 14 formulas, the six corpus derivations; the text
+    # is the same under two hash seeds.
     code, lines = _run("parity_dump.py", monkeypatch, capsys, "--max-size", "3", "--edges", "2")
     assert code == 0
     heads = [line for line in lines if not line.startswith("    ")]
-    assert sum(line.startswith("scheme ") for line in heads) == 90
+    assert sum(line.startswith("scheme ") for line in heads) == 54
     assert sum(line.startswith("scheme 3/3/2 ") for line in heads) == 18
     assert "scheme 2/2/2 non_emptiness: valid 32" in heads
     assert "scheme 3/2/2 ksafe_b: countermodel at World(edge='e1') [PHI=q1]" in heads
     assert sum(line.startswith("kb4 ") for line in heads) == 14
     assert "kb4 13 q & q: countermodel at World(edge='e1') []" in heads
+    assert sum(line.startswith("render scheme ") for line in heads) == 18
+    assert "render scheme ksafe_4: Ksafe[a] ?PHI -> Ksafe[a] Ksafe[a] ?PHI" in heads
     assert [line for line in heads if line.startswith("corpus ")] == [
         f"corpus {name}.deriv: sound" for name in (
             "distribution", "k_axiom", "ksafe_4", "locality", "non_emptiness",

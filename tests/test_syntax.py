@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -25,6 +26,7 @@ from hyperknow.syntax import (
     WNot,
     WOr,
     WTrue,
+    Var,
     alive,
     atoms_of,
     desugar,
@@ -32,6 +34,7 @@ from hyperknow.syntax import (
     is_core,
     ksafe,
     kunsafe,
+    match,
     modal_depth,
     sort_check_agent,
     sort_check_world,
@@ -190,3 +193,46 @@ def test_desugar_preserves_modal_depth(sig):
     for _ in range(200):
         f = _random_sugared(rng, sig, 4)
         assert modal_depth(desugar(f)) == modal_depth(f)
+
+
+def test_match_binds_a_formula_an_agent_and_a_name():
+    env = {}
+    pattern = WAnd(SomeView(Var("a"), Var("x")), EnvAtom(Var("n")))
+    assert match(pattern, WAnd(SomeView("b", AgentAtom("pb")), EnvAtom("p")), env)
+    assert env == {"a": "b", "x": AgentAtom("pb"), "n": "p"}
+    # A binding made before the call stands.
+    assert not match(pattern, WAnd(SomeView("c", ATrue()), EnvAtom("p")), {"a": "b"})
+
+
+def test_match_repeated_variable_needs_equal_not_identical():
+    pattern = WAnd(Var("x"), WNot(Var("x")))
+    left, right = desugar(ksafe("a", EnvAtom("p"))), desugar(ksafe("a", EnvAtom("p")))
+    assert left is not right
+    env = {}
+    assert match(pattern, WAnd(left, WNot(right)), env) and env["x"] == left
+    assert not match(pattern, WAnd(left, WNot(desugar(ksafe("a", EnvAtom("q"))))), {})
+
+
+def test_match_fails_on_a_type_clash_deep_in_the_pattern():
+    pattern = SomeView(Var("a"), ANot(PossWorld(WNot(Var("x")))))
+    assert match(pattern, desugar(ksafe("a", EnvAtom("p"))), {})
+    # The same shape but for the innermost node: E[a] ~<> p.
+    assert not match(pattern, SomeView("a", ANot(PossWorld(EnvAtom("p")))), {})
+    assert not match(WNot(Var("x")), ANot(ATrue()), {})
+
+
+def test_match_needs_no_recursion():
+    pattern, f = Var("x"), EnvAtom("p")
+    for _ in range(100_000):
+        pattern, f = WNot(pattern), WNot(f)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        env = {}
+        assert match(pattern, f, env) and env == {"x": EnvAtom("p")}
+        assert not match(WNot(pattern), f, {})
+    finally:
+        sys.setrecursionlimit(limit)
