@@ -1,6 +1,8 @@
 import itertools
 import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,17 +14,28 @@ from hyperknow.errors import (
     UnknownAtomError,
     WrongSortAtomError,
 )
+from hyperknow.errors import HyperknowError
+from hyperknow.parser import _parse, parse_world_inferring
 from hyperknow.syntax import (
+    AAnd,
+    AFalse,
     AgentAtom,
     AllViews,
+    AMeta,
     ANot,
     ATrue,
     Box,
     EnvAtom,
+    KB4And,
+    KB4Atom,
+    KB4Knows,
+    KB4Not,
     PossWorld,
     SomeView,
     WAnd,
+    WFalse,
     WImplies,
+    WMeta,
     WNot,
     WOr,
     WTrue,
@@ -36,11 +49,13 @@ from hyperknow.syntax import (
     kunsafe,
     match,
     modal_depth,
+    scheme_meta_sorts,
     sort_check_agent,
+    sort_check_kb4,
     sort_check_world,
 )
 
-from conftest import random_world
+from conftest import RICH_SIG, random_surface_agent, random_surface_world, random_world
 
 
 def test_desugar_safe_knowledge():
@@ -236,3 +251,152 @@ def test_match_needs_no_recursion():
         assert not match(WNot(pattern), f, {})
     finally:
         sys.setrecursionlimit(limit)
+
+
+# --- pinned outcomes of the sort checker ------------------------------------------
+
+# tests/data/sort_check_outcomes.txt holds sort_check_outcomes() byte for byte;
+# print the current text with ``PYTHONPATH=src python tests/test_syntax.py``.
+
+SORT_OUTCOMES = Path(__file__).parent / "data" / "sort_check_outcomes.txt"
+
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+_LEAVES = {*RICH_SIG.env_atoms, *RICH_SIG.atoms_for("a"), *RICH_SIG.atoms_for("b"),
+           "true", "false"}
+# An atom of another sort than each atom's: an agent's for an environment
+# atom, the environment's or the other agent's for an agent's.
+_OTHER_SORT = {"u": "pa", "v": "pb", "pa": "pb", "qa": "u", "pb": "v"}
+
+
+def _random_kb4(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return KB4Atom(rng.choice(RICH_SIG.env_atoms))
+    k = rng.randrange(3)
+    if k == 0:
+        return KB4Not(_random_kb4(rng, depth - 1))
+    if k == 1:
+        return KB4And(_random_kb4(rng, depth - 1), _random_kb4(rng, depth - 1))
+    return KB4Knows(rng.choice(RICH_SIG.agents), _random_kb4(rng, depth - 1))
+
+
+def _one_name_mutations(rng, text):
+    """``text`` with one name changed, for each of: an unknown atom, an atom
+    of another sort, an unknown agent and the metavariable ``?X``, each at a
+    leaf or an agent picked by ``rng``."""
+    names = list(_NAME_RE.finditer(text))
+    leaves = [m for m in names if m.group() in _LEAVES]
+    agents = [m for m in names if m.group() in RICH_SIG.agents]
+    out = []
+    for label, pool, new in (("zz", leaves, lambda n: "zz"),
+                             ("other", leaves, lambda n: _OTHER_SORT.get(n, rng.choice("u pa pb".split()))),
+                             ("c", agents, lambda n: "c"),
+                             ("?X", leaves, lambda n: "?X")):
+        if pool:
+            m = rng.choice(pool)
+            out.append((label, text[:m.start()] + new(m.group()) + text[m.end():]))
+    return out
+
+
+def _sort_check_texts():
+    """(label, sort, text): seeded surface texts over ``RICH_SIG`` of each
+    sort, ``sort`` being "world", an agent or "kb4", and their one-name
+    mutations."""
+    rng = random.Random("sort-check")
+    texts = []
+    for i in range(24):
+        texts.append((f"w{i}", "world", hk.render(random_surface_world(rng, RICH_SIG, 3))))
+    for i in range(24):
+        agent = RICH_SIG.agents[i % 2]
+        texts.append((f"a{i}", agent,
+                      hk.render(random_surface_agent(rng, RICH_SIG, agent, 3))))
+    for i in range(12):
+        texts.append((f"k{i}", "kb4", hk.render(_random_kb4(rng, 3))))
+    texts += [("ww", "world", "?X & E[a] <> ?X"), ("wa", "world", "E[a] ?X & E[b] ?X"),
+              ("aw", "a", "?X & <> E[a] ?X")]
+    return [(f"{label}{suffix}", sort, variant) for label, sort, text in texts
+            for suffix, variant in [("", text), *(("-" + m, t) for m, t in
+                                                 _one_name_mutations(rng, text))]]
+
+
+# Code-built formulas that no parse gives: misplaced nodes of every sort, a
+# hole, and a metavariable at two sorts.
+_BUILT = (
+    SomeView("a", WTrue()), SomeView("a", ANot(EnvAtom("u"))), WAnd(WTrue(), ATrue()),
+    WNot(AgentAtom("pa")), PossWorld(ATrue()), AAnd(ATrue(), WFalse()), Box(AgentAtom("pa")),
+    SomeView("a", PossWorld(AFalse())), WAnd(WTrue(), KB4Atom("u")),
+    SomeView("a", KB4Not(KB4Atom("u"))), ANot(KB4Atom("u")),
+    KB4And(KB4Atom("u"), WTrue()), KB4Knows("a", EnvAtom("u")), KB4Not(ATrue()),
+    KB4Atom("pa"), KB4Atom("zz"), KB4Knows("c", KB4Atom("zz")), KB4Knows("a", KB4Atom("v")),
+    WNot(None), ANot(None), KB4Not(None), None, "p",
+    WAnd(WMeta("X"), SomeView("a", AMeta("X"))), SomeView("a", PossWorld(WMeta("X"))),
+    WAnd(SomeView("a", AMeta("X")), SomeView("b", AMeta("X"))), AAnd(AMeta("X"), PossWorld(WMeta("X"))),
+    SomeView("c", AgentAtom("zz")), AllViews("a", AMeta("Y")),
+)
+
+
+def _outcome(run):
+    try:
+        result = run()
+    except (HyperknowError, TypeError) as err:
+        span = getattr(err, "span", None)
+        where = f" {span.start}-{span.end}" if span is not None else ""
+        return f"{type(err).__name__}{where} {err}"
+    if isinstance(result, dict):
+        return f"ok {sorted(result.items())}"
+    if isinstance(result, tuple):
+        f, sig = result
+        return f"ok {hk.render(f)} {sig!r}"
+    return f"ok {hk.render(result)}"
+
+
+def _entry_points(sort, text):
+    """(name, call) of every sort-checking entry point that reads a text of
+    ``sort``: the parsers, and the checkers on the formula as parsed."""
+    sig = RICH_SIG
+    if sort == "kb4":
+        return [("parse_kb4", lambda: hk.parse_kb4(text, sig)),
+                ("sort_check_kb4", lambda: sort_check_kb4(_parse(text, "kb4"), sig))]
+    if sort == "world":
+        return [("parse_world", lambda: hk.parse_world(text, sig)),
+                ("parse_world metas", lambda: hk.parse_world(text, sig, allow_metas=True)),
+                ("parse_world_inferring", lambda: parse_world_inferring(text, sig.agents)),
+                ("sort_check_world", lambda: sort_check_world(_parse(text, "world"), sig)),
+                ("scheme_meta_sorts", lambda: scheme_meta_sorts(_parse(text, "world"), sig))]
+    other = "b" if sort == "a" else "a"
+    return [("parse_agent", lambda: hk.parse_agent(text, sort, sig)),
+            ("parse_agent metas", lambda: hk.parse_agent(text, sort, sig, allow_metas=True)),
+            (f"parse_agent {other}", lambda: hk.parse_agent(text, other, sig)),
+            ("sort_check_agent", lambda: sort_check_agent(_parse(text, "agent"), sort, sig)),
+            ("sort_check_agent c", lambda: sort_check_agent(_parse(text, "agent"), "c", sig)),
+            ("scheme_meta_sorts", lambda: scheme_meta_sorts(_parse(text, "agent"), sig, sort))]
+
+
+def _built_entry_points(f):
+    sig = RICH_SIG
+    return [("sort_check_world", lambda: sort_check_world(f, sig)),
+            ("sort_check_world metas", lambda: sort_check_world(f, sig, allow_metas=True)),
+            ("sort_check_agent metas", lambda: sort_check_agent(f, "a", sig, allow_metas=True)),
+            ("sort_check_kb4", lambda: sort_check_kb4(f, sig)),
+            ("scheme_meta_sorts", lambda: scheme_meta_sorts(f, sig)),
+            ("scheme_meta_sorts a", lambda: scheme_meta_sorts(f, sig, "a"))]
+
+
+def sort_check_outcomes() -> str:
+    """Each input's header line, then one line per entry point: ``ok`` and
+    the rendered result, or the error's type, span and message."""
+    out = []
+    for label, sort, text in _sort_check_texts():
+        out.append(f"[{label} {sort}] {text}")
+        out += [f"{name}: {_outcome(run)}" for name, run in _entry_points(sort, text)]
+    for i, f in enumerate(_BUILT):
+        out.append(f"[built{i}] {f!r}")
+        out += [f"{name}: {_outcome(run)}" for name, run in _built_entry_points(f)]
+    return "".join(line + "\n" for line in out)
+
+
+def test_sort_check_outcomes_match_the_golden_file():
+    assert sort_check_outcomes() == SORT_OUTCOMES.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    print(sort_check_outcomes(), end="")
