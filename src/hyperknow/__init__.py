@@ -113,6 +113,7 @@ from .syntax import (
     sort_check_agent,
     sort_check_kb4,
     sort_check_world,
+    sort_of,
 )
 
 __version__ = "0.1.0"

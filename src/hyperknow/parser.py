@@ -24,15 +24,17 @@ three; parentheses and runs of prefix operators go on an explicit stack, so
 nesting depth costs no recursion.
 
 ``parse_*`` return well-sorted core formulas with source spans;
-``render`` prints canonical text whose re-parse is structurally identical.
-It reads ``_GRAMMARS`` backwards, so each surface form is stated once, for
-reading and writing alike: at import, every form of a sort is built by its
-row's builder on metavariables and desugared, which gives the core shape it
-stands for, and its metavariables become pattern variables.  At each node
-the renderer writes the first form whose shape ``syntax.match`` finds there
-(the order is stated at ``_Grammar``), trying only the forms whose node
-type and first child type fit, and it works through a stack of text pieces
-and subformulas.
+``parse_world_inferring`` declares the atoms it meets and checks the
+formula in the same single walk.  ``render`` prints canonical text whose
+re-parse is structurally identical; it takes a formula's sort from
+``syntax.sort_of`` and reads ``_GRAMMARS`` backwards, so each surface form
+is stated once, for reading and writing alike: at import, every form of a
+sort is built by its row's builder on metavariables and desugared, which
+gives the core shape it stands for, and its metavariables become pattern
+variables.  At each node the renderer writes the first form whose shape
+``syntax.match`` finds there (the order is stated at ``_Grammar``), trying
+only the forms whose node type and first child type fit, and it works
+through a stack of text pieces and subformulas.
 
 The module also reads and writes the model, frame, and derivation file
 formats.  Files are line-oriented; ``#`` starts a comment.  Names are bare
@@ -99,6 +101,7 @@ from .syntax import (
     sort_check_agent,
     sort_check_kb4,
     sort_check_world,
+    sort_of,
     substitute_metas,
     walk,
 )
@@ -418,10 +421,15 @@ def parse_world_inferring(text: str, agents: Tuple[str, ...]):
     which has clauses for them, so desugaring would only cost a walk.
     Convenient for CLI invocations that supply a formula without a model
     file.
+
+    One walk reads the formula: the parser puts each node at its sort, so
+    the atoms and agents are all it must check, and a metavariable, which
+    is never allowed here, is reported only after them.
     """
     raw = _parse(text, "world")
     env_atoms: List[str] = []
     agent_atoms = {a: [] for a in agents}
+    meta = None     # the first metavariable, reported once every atom is read
     for f, sort in walk(raw, "world"):
         match f:
             case EnvAtom(n):
@@ -447,10 +455,14 @@ def parse_world_inferring(text: str, agents: Tuple[str, ...]):
             case SomeView(a, _) | AllViews(a, _):
                 if a not in agent_atoms:
                     raise SortError(f"unknown agent '{a}'", node=f)
+            case WMeta() | AMeta():
+                if meta is None:
+                    meta = f
     sig = Signature(tuple(agents),
                     {a: tuple(v) for a, v in agent_atoms.items()},
                     tuple(env_atoms))
-    sort_check_world(raw, sig)
+    if meta is not None:
+        raise SortError(f"metavariable '?{meta.name}' not allowed here", node=meta)
     return raw, sig
 
 
@@ -528,16 +540,8 @@ def render(f) -> str:
     structurally identical formula.
     """
     f = desugar(f)
-    if isinstance(f, WorldFormula):
-        sort = "world"
-    elif isinstance(f, AgentFormula):
-        sort = "agent"
-    elif isinstance(f, KB4Formula):
-        sort = "kb4"
-    else:
-        raise TypeError(f"not a formula: {f!r}")
     out = []
-    todo = [(f, sort, 0)]
+    todo = [(f, sort_of(f), 0)]
     while todo:
         item = todo.pop()
         if isinstance(item, str):

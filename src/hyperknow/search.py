@@ -114,7 +114,6 @@ from .syntax import (
     EnvAtom,
     KB4And,
     KB4Atom,
-    KB4Formula,
     KB4Knows,
     KB4Not,
     PossWorld,
@@ -132,6 +131,7 @@ from .syntax import (
     ksafe,
     kunsafe,
     scheme_meta_sorts,
+    sort_of,
     substitute_metas,
 )
 
@@ -154,25 +154,21 @@ def hard_caps() -> Dict[str, int]:
 
 
 class Bounds(Record):
-    """Structural bounds for enumeration and scheme sweeps.
-
-    ``depth`` is validated but read by no sweep.
-    """
+    """Structural bounds for enumeration and scheme sweeps."""
 
     agents: int = 2
     views: int = 2
     edges: int = 4
     agent_atoms: int = 2
     env_atoms: int = 2
-    depth: int = 2
 
     def validate(self):
         caps = hard_caps()
         problems = []
         if self.agents < 1 or self.views < 1 or self.edges < 1:
             problems.append("agents, views and edges bounds must be positive")
-        if self.agent_atoms < 0 or self.env_atoms < 0 or self.depth < 0:
-            problems.append("atom and depth bounds must be non-negative")
+        if self.agent_atoms < 0 or self.env_atoms < 0:
+            problems.append("atom bounds must be non-negative")
         for name in ("agents", "views", "edges"):
             if getattr(self, name) > caps[name]:
                 problems.append(
@@ -595,9 +591,8 @@ def compile_program(f, sort: str, allow_metas: bool = False):
             continue
         kind = (_WORLD_STEPS if s == "world" else _AGENT_STEPS).get(type(node))
         if kind is None:
-            if isinstance(node, (WorldFormula, AgentFormula, KB4Formula)):
-                raise SortError(f"not a formula of sort {s}: {node!r}", node=node)
-            raise TypeError(f"not a formula: {node!r}")
+            sort_of(node)       # a TypeError when it is no formula
+            raise SortError(f"not a formula of sort {s}: {node!r}", node=node)
         if type(kind) is not str:
             todo += kind(node, s)
             continue

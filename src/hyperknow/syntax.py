@@ -18,15 +18,19 @@ the two modal constructors.  Everything else (``or``, ``->``, the universal
 modalities, knowledge sugar) is derived; ``desugar`` rewrites a formula into
 the core fragment.
 
-Which sort each child has is stated once, in the table behind
-``children(node, sort)``, and every traversal of a formula in the package is
-built on it with an explicit stack, so nesting depth costs no recursion:
-``walk`` yields the nodes in pre-order (the checks and collectors), and
-``fold`` combines values bottom-up (everything that rebuilds a formula or
-computes a value from it).  ``fold`` memoizes by node identity only when it
-is given a memo, because a shared subformula object (as ``substitute_metas``
-puts at every occurrence of a metavariable) must otherwise be visited at
-each place it occurs.  Whether two formulas are the same is decided by
+Which sort a node has is stated once, by its class (``sort_of``), and which
+sort each of its children has once, in the table behind
+``children(node, sort)``.  One sort checker reads both, for world, agent
+and KB4 formulas alike: at each node it compares the node's sort with its
+position's, then checks the node's own atom, metavariable or agent, and
+only then reads its children.  Every traversal of a formula in the
+package is built on ``children`` with an explicit stack, so nesting depth
+costs no recursion: ``walk`` yields the nodes in pre-order (the collectors
+and ``parse_world_inferring``), and ``fold`` combines values bottom-up
+(everything that rebuilds a formula or computes a value from it).  ``fold``
+memoizes by node identity only when it is given a memo, because a shared
+subformula object (as ``substitute_metas`` puts at every occurrence of a
+metavariable) must otherwise be visited at each place it occurs.  Whether two formulas are the same is decided by
 ``==`` alone.
 
 A pattern is a formula with pattern variables (``Var``) in some of its
@@ -127,9 +131,13 @@ class _Labelled(_Node):
 class WorldFormula(_Node):
     """Marker base class for world-sorted formulas."""
 
+    _sort = "world"
+
 
 class AgentFormula(_Node):
     """Marker base class for agent-sorted formulas."""
+
+    _sort = "agent"
 
 
 # --- world sort, core -------------------------------------------------------
@@ -241,6 +249,8 @@ Formula = Union[WorldFormula, AgentFormula]
 
 class KB4Formula(_Node):
     """Marker base class for KB4 formulas."""
+
+    _sort = "kb4"
 
 
 class KB4Atom(_Named, KB4Formula):
@@ -405,17 +415,21 @@ class Var:
 def match(pattern, f, env) -> bool:
     """Whether ``f`` has the shape of ``pattern``, a record with a ``Var``
     in some of its fields, binding the variables in ``env`` (bindings made
-    before the call stand).  A bound variable must repeat ``==``.  Nothing
-    is built: the two are walked in lockstep on an explicit stack."""
+    before the call stand).  A bound variable must repeat ``==``, and so
+    must any other field that holds no record, such as a fixed name.
+    Nothing is built: the records are walked in lockstep on an explicit
+    stack."""
     todo = []
     while True:
         if type(pattern) is Var:
             bound = env.setdefault(pattern.name, f)
             if bound is not f and not bound == f:
                 return False
-        elif type(pattern) is type(f):
+        elif isinstance(pattern, Record):
+            if type(pattern) is not type(f):
+                return False
             todo += zip(pattern._key(pattern), f._key(f))
-        else:
+        elif not pattern == f:
             return False
         if not todo:
             return True
@@ -478,6 +492,14 @@ def substitute_metas(f, assignment):
 # --- sort checking ----------------------------------------------------------
 
 
+def sort_of(f) -> str:
+    """``"world"``, ``"agent"`` or ``"kb4"``: the sort of a formula node,
+    which its class states."""
+    if type(f) not in _CHILDREN:
+        raise TypeError(f"not a formula: {f!r}")
+    return f._sort
+
+
 def sort_check_world(f, sig, allow_metas=False):
     """Check a world formula against the signature.
 
@@ -496,72 +518,89 @@ def sort_check_agent(f, agent, sig, allow_metas=False):
     return f
 
 
+def sort_check_kb4(f, sig):
+    """KB4 atoms live in the environment sort; agents must be declared."""
+    _check(f, sig, None, False, {})
+    return f
+
+
 def _check(f, sig, sort, allow_metas, meta_sorts):
     """Check every node in pre-order, so the first error is the outermost,
-    leftmost one (an unknown agent before the atoms under it).  Per sort,
-    ``_SORTED`` maps each node type that may stand there to a function that
-    checks the node and returns its children, the last first."""
+    leftmost one (an unknown agent before the atoms under it).  A position
+    is at ``"world"``, at an agent's name, or at ``None`` in a KB4 formula,
+    a sort no agent name can take.  A node's sort must be its position's
+    before its own fields are checked and its children, at the sorts
+    ``_CHILDREN`` gives, are read."""
     todo = [(f, sort)]
     while todo:
         node, s = todo.pop()
-        check = _SORTED[s == "world"].get(type(node))
-        if check is None:
-            if not isinstance(node, (WorldFormula, AgentFormula)):
-                raise TypeError(f"not a formula: {node!r}")
-            if s == "world":
-                raise SortError(f"agent formula used in world position: {node!r}", node=node)
-            raise SortError(f"world formula used in agent position: {node!r}", node=node)
-        todo += check(node, sig, s, allow_metas, meta_sorts)
+        entry = _CHECKED.get(type(node))
+        position = "world" if s == "world" else "kb4" if s is None else "agent"
+        if entry is None or entry[0] != position:
+            raise _misplaced(node, entry and entry[0], position)
+        _, kids, check = entry
+        if check is not None:
+            check(node, sig, s, allow_metas, meta_sorts)
+        if kids is not None:
+            todo += kids(node, s)[::-1]
+
+
+def _misplaced(node, sort, position):
+    """The error for a node of ``sort`` (``None`` for no formula) that stands
+    at a position of another sort."""
+    if position == "kb4":
+        return TypeError(f"not a KB4 formula: {node!r}")
+    if sort == "agent":
+        return SortError(f"agent formula used in world position: {node!r}", node=node)
+    if sort == "world":
+        return SortError(f"world formula used in agent position: {node!r}", node=node)
+    return TypeError(f"not a formula: {node!r}")
 
 
 def _check_atom(f, sig, sort, allow_metas, meta_sorts):
     owner = sig.sort_of_atom(f.name)
     if owner is None:
         raise UnknownAtomError(f"unknown atom '{f.name}'", node=f)
-    if sort == "world" and owner != "env":
-        raise WrongSortAtomError(
-            f"atom '{f.name}' belongs to agent {owner} but occurs in world position", node=f)
-    if sort != "world" and owner == "env":
+    if sort is None:
+        if owner != "env":
+            raise WrongSortAtomError(
+                f"atom '{f.name}' belongs to agent {owner}; KB4 atoms must be "
+                "environment atoms", node=f)
+    elif sort == "world":
+        if owner != "env":
+            raise WrongSortAtomError(
+                f"atom '{f.name}' belongs to agent {owner} but occurs in world position", node=f)
+    elif owner == "env":
         raise WrongSortAtomError(
             f"environment atom '{f.name}' occurs in an agent-{sort} position", node=f)
-    if sort not in ("world", owner):
+    elif owner != sort:
         raise AgentMismatchError(
             f"atom '{f.name}' belongs to agent {owner} but occurs under agent {sort}", node=f)
-    return ()
 
 
-def _check_agent(f, sig, sort, allow_metas, meta_sorts):
+def _known_agent(f, sig, *_):
     if f.agent not in sig.agents:
         raise UnknownAgentError(f"unknown agent '{f.agent}'", node=f)
-    return ((f.sub, f.agent),)
 
 
 def _bind_meta(node, sig, sort, allow_metas, meta_sorts):
     name = node.name
     if not allow_metas:
         raise SortError(f"metavariable '?{name}' not allowed here", node=node)
-    seen = meta_sorts.get(name)
-    if seen is None:
-        meta_sorts[name] = sort
-    elif seen != sort:
+    seen = meta_sorts.setdefault(name, sort)
+    if seen != sort:
         raise SortError(
             f"metavariable '?{name}' used at sorts {seen} and {sort}", node=node)
-    return ()
 
 
-_constant = lambda f, *_: ()
-_unary = lambda f, sig, s, *_: ((f.sub, s),)
-_binary = lambda f, sig, s, *_: ((f.right, s), (f.left, s))
-_at_world = lambda f, *_: ((f.sub, "world"),)
-# Indexed by "is the position a world's": the agent sorts' table, then the world's.
-_SORTED = (
-    {ATrue: _constant, AFalse: _constant, AgentAtom: _check_atom, AMeta: _bind_meta,
-     ANot: _unary, AAnd: _binary, AOr: _binary, AImplies: _binary,
-     PossWorld: _at_world, Box: _at_world},
-    {WTrue: _constant, WFalse: _constant, EnvAtom: _check_atom, WMeta: _bind_meta,
-     WNot: _unary, WAnd: _binary, WOr: _binary, WImplies: _binary,
-     SomeView: _check_agent, AllViews: _check_agent},
-)
+# Per node type: its sort, its children (None for a leaf) and the check of
+# its own fields, if any, so that the checker looks a node up once and calls
+# nothing at a constant.
+_FIELD_CHECKS = {EnvAtom: _check_atom, AgentAtom: _check_atom, KB4Atom: _check_atom,
+                 WMeta: _bind_meta, AMeta: _bind_meta,
+                 SomeView: _known_agent, AllViews: _known_agent, KB4Knows: _known_agent}
+_CHECKED = {t: (t._sort, None if issubclass(t, (_Constant, _Named)) else kids,
+                _FIELD_CHECKS.get(t)) for t, kids in _CHILDREN.items()}
 
 
 def scheme_meta_sorts(f, sig, agent=None):
@@ -569,33 +608,10 @@ def scheme_meta_sorts(f, sig, agent=None):
 
     ``agent`` names the scheme's own sort when it is agent-sorted.
     """
-    meta_sorts = {}
     if isinstance(f, WorldFormula):
-        _check(f, sig, "world", True, meta_sorts)
-    else:
-        if agent is None:
-            raise SortError("agent-sorted scheme needs its owning agent")
-        _check(f, sig, agent, True, meta_sorts)
+        agent = "world"
+    elif agent is None:
+        raise SortError("agent-sorted scheme needs its owning agent")
+    meta_sorts = {}
+    _check(f, sig, agent, True, meta_sorts)
     return meta_sorts
-
-
-def sort_check_kb4(f, sig):
-    """KB4 atoms live in the environment sort; agents must be declared."""
-    for node, _ in walk(f, None):
-        match node:
-            case KB4Atom(n):
-                owner = sig.sort_of_atom(n)
-                if owner is None:
-                    raise UnknownAtomError(f"unknown atom '{n}'", node=node)
-                if owner != "env":
-                    raise WrongSortAtomError(
-                        f"atom '{n}' belongs to agent {owner}; KB4 atoms must be "
-                        "environment atoms", node=node)
-            case KB4Knows(a, _):
-                if a not in sig.agents:
-                    raise UnknownAgentError(f"unknown agent '{a}'", node=node)
-            case KB4Not() | KB4And():
-                pass
-            case _:
-                raise TypeError(f"not a KB4 formula: {node!r}")
-    return f

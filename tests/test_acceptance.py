@@ -72,7 +72,7 @@ def test_criterion_2_binary_input_examples():
 
 
 def test_criterion_3_scheme_sweep_as_stated():
-    b = search.Bounds(agents=2, views=2, edges=4, agent_atoms=2, env_atoms=2, depth=2)
+    b = search.Bounds(agents=2, views=2, edges=4, agent_atoms=2, env_atoms=2)
     verdicts = {}
     verdicts["ax_surjectivity"] = search.check_scheme(
         search.scheme_surjectivity("a"), b, agent="a")

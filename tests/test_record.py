@@ -110,8 +110,8 @@ SAMPLES = [
      "env_atoms=('p',)), lines=())"),
     (proofkernel.SoundnessCounterexample, (1, None, semantics.World("e")),
      "SoundnessCounterexample(line=1, model=None, point=World(edge='e'))"),
-    (search.Bounds, (3, 2, 3, 1, 1, 2),
-     "Bounds(agents=3, views=2, edges=3, agent_atoms=1, env_atoms=1, depth=2)"),
+    (search.Bounds, (3, 2, 3, 1, 1),
+     "Bounds(agents=3, views=2, edges=3, agent_atoms=1, env_atoms=1)"),
     (search.ValidWithinBounds, (7,), "ValidWithinBounds(models_checked=7)"),
     (search.Countermodel, (None, semantics.View("a", "v"), {"x": P}),
      "Countermodel(model=None, point=View(agent='a', view='v'), "
@@ -260,7 +260,7 @@ def test_no_two_instances_share_a_mutable_default():
     point = semantics.World("e")
     one, two = search.Countermodel(MODEL, point), search.Countermodel(model=MODEL, point=point)
     assert one.assignment == two.assignment == {} and one.assignment is not two.assignment
-    assert search.Bounds() == search.Bounds(2, 2, 4, 2, 2, 2)
+    assert search.Bounds() == search.Bounds(2, 2, 4, 2, 2)
 
 
 def test_importing_the_cli_loads_no_code_generation():

@@ -1,11 +1,14 @@
 """The command-line scripts under scripts/ run to completion and print
 their pinned verdicts."""
 
+import itertools
 import os
 import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+from hyperknow import parser
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -32,9 +35,9 @@ def test_reproduce_worked_examples(monkeypatch, capsys):
 
 
 def test_sweep_axioms(monkeypatch, capsys):
-    code, lines = _run("sweep_axioms.py", monkeypatch, capsys)
+    code, lines = _run("sweep_axioms.py", monkeypatch, capsys, "--show-countermodels")
     assert code == 0
-    rows = {line[:24].strip(): line[24:].strip() for line in lines}
+    rows = {line[:24].strip(): line[24:].strip() for line in lines if line[:1] != " "}
     assert len(rows) == 18
     assert rows["ksafe_b"] == "countermodel at World(edge='e1')"
     assert rows["ksafe_necessitation"] == "countermodel at World(edge='e1')"
@@ -42,6 +45,13 @@ def test_sweep_axioms(monkeypatch, capsys):
     assert rows["kunsafe_k"] == "valid within bounds (776860 sweeps)"
     assert rows["axiom: non-emptiness"] == "valid within bounds (3292 sweeps)"
     assert sum(v.startswith("valid within bounds") for v in rows.values()) == 16
+    # Each countermodel is printed below its row, indented: for ksafe_b the
+    # metavariable's instance, then the model text, which reads back.
+    start = lines.index(next(line for line in lines if line.startswith("ksafe_b "))) + 1
+    block = list(itertools.takewhile(lambda line: line[:1] == " ", lines[start:]))
+    assert block[0] == "    metavariables: {'PHI': 'q1'}"
+    model = parser.parse_model("\n".join(line[4:] for line in block[1:]))
+    assert model.edges == ("e1",) and model.val_env["q1"] == {"e1"}
 
 
 _MODULE = '''"""A module docstring,

@@ -112,7 +112,7 @@ def test_bounds_env_skips_parts_that_are_not_decimal(monkeypatch):
     Bounds().validate()
 
 
-SMALL = Bounds(agents=2, views=1, edges=2, agent_atoms=1, env_atoms=1, depth=1)
+SMALL = Bounds(agents=2, views=1, edges=2, agent_atoms=1, env_atoms=1)
 
 
 def _literal_scheme_check(scheme, bounds, agent=None, height=1):

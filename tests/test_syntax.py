@@ -14,6 +14,7 @@ from hyperknow.errors import (
     UnknownAtomError,
     WrongSortAtomError,
 )
+from hyperknow import kb4, search, semantics, syntax
 from hyperknow.errors import HyperknowError
 from hyperknow.parser import _parse, parse_world_inferring
 from hyperknow.syntax import (
@@ -53,6 +54,7 @@ from hyperknow.syntax import (
     sort_check_agent,
     sort_check_kb4,
     sort_check_world,
+    sort_of,
 )
 
 from conftest import RICH_SIG, random_surface_agent, random_surface_world, random_world
@@ -251,6 +253,56 @@ def test_match_needs_no_recursion():
         assert not match(WNot(pattern), f, {})
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_match_compares_a_fixed_name_with_equality():
+    pattern = SomeView("a", Var("x"))
+    env = {}
+    assert match(pattern, SomeView("a", ATrue()), env) and env == {"x": ATrue()}
+    assert not match(pattern, SomeView("b", ATrue()), {})
+    # A pattern of variables alone binds as before.
+    env = {}
+    assert match(SomeView(Var("a"), Var("x")), SomeView("b", ATrue()), env)
+    assert env == {"a": "b", "x": ATrue()}
+
+
+# --- the per-type tables ------------------------------------------------------------
+
+
+def test_every_node_type_is_in_every_table_of_its_sort():
+    steps = {"world": search._WORLD_STEPS, "agent": search._AGENT_STEPS}
+    clauses = {"world": semantics._WORLD_CLAUSES, "agent": semantics._AGENT_CLAUSES}
+    for t in syntax._CHILDREN:
+        sort = ("world" if issubclass(t, syntax.WorldFormula) else
+                "agent" if issubclass(t, syntax.AgentFormula) else "kb4")
+        node = t(*([None] * (len(t._fields) - 1)))
+        assert sort_of(node) == sort, t
+        assert t in syntax._REBUILD, t
+        if sort == "kb4":
+            assert t in kb4._CLAUSES and t in kb4._TRANSLATE, t
+            assert all(t not in table for table in (*steps.values(), *clauses.values())), t
+        else:
+            assert [s for s, table in steps.items() if t in table] == [sort], t
+            assert [s for s, table in clauses.items() if t in table] == [sort], t
+            assert t not in kb4._CLAUSES and t not in kb4._TRANSLATE, t
+
+
+@pytest.mark.parametrize("value", [None, "p", 1, syntax.WorldFormula(), Var("x")])
+def test_sort_of_a_non_formula_is_a_type_error(value):
+    with pytest.raises(TypeError, match="not a formula"):
+        sort_of(value)
+
+
+def test_an_agent_may_be_named_like_a_sort():
+    # A position's sort is "world", an agent's name, or that of a KB4
+    # formula, which no agent name can take.
+    sig = hk.Signature(("kb4", "agent"), {"kb4": ("p",), "agent": ("q",)}, ("u",))
+    f = SomeView("kb4", AgentAtom("p"))
+    assert sort_check_world(WAnd(f, SomeView("agent", AgentAtom("q"))), sig)
+    assert sort_check_agent(AgentAtom("p"), "kb4", sig) == AgentAtom("p")
+    assert scheme_meta_sorts(AMeta("X"), sig, "kb4") == {"X": "kb4"}
+    with pytest.raises(TypeError, match="not a KB4 formula"):
+        sort_check_kb4(AgentAtom("p"), sig)
 
 
 # --- pinned outcomes of the sort checker ------------------------------------------
