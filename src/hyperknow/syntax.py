@@ -30,8 +30,8 @@ and ``parse_world_inferring``), and ``fold`` combines values bottom-up
 (everything that rebuilds a formula or computes a value from it).  ``fold``
 memoizes by node identity only when it is given a memo, because a shared
 subformula object (as ``substitute_metas`` puts at every occurrence of a
-metavariable) must otherwise be visited at each place it occurs.  Whether two formulas are the same is decided by
-``==`` alone.
+metavariable) must otherwise be visited at each place it occurs.  Whether
+two formulas are the same is decided by ``==`` alone.
 
 A pattern is a formula with pattern variables (``Var``) in some of its
 fields; ``match`` binds them against a formula, walking both in lockstep on
@@ -538,11 +538,11 @@ def _check(f, sig, sort, allow_metas, meta_sorts):
         position = "world" if s == "world" else "kb4" if s is None else "agent"
         if entry is None or entry[0] != position:
             raise _misplaced(node, entry and entry[0], position)
-        _, kids, check = entry
+        _, kids, binary, check = entry
         if check is not None:
             check(node, sig, s, allow_metas, meta_sorts)
-        if kids is not None:
-            todo += kids(node, s)[::-1]
+        if kids is not None:     # the left child is to be popped first
+            todo += kids(node, s)[::-1] if binary else kids(node, s)
 
 
 def _misplaced(node, sort, position):
@@ -593,14 +593,15 @@ def _bind_meta(node, sig, sort, allow_metas, meta_sorts):
             f"metavariable '?{name}' used at sorts {seen} and {sort}", node=node)
 
 
-# Per node type: its sort, its children (None for a leaf) and the check of
-# its own fields, if any, so that the checker looks a node up once and calls
-# nothing at a constant.
+# Per node type: its sort, its children (None for a leaf), whether it has
+# two, and the check of its own fields, if any, so that the checker looks a
+# node up once, calls nothing at a constant and reverses only a pair.
 _FIELD_CHECKS = {EnvAtom: _check_atom, AgentAtom: _check_atom, KB4Atom: _check_atom,
                  WMeta: _bind_meta, AMeta: _bind_meta,
                  SomeView: _known_agent, AllViews: _known_agent, KB4Knows: _known_agent}
 _CHECKED = {t: (t._sort, None if issubclass(t, (_Constant, _Named)) else kids,
-                _FIELD_CHECKS.get(t)) for t, kids in _CHILDREN.items()}
+                issubclass(t, _Binary), _FIELD_CHECKS.get(t))
+            for t, kids in _CHILDREN.items()}
 
 
 def scheme_meta_sorts(f, sig, agent=None):

@@ -339,10 +339,11 @@ def _one_name_mutations(rng, text):
     leaves = [m for m in names if m.group() in _LEAVES]
     agents = [m for m in names if m.group() in RICH_SIG.agents]
     out = []
-    for label, pool, new in (("zz", leaves, lambda n: "zz"),
-                             ("other", leaves, lambda n: _OTHER_SORT.get(n, rng.choice("u pa pb".split()))),
-                             ("c", agents, lambda n: "c"),
-                             ("?X", leaves, lambda n: "?X")):
+    for label, pool, new in (
+            ("zz", leaves, lambda n: "zz"),
+            ("other", leaves, lambda n: _OTHER_SORT.get(n, rng.choice(["u", "pa", "pb"]))),
+            ("c", agents, lambda n: "c"),
+            ("?X", leaves, lambda n: "?X")):
         if pool:
             m = rng.choice(pool)
             out.append((label, text[:m.start()] + new(m.group()) + text[m.end():]))
@@ -381,7 +382,8 @@ _BUILT = (
     KB4Atom("pa"), KB4Atom("zz"), KB4Knows("c", KB4Atom("zz")), KB4Knows("a", KB4Atom("v")),
     WNot(None), ANot(None), KB4Not(None), None, "p",
     WAnd(WMeta("X"), SomeView("a", AMeta("X"))), SomeView("a", PossWorld(WMeta("X"))),
-    WAnd(SomeView("a", AMeta("X")), SomeView("b", AMeta("X"))), AAnd(AMeta("X"), PossWorld(WMeta("X"))),
+    WAnd(SomeView("a", AMeta("X")), SomeView("b", AMeta("X"))),
+    AAnd(AMeta("X"), PossWorld(WMeta("X"))),
     SomeView("c", AgentAtom("zz")), AllViews("a", AMeta("Y")),
 )
 
