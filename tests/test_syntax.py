@@ -365,7 +365,10 @@ def _sort_check_texts():
     for i in range(12):
         texts.append((f"k{i}", "kb4", hk.render(_random_kb4(rng, 3))))
     texts += [("ww", "world", "?X & E[a] <> ?X"), ("wa", "world", "E[a] ?X & E[b] ?X"),
-              ("aw", "a", "?X & <> E[a] ?X")]
+              ("aw", "a", "?X & <> E[a] ?X"),
+              # A metavariable before an atom of two sorts, and before an
+              # unknown agent.
+              ("wm", "world", "?X & E[a] pa & pa"), ("wc", "world", "?X | E[c] true")]
     return [(f"{label}{suffix}", sort, variant) for label, sort, text in texts
             for suffix, variant in [("", text), *(("-" + m, t) for m, t in
                                                  _one_name_mutations(rng, text))]]
