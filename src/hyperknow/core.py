@@ -38,7 +38,9 @@ class Signature(Record):
 
     Declaration order is the canonical iteration order everywhere; atom
     names are globally unique across the environment sort and every agent
-    sort, so an atom's sort can be resolved without annotation.
+    sort, so an atom's sort can be resolved without annotation.  No agent
+    may be named ``world``: the sort checker names a position by its
+    agent's name, and a world position ``"world"``.
     """
 
     agents: Tuple[str, ...]
@@ -56,6 +58,8 @@ class Signature(Record):
         for a in self.agents:
             if not _is_token(a):
                 problems.append(f"signature: bad agent name {a!r}")
+            elif a == "world":
+                problems.append("signature: agent name 'world' is reserved for the world sort")
             if a in seen_agents:
                 problems.append(f"signature: duplicate agent '{a}'")
             seen_agents.add(a)

@@ -912,10 +912,16 @@ def parse_derivation(text: str) -> proofkernel.Derivation:
     Line format: ``k. <sort>: <formula> ; <rule> [premise indices]`` where
     the sort is ``e`` for world statements or an agent name.  The header
     lines are walked by their tokens' texts, as model files are.
+
+    Equal subformulas of the file's lines are one object: every line's
+    formula is desugared against one table for the file (``syntax.desugar``),
+    which is dropped when the parse returns, so two parses share no node.
+    The proof kernel's comparisons between lines then stop at a shared node.
     """
     header = _Header()
     lines = []
     sig = None
+    shared = {}     # the core subformulas built so far, for desugar
     try:
         for k, raw_line in enumerate(_Lines(text).lines):
             p = _FormulaParser(raw_line)
@@ -936,7 +942,7 @@ def parse_derivation(text: str) -> proofkernel.Derivation:
                                  head.span)
             if sig is None:
                 sig = header.signature()
-            lines.append(_derivation_line(p, sig, len(lines) + 1))
+            lines.append(_derivation_line(p, sig, len(lines) + 1, shared))
         if sig is None:
             sig = header.signature()
     except _Fault as fault:
@@ -944,8 +950,9 @@ def parse_derivation(text: str) -> proofkernel.Derivation:
     return proofkernel.Derivation(sig=sig, lines=tuple(lines))
 
 
-def _derivation_line(p: _FormulaParser, sig: Signature, expected: int):
-    """The numbered line that ``p`` reads, which must be line ``expected``."""
+def _derivation_line(p: _FormulaParser, sig: Signature, expected: int, shared: dict):
+    """The numbered line that ``p`` reads, which must be line ``expected``;
+    its formula is desugared against the file's table ``shared``."""
     idx_tok = p.expect("IDENT", "line number")
     if not idx_tok.text.isdigit():
         raise ParseError("expected a line number", idx_tok.span)
@@ -964,7 +971,7 @@ def _derivation_line(p: _FormulaParser, sig: Signature, expected: int):
     else:
         raw = p.formula("agent")
         sort_check_agent(raw, sort, sig)
-    formula = desugar(raw)
+    formula = desugar(raw, shared)
     p.expect("SEMI", "';' before the justification")
     just = _parse_justification(p)
     p.expect_eof()

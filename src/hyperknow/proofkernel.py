@@ -30,7 +30,12 @@ and atoms into propositional variables and decides by truth table (exact,
 capped at 20 variables).  Variables are keyed by the formulas themselves,
 and formulas compared with ``==``, which walks both in lockstep on an
 explicit stack (:mod:`hyperknow.record`): formula identity is decided there
-alone, and deep nesting costs no recursion.
+alone, and deep nesting costs no recursion.  In a parsed derivation, equal
+subformulas of its lines are one object (``parser.parse_derivation``), so
+where a line restates part of a premise the walks of ``==`` and ``match``
+stop at that part by identity, and the variables' dict finds it by its
+cached hash and identity; a derivation built without that sharing gets the
+same verdicts, with longer walks.
 
 ``soundness_spotcheck`` replays every accepted statement against all
 enumerated models within bounds; a violation would indicate a kernel bug,

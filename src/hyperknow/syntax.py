@@ -16,7 +16,9 @@ has its own constructor, taking the fields positionally and ``span=``.
 The core fragment is: atoms, ``true``/``false``, negation, conjunction and
 the two modal constructors.  Everything else (``or``, ``->``, the universal
 modalities, knowledge sugar) is derived; ``desugar`` rewrites a formula into
-the core fragment.
+the core fragment; given a table that its caller keeps, it also makes equal
+core subformulas of several formulas one object (``parse_derivation``
+keeps one table for the lines of a file).
 
 Which sort a node has is stated once, by its class (``sort_of``), and which
 sort each of its children has once, in the table behind
@@ -41,6 +43,7 @@ are patterns.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Optional, Union
 
 from .errors import (
@@ -438,25 +441,59 @@ def match(pattern, f, env) -> bool:
 
 # --- desugaring -------------------------------------------------------------
 
-_DESUGAR = {
-    **_REBUILD,
-    WOr: lambda f, k: WNot(WAnd(WNot(k[0]), WNot(k[1])), span=f.span),
-    AOr: lambda f, k: ANot(AAnd(ANot(k[0]), ANot(k[1])), span=f.span),
-    WImplies: lambda f, k: WNot(WAnd(k[0], WNot(k[1])), span=f.span),
-    AImplies: lambda f, k: ANot(AAnd(k[0], ANot(k[1])), span=f.span),
-    AllViews: lambda f, k: WNot(SomeView(f.agent, ANot(k[0])), span=f.span),
-    Box: lambda f, k: ANot(PossWorld(WNot(k[0])), span=f.span),
+# A derived connective's core form over its desugared children ``k``.  The
+# classes it builds are default arguments, so that desugar can pass
+# functions that share nodes in their place.
+_EXPAND = {
+    WOr: lambda f, k, WNot=WNot, WAnd=WAnd: WNot(WAnd(WNot(k[0]), WNot(k[1])), span=f.span),
+    AOr: lambda f, k, ANot=ANot, AAnd=AAnd: ANot(AAnd(ANot(k[0]), ANot(k[1])), span=f.span),
+    WImplies: lambda f, k, WNot=WNot, WAnd=WAnd: WNot(WAnd(k[0], WNot(k[1])), span=f.span),
+    AImplies: lambda f, k, ANot=ANot, AAnd=AAnd: ANot(AAnd(k[0], ANot(k[1])), span=f.span),
+    AllViews: lambda f, k, WNot=WNot, SomeView=SomeView, ANot=ANot:
+        WNot(SomeView(f.agent, ANot(k[0])), span=f.span),
+    Box: lambda f, k, ANot=ANot, PossWorld=PossWorld, WNot=WNot:
+        ANot(PossWorld(WNot(k[0])), span=f.span),
 }
+_DESUGAR = {**_REBUILD, **_EXPAND}
 
 
 def _desugar_node(f, sort, kids):
     return _DESUGAR[type(f)](f, kids)
 
 
-def desugar(f):
-    """Rewrite into the core fragment. Idempotent; preserves spans, and
-    returns core subformulas themselves rather than copies."""
-    return fold(f, None, _desugar_node)
+def desugar(f, shared=None):
+    """Rewrite into the core fragment.  Idempotent; preserves spans.
+
+    Without ``shared``, a core subformula whose children are unchanged is
+    returned itself, not copied.  With ``shared``, a dict that the caller
+    keeps for the formulas of one input, each core node the walk returns is
+    one object for all the equal subformulas of those formulas: the first
+    one built (with its span), which the table keeps.  The walk builds a
+    node after its children, so these are shared already, and the table is
+    keyed by the node's class, names and children: a key is found exactly
+    when the node is ``==`` to an earlier one, and no formula is walked to
+    find it.
+    """
+    if shared is None:
+        return fold(f, None, _desugar_node)
+
+    def make(cls, *fields, span=None):
+        key = (cls, *fields)
+        node = shared.get(key)
+        if node is None:
+            node = shared[key] = cls(*fields, span=span)
+        return node
+
+    def share(node, sort, kids):
+        expand = _EXPAND.get(type(node))
+        if expand is not None:
+            return expand(node, kids, *[partial(make, cls) for cls in expand.__defaults__])
+        # A core node's fields are its names, then its children, which are
+        # replaced by their shared nodes.
+        fields = node._key(node)
+        return make(type(node), *fields[:len(fields) - len(kids)], *kids, span=node.span)
+
+    return fold(f, None, share)
 
 
 _CORE_TYPES = (

@@ -291,6 +291,20 @@ def test_countermodel_sort_conflict_is_input_error(capsys):
     assert "error" in err
 
 
+def test_an_agent_named_world_is_input_error(tmp_path, capsys):
+    # One error line, exit 2, whichever file declares the agent.
+    model = tmp_path / "world.model"
+    model.write_text("agents: world\nview world: v0\nedge e0 { world: v0 }\n")
+    derivation = tmp_path / "world.deriv"
+    derivation.write_text("agents: world\n1. e: true ; taut\n")
+    for argv in (["check", "--model", str(model), "--world", "e0", "--formula", "E[world] true"],
+                 ["prove", "--check", str(derivation)],
+                 ["translate-kb4", "--formula", "K[world] p", "--agents", "world"]):
+        code, out, err = run(argv, capsys=capsys)
+        assert (code, out, err) == (
+            2, "", "error: signature: agent name 'world' is reserved for the world sort\n")
+
+
 def test_machine_format(h3_file, capsys):
     code, out, _ = run(["check", "--model", h3_file, "--world", "e_ab",
                         "--formula", "alive(a)", "--format", "machine"],

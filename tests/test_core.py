@@ -191,6 +191,16 @@ def test_signature_atom_uniqueness():
     assert sig.sort_of_atom("r") is None
 
 
+def test_signature_reserves_the_agent_name_world():
+    # The sort checker names a world position "world" and an agent position
+    # by its agent, so an agent of that name could be used nowhere.
+    with pytest.raises(ValidationError) as err:
+        hk.Signature(("a", "world"), {"world": ("p",)})
+    assert err.value.violations == [
+        "signature: agent name 'world' is reserved for the world sort"]
+    assert hk.Signature(("worlds", "e")).agents == ("worlds", "e")
+
+
 def test_deterministic_iteration_order():
     m1 = hk.example("binary-input")
     m2 = hk.example("binary-input")

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperknow as hk
-from hyperknow import parser
-from hyperknow.errors import HyperknowError, ParseError, SortError
+from hyperknow import parser, proofkernel
+from hyperknow.errors import HyperknowError, ParseError, SortError, ValidationError
 from hyperknow.syntax import (
     AgentAtom,
     AllViews,
@@ -22,10 +22,11 @@ from hyperknow.syntax import (
     SomeView,
     WNot,
     desugar,
+    walk,
 )
 
-from conftest import (FRAME_HEADERS, FRAME_LINES, MODEL_HEADERS, MODEL_LINES, MODEL_SOUP,
-                      random_agent, random_world, small_model_pool)
+from conftest import (CORPUS, FRAME_HEADERS, FRAME_LINES, MODEL_HEADERS, MODEL_LINES,
+                      MODEL_SOUP, random_agent, random_world, small_model_pool)
 
 
 @pytest.fixture
@@ -291,6 +292,51 @@ def test_derivation_file_errors():
         parser.parse_derivation("agents: a\n1. e: true ; zap")  # unknown rule
 
 
+# --- equal subformulas of a derivation's lines are one object -------------------
+
+_CORPUS_FILES = sorted(CORPUS.glob("*.deriv"))
+_NUMBERED_LINE = re.compile(r"\s*\d+\.\s*(\S+)\s*:(.*);[^;]*$")
+
+
+def _nodes(d):
+    return [node for line in d.lines for node, _ in walk(line.statement.formula, None)]
+
+
+@pytest.mark.parametrize("path", _CORPUS_FILES, ids=lambda p: p.name)
+def test_a_parsed_derivation_shares_its_equal_subformulas(path):
+    text = path.read_text(encoding="utf-8")
+    d = parser.parse_derivation(text)
+    first = {}
+    assert all(first.setdefault(node, node) is node for node in _nodes(d))
+    # Each line is the formula its text gives when parsed alone.
+    numbered = [m.groups() for m in map(_NUMBERED_LINE.match, text.splitlines()) if m]
+    assert len(numbered) == len(d.lines)
+    for line, (sort, formula) in zip(d.lines, numbered):
+        alone = (parser.parse_world(formula, d.sig) if sort == "e"
+                 else parser.parse_agent(formula, sort, d.sig))
+        assert line.statement == proofkernel.Statement(sort, alone)
+
+
+def test_two_parses_of_one_text_share_no_node():
+    # The table lives as long as one parse: nothing is kept between parses.
+    text = (CORPUS / "distribution.deriv").read_text(encoding="utf-8")
+    d, again = parser.parse_derivation(text), parser.parse_derivation(text)
+    assert d == again
+    assert not {id(node) for node in _nodes(d)} & {id(node) for node in _nodes(again)}
+
+
+def test_a_shared_subformula_is_its_first_occurrence():
+    # It keeps the span of the first place it is written; the proof kernel
+    # reads no span of a formula.
+    d = parser.parse_derivation("agents: a\natoms[env]: p, q\n"
+                                "1. e: p | q -> p | q ; taut\n2. e: ~(p | q) | (p | q) ; taut\n")
+    one, two = (line.statement.formula for line in d.lines)
+    p_or_q = one.sub.left
+    assert p_or_q == parser.parse_world("p | q", d.sig)
+    assert p_or_q is one.sub.right.sub is two.sub.left.sub.sub is two.sub.right.sub
+    assert (p_or_q.span.line, p_or_q.span.column) == (3, 7)
+
+
 _MODEL_HEAD = "agents: a\natoms[a]: pa\natoms[env]: p\n"
 _MODEL_BODY = "view a: a1 { pa }\nedge e1 { a: a1 } env { p }\n"
 _DERIVATION_BODY = "1. e: p -> p ; taut\n"
@@ -312,6 +358,14 @@ def test_signature_header_rejects_undeclared_owner_and_duplicates(read, body):
         line = text.count("\n", 0, text.index(extra)) + 1
         assert err.value.span.line == line
         assert text[err.value.span.start:err.value.span.end] == extra.split("[")[0].split(":")[0]
+
+
+@pytest.mark.parametrize("read, body", [(parser.parse_model, "view world: v0\nedge e0 { world: v0 }\n"),
+                                        (parser.parse_derivation, "1. e: true ; taut\n")])
+def test_an_agent_named_world_is_rejected(read, body):
+    with pytest.raises(ValidationError) as err:
+        read("agents: world\n" + body)
+    assert str(err.value) == "signature: agent name 'world' is reserved for the world sort"
 
 
 # --- tokenizer, checked against the text itself --------------------------------

@@ -48,6 +48,7 @@ from hyperknow.syntax import (
     desugar,
     fold,
     substitute_metas,
+    walk,
 )
 
 from conftest import CORPUS, RICH_SIG, random_agent, random_world, taut_oracle
@@ -699,13 +700,14 @@ def _forms(i, j):
             Adj2Down(i), Adj2Up(i), AxSurjectivity(), AxFunctionality(), AxNonEmptiness())
 
 
-def kernel_outcomes() -> str:
+def kernel_outcomes(read=parser.parse_derivation) -> str:
     """``ok`` or the failing ``line kind`` of every corpus line restated under
     each justification form, at sort ``e`` and at the first agent.  The forms
-    cite the line's own premise indices, then ``k-1`` and ``k-2``."""
+    cite the line's own premise indices, then ``k-1`` and ``k-2``.  ``read``
+    turns a corpus file's text into its derivation."""
     out = []
     for path in _corpus_files():
-        d = parser.parse_derivation(path.read_text(encoding="utf-8"))
+        d = read(path.read_text(encoding="utf-8"))
         for k, line in enumerate(d.lines, start=1):
             just = line.justification
             cited = [getattr(just, f) for f in type(just).__match_args__]
@@ -726,6 +728,47 @@ def kernel_outcomes() -> str:
 
 def test_kernel_outcomes_match_the_golden_file():
     assert kernel_outcomes() == OUTCOMES.read_text(encoding="utf-8")
+
+
+# --- the kernel does not depend on shared subformulas ------------------------------
+
+def _lines_alone(d):
+    """``d`` with each line's formula rebuilt on its own from its text, so
+    that no two lines share a node, as in a derivation built in code."""
+    lines = []
+    for line in d.lines:
+        sort, text = line.statement.sort, parser.render(line.statement.formula)
+        alone = (parser.parse_world(text, d.sig) if sort == "e"
+                 else parser.parse_agent(text, sort, d.sig))
+        lines.append(DerivationLine(line.index, Statement(sort, alone), line.justification,
+                                    line.span))
+    return Derivation(d.sig, tuple(lines))
+
+
+def _read_lines_alone(text):
+    return _lines_alone(parser.parse_derivation(text))
+
+
+def test_lines_rebuilt_alone_share_no_node():
+    d = _read_lines_alone((CORPUS / "distribution.deriv").read_text(encoding="utf-8"))
+    ids = [{id(node) for node, _ in walk(line.statement.formula, None)} for line in d.lines]
+    assert sum(map(len, ids)) == len(set().union(*ids))
+
+
+def test_kernel_outcomes_without_sharing_match_the_golden_file():
+    assert kernel_outcomes(_read_lines_alone) == OUTCOMES.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", _corpus_files(), ids=lambda p: p.name)
+def test_corpus_verdicts_do_not_depend_on_sharing(path, monkeypatch):
+    parsed = parser.parse_derivation(path.read_text(encoding="utf-8"))
+    alone = _lines_alone(parsed)
+    assert alone == parsed
+    swept = _counting_sweeps(monkeypatch)
+    assert check_derivation(alone) is check_derivation(parsed) is None
+    assert soundness_spotcheck(alone) is soundness_spotcheck(parsed) is None
+    half = len(swept) // 2
+    assert swept[:half] == swept[half:]
 
 
 if __name__ == "__main__":

@@ -114,6 +114,22 @@ def test_deep_formulas_compare_and_hash_without_recursion():
         sys.setrecursionlimit(limit)
 
 
+def test_a_deep_derivation_shares_and_checks_without_recursion():
+    # The parse makes the two equal 100,000-node halves of the line one
+    # object, and the kernel checks it, with only 100 stack frames to spare.
+    x = "E[a] <> " * 50_000 + "p"
+    text = f"agents: a\natoms[env]: p\n1. e: {x} -> {x} ; taut\n"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        d = parser.parse_derivation(text)
+        f = d.lines[0].statement.formula
+        assert f.sub.left is f.sub.right.sub
+        check_derivation(d)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_deep_formula_in_the_wrong_sort_is_a_sort_error():
     # The error texts name the offending node by its ``repr``, which expands
     # nested records on an explicit stack: a 1,000-deep agent formula in
