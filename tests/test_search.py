@@ -31,6 +31,7 @@ from hyperknow.syntax import (
     AgentAtom,
     AllViews,
     AMeta,
+    ANot,
     ATrue,
     Box,
     EnvAtom,
@@ -42,6 +43,8 @@ from hyperknow.syntax import (
     WOr,
     WorldFormula,
     desugar,
+    ksafe,
+    kunsafe,
     substitute_metas,
     walk,
 )
@@ -373,9 +376,11 @@ def test_every_sweep_revalidates_its_witness(monkeypatch):
 
 
 def test_find_countermodel_rejects_unknown_agents():
-    b = Bounds()
-    with pytest.raises(BoundsError):
-        find_countermodel(SomeView("z", hk.syntax.ATrue()), b)
+    # Also an agent that occurs only under a complemented modality.
+    for f in (SomeView("z", ATrue()), AllViews("z", ATrue()), kunsafe("z", EnvAtom("u")),
+              ksafe("z", EnvAtom("u")), WNot(SomeView("z", ANot(ATrue())))):
+        with pytest.raises(BoundsError, match=re.escape("formula mentions agents ['z'] outside")):
+            find_countermodel(f, Bounds())
 
 
 @pytest.mark.parametrize("f, name", [
