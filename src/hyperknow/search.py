@@ -32,10 +32,16 @@ Every validity sweep (``check_scheme``, ``find_countermodel`` and the proof
 kernel's ``soundness_spotcheck``) runs through ``sweep``: the formula is
 compiled once into a register program, and every point's value is one int
 whose bit ``t`` is its truth value under assignment ``t`` (bit-slicing
-across valuations).  The program's steps are value-numbered: each step
-names its operands by their indices, and a step equal to one already
-emitted is not emitted again, so each distinct subformula is computed once.
-After each stretch of ``_STRETCH`` steps, fewer on chunks wider than
+across valuations).  A step reads each operand as a *literal*, an earlier
+step's value or its complement: a negation is a complement bit on the
+operand that a step reads, not a step of its own, and the step forms absorb
+it (``x & ~y``, ``<> ~x``, ...), so ``A[a] x`` is one step, the complement
+of ``E[a] ~x``.  A formula that is itself a complement ends with a ``not``
+step, which the sweep does not interpret: it looks for a bit set in the
+step before it instead of a bit clear.  The program's steps are
+value-numbered: each step names its operands by their indices, and a step
+equal to one already emitted is not emitted again, so each distinct
+subformula is computed once, and ``f`` and ``~~f`` once.  After each stretch of ``_STRETCH`` steps, fewer on chunks wider than
 ``_WIDE`` bits, the interpreter drops the values that no later step reads,
 so a long program holds about as many values at once as a short one, and a
 wide chunk no more bits than a narrow one.
@@ -557,37 +563,62 @@ _AGENT_STEPS = {
     Box: lambda f, s: (_NOT, _pending("poss", s), _NOT, (f.sub, "world")),
 }
 
+# The step forms of each operation, by the complement bits of its operands:
+# ``x & y``, ``x & ~y`` and ``~x & ~y`` (``~x & y`` is read as ``y & ~x``),
+# and ``E[a]``/``<>`` of ``x`` and of ``~x``.
+_FORMS = {"and": ("and", "and_not", "nor"), "some": ("some", "some_not"),
+          "poss": ("poss", "poss_not")}
+
 
 def compile_program(f, sort: str, allow_metas: bool = False):
     """Compile a formula of ``sort`` (``"world"`` or an agent) into a
     register program: step ``k`` computes value ``k`` of the sweep from
     earlier values, and the formula's value is the last step's.
 
-    A step is ``(op, arg, i, j)``, where ``i`` and ``j`` are the indices of
-    its operand steps, None where it has fewer (and left out here):
-    ``("top"|"bot", sort)``, ``("atom", name)``, ``("not", None, i)``,
-    ``("and", None, i, j)``, ``("some", a, i)`` for ``E[a]`` and
-    ``("poss", a, i)`` for ``<>`` at a view of ``a``.  Steps are
-    value-numbered: a step equal to one already emitted reuses its index,
-    so each distinct subformula of the core form costs one step.  The
-    derived connectives (``|``, ``->``, ``A[a]`` and ``[]``) compile
-    directly to the steps of their core forms: the program is the one the
-    formula's ``desugar`` gives.  Returns the program and the sort of each
-    atom or metavariable name, in order of first occurrence.  If
-    ``allow_metas`` is set, a metavariable ``?x`` compiles like an atom
-    named ``"?x"``, which no atom can be named, so that it never shares a
-    leaf with the atom ``x``.
+    Each subformula compiles to a *literal*: the index of a step and a
+    complement bit.  A negation flips the bit and emits no step.  A step is
+    ``(op, arg, i, j)``, where ``i`` and ``j`` are the indices of its
+    operand steps, None where it has fewer (and left out here), and its op
+    absorbs the complement bits of the literals it reads: ``("top", sort)``,
+    ``("atom", name)``, ``("and", None, i, j)``, ``("and_not", None, i, j)``
+    for ``i & ~j`` (``~i & j`` is read as ``j & ~i``), ``("nor", None, i,
+    j)`` for ``~i & ~j``, ``("some", a, i)`` and ``("some_not", a, i)`` for
+    ``E[a]`` of ``i`` and of ``~i``, and ``("poss", a, i)`` and
+    ``("poss_not", a, i)`` for ``<>`` at a view of ``a``.  The derived
+    connectives compile directly to their core forms under ``desugar``, one
+    step each: ``x | y`` is the complement of ``~x & ~y``, ``x -> y`` of ``x
+    & ~y``, ``A[a] x`` of ``E[a] ~x``, ``[] x`` of ``<> ~x`` and ``false``
+    of ``true``.  When the formula's own literal is complemented, the
+    program ends with ``("not", None, k)`` for its step ``k``, the only
+    ``not`` step, which no step reads.  Steps are value-numbered on ``(op,
+    arg, i, j)``: a step equal to one already emitted reuses its index, so
+    each distinct core subformula, a negation counted with its operand,
+    costs one step, and ``f`` and ``~~f`` compile to one program.  Returns
+    the program and the sort of each atom or metavariable name, in order of
+    first occurrence.  If ``allow_metas`` is set, a metavariable ``?x``
+    compiles like an atom named ``"?x"``, which no atom can be named, so
+    that it never shares a leaf with the atom ``x``.
     """
     numbers: Dict[tuple, int] = {}          # each step's index, in emission order
     leaves: Dict[str, str] = {}
-    done = []                               # indices of operands not yet used
+    done = []                               # operands not yet used: 2 * index + complement bit
     todo = [(f, sort)]
     while todo:
         node, s = todo.pop()
         if s is None:           # a step whose operands top ``done``: replace them
             op, arg = node
-            j = done.pop() if op == "and" else None
-            done[-1] = numbers.setdefault((op, arg, done[-1], j), len(numbers))
+            if op == "not":
+                done[-1] ^= 1
+                continue
+            if op == "and":
+                y, x = done.pop(), done[-1]
+                if x & 1 > y & 1:   # ~x & y is y & ~x
+                    x, y = y, x
+                step = (_FORMS[op][(x & 1) + (y & 1)], None, x >> 1, y >> 1)
+            else:
+                x = done[-1]
+                step = (_FORMS[op][x & 1], arg, x >> 1, None)
+            done[-1] = 2 * numbers.setdefault(step, len(numbers))
             continue
         kind = (_WORLD_STEPS if s == "world" else _AGENT_STEPS).get(type(node))
         if kind is None:
@@ -597,7 +628,7 @@ def compile_program(f, sort: str, allow_metas: bool = False):
             todo += kind(node, s)
             continue
         if kind == "top" or kind == "bot":
-            step = (kind, s, None, None)
+            step = ("top", s, None, None)
         else:
             name = node.name
             if kind == "meta":
@@ -607,7 +638,9 @@ def compile_program(f, sort: str, allow_metas: bool = False):
             if leaves.setdefault(name, s) != s:
                 raise SortError(f"'{node.name}' occurs at two sorts", node=node)
             step = ("atom", name, None, None)
-        done.append(numbers.setdefault(step, len(numbers)))
+        done.append(2 * numbers.setdefault(step, len(numbers)) + (kind == "bot"))
+    if done[0] & 1:
+        numbers["not", None, done[0] >> 1, None] = len(numbers)
     return tuple(numbers), leaves
 
 
@@ -667,23 +700,27 @@ def _evaluate(program, run: _Run, env: Dict[str, List[int]], full: int) -> List[
     length = max(1, _STRETCH * _WIDE // max(full.bit_length(), _WIDE))
     for steps, dead in _stretches(program, length):
         for op, arg, i, j in steps:
-            if op == "not":
-                values.append([full ^ x for x in values[i]])
-            elif op == "and":
+            if op == "and":
                 values.append([x & y for x, y in zip(values[i], values[j])])
+            elif op == "and_not":   # x & ~y, without a negative int
+                values.append([(x | y) ^ y for x, y in zip(values[i], values[j])])
+            elif op == "nor":
+                values.append([full ^ (x | y) for x, y in zip(values[i], values[j])])
             elif op == "atom":
                 values.append(env[arg])
-            elif op == "some":
-                sub = values[i]
-                values.append([0 if v is None else sub[v] for v in view_of[arg]])
-            elif op == "poss":
+            elif op == "poss" or op == "poss_not":
                 out = [0] * run.points[arg]
                 for x, v in zip(values[i], view_of[arg]):
                     if v is not None:
-                        out[v] |= x
+                        out[v] |= x if op == "poss" else full ^ x
                 values.append(out)
-            else:
-                values.append([full if op == "top" else 0] * run.points[arg])
+            elif op == "some" or op == "some_not":
+                sub = values[i] if op == "some" else [full ^ x for x in values[i]]
+                values.append([0 if v is None else sub[v] for v in view_of[arg]])
+            elif op == "top":
+                values.append([full] * run.points[arg])
+            else:                   # a complemented formula's last step
+                values.append([full ^ x for x in values[i]])
         for k in dead:
             values[k] = None
     return values[-1]
@@ -737,11 +774,17 @@ def sweep(program, sort: str, run: _Run, swept_names, sorts):
     """
     members = run.members
     best, hit = len(members), None
-    chunks = extension_chunks(program, run, swept_names, sorts) if members else ()
+    # A complemented formula fails where the step its ``not`` reads holds, so
+    # the ``not`` is not interpreted.
+    complemented = program[-1][0] == "not"
+    chunks = extension_chunks(program[:len(program) - complemented], run, swept_names,
+                              sorts) if members else ()
     for first, width, values in chunks:
         full = (1 << width) - 1
-        if reduce(and_, values, full) == full:
+        if not any(values) if complemented else reduce(and_, values, full) == full:
             continue
+        if complemented:
+            values = [full ^ x for x in values]
         # The member of the first point false under some assignment here.
         size = len(values) // len(members)
         m = [x == full for x in values].index(False) // size
@@ -851,13 +894,13 @@ def check_scheme(scheme, b: Bounds, agent: Optional[str] = None) -> Verdict:
     """
     b.validate()
     sig = signature_for_bounds(b)
-    world_scheme = isinstance(scheme, WorldFormula)
-    if not world_scheme and agent is None:
+    kind = sort_of(scheme)
+    if kind == "agent" and agent is None:
         raise SortError("agent-sorted scheme: pass the owning agent")
-    if not world_scheme and agent not in sig.agents:
+    if kind == "agent" and agent not in sig.agents:
         raise SortError(f"agent '{agent}' is outside the bounds alphabet")
     scheme_meta_sorts(scheme, sig, agent=agent)
-    sort = "world" if world_scheme else agent
+    sort = "world" if kind == "world" else agent
     program, sorts = compile_program(scheme, sort, allow_metas=True)
 
     # Concrete atoms occurring in the scheme are swept exactly like
@@ -916,7 +959,7 @@ def find_countermodel(f: WorldFormula, b: Bounds) -> Verdict:
     b.validate()
     agents = default_agents(b.agents)
     program, sorts = compile_program(f, "world")
-    extra = {step[1] for step in program if step[0] == "some"} - set(agents)
+    extra = {step[1] for step in program if step[0] in _FORMS["some"]} - set(agents)
     if extra:
         raise BoundsError(
             f"formula mentions agents {sorted(extra)} outside the bounds alphabet {list(agents)}")

@@ -644,9 +644,13 @@ _CHECKED = {t: (t._sort, None if issubclass(t, (_Constant, _Named)) else kids,
 def scheme_meta_sorts(f, sig, agent=None):
     """Map each metavariable of a scheme to its sort ('world' or an agent).
 
-    ``agent`` names the scheme's own sort when it is agent-sorted.
+    ``agent`` names the scheme's own sort when it is agent-sorted.  A KB4
+    formula is no scheme.
     """
-    if isinstance(f, WorldFormula):
+    sort = sort_of(f)
+    if sort == "kb4":
+        raise SortError(f"a KB4 formula is no scheme: {f!r}", node=f)
+    if sort == "world":
         agent = "world"
     elif agent is None:
         raise SortError("agent-sorted scheme needs its owning agent")

@@ -49,7 +49,7 @@ def _through_every_layer(k):
     kb4_sig = hk.Signature(("a", "b"), {}, ("p",))
     verdicts = []
     for world_text, agent_text, kb4_text, depth, nodes in (
-            ("~" * k + "true", "~" * k + "pa", "~" * k + "p", 0, k + 1),
+            ("~" * k + "true", "~" * k + "pa", "~" * k + "p", 0, 1),
             ("E[a] <> " * k + "true", "<> E[a] " * k + "true", "K[a] " * k + "p",
              2 * k, 2 * k + 1)):
         world = parser.parse_world(world_text, sig)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hyperknow as hk
-from hyperknow import search
+from hyperknow import proofkernel, search
 from hyperknow.errors import BoundsError, SortError
 from hyperknow.search import (
     Bounds,
@@ -28,20 +28,28 @@ from hyperknow.search import (
 )
 from hyperknow.semantics import Evaluator, View, World
 from hyperknow.syntax import (
+    AAnd,
+    AFalse,
     AgentAtom,
+    AImplies,
     AllViews,
     AMeta,
     ANot,
+    AOr,
     ATrue,
     Box,
     EnvAtom,
     KB4Atom,
+    PossWorld,
     SomeView,
     WAnd,
+    WFalse,
+    WImplies,
     WMeta,
     WNot,
     WOr,
     WorldFormula,
+    WTrue,
     desugar,
     ksafe,
     kunsafe,
@@ -49,7 +57,7 @@ from hyperknow.syntax import (
     walk,
 )
 
-from conftest import (RICH_SIG, naive_hypergraph_count, random_agent, random_surface_agent,
+from conftest import (CORPUS, RICH_SIG, naive_hypergraph_count, random_agent, random_surface_agent,
                       random_surface_world, random_world)
 
 
@@ -281,6 +289,18 @@ def test_scheme_requires_atom_per_metavariable():
         check_scheme(interaction_schemes("a")[3], b)
 
 
+@pytest.mark.parametrize("scheme, error, message", [
+    (KB4Atom("u"), SortError, "a KB4 formula is no scheme: KB4Atom(name='u')"),
+    (None, TypeError, "not a formula: None"),
+], ids=["kb4", "none"])
+def test_check_scheme_reads_the_sort_of_its_scheme(scheme, error, message):
+    # Neither is an agent-sorted scheme without its agent.
+    for agent in (None, "a"):
+        with pytest.raises(error) as caught:
+            check_scheme(scheme, Bounds(edges=2), agent=agent)
+        assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_find_countermodel_ne_valid():
     b = Bounds()
     sig = signature_for_bounds(b)
@@ -430,20 +450,38 @@ def test_derived_connectives_compile_as_their_core_forms():
             search.compile_program(desugar(scheme), sort, allow_metas=True), name
 
 
-def _distinct_core_pairs(f, sort):
-    """The distinct (subformula, sort) pairs of ``desugar(f)``, told apart
-    with ``==``."""
-    pairs = []
-    for pair in walk(desugar(f), sort):
-        if not any(pair == seen for seen in pairs):
-            pairs.append(pair)
-    return len(pairs)
+def _literal(f, sort, keys):
+    """Reference for the compiler: the step of core formula ``f`` at
+    ``sort``, as a nested key, and its complement bit.  A negation is its
+    operand's step complemented, ``false`` is ``true`` complemented, and
+    ``~x & y`` is ``y & ~x``.  Adds the key of every step to ``keys``."""
+    t = type(f)
+    if t in (WNot, ANot):
+        key, bit = _literal(f.sub, sort, keys)
+        return key, 1 - bit
+    if t in (WTrue, ATrue, WFalse, AFalse):
+        key, bit = ("top", sort), int(t in (WFalse, AFalse))
+    elif t in (EnvAtom, AgentAtom):
+        key, bit = ("atom", f.name), 0
+    elif t in (WAnd, AAnd):
+        operands = sorted([_literal(f.left, sort, keys), _literal(f.right, sort, keys)],
+                          key=lambda literal: literal[1])
+        key, bit = ("and", *operands), 0
+    elif t is SomeView:
+        key, bit = ("some", f.agent, _literal(f.sub, f.agent, keys)), 0
+    else:
+        assert t is PossWorld, f
+        key, bit = ("poss", sort, _literal(f.sub, "world", keys)), 0
+    keys.add(key)
+    return key, bit
 
 
 def test_programs_are_value_numbered():
-    # One step per distinct core subformula at its sort: a subformula that
-    # occurs twice, or the steps two derived connectives share, cost one
-    # step; each operand is an earlier step.
+    # One step per distinct core subformula at its sort, a negation counted
+    # with its operand: a subformula that occurs twice, or the steps two
+    # derived connectives share, cost one step, and a negation none; each
+    # operand is an earlier step.  A complemented formula ends with one
+    # ``not`` step.
     rng = random.Random("value-numbering")
     shared = 0
     for _ in range(500):
@@ -451,17 +489,76 @@ def test_programs_are_value_numbered():
         f = (random_surface_world(rng, RICH_SIG, 5) if sort == "world"
              else random_surface_agent(rng, RICH_SIG, sort, 5))
         program, _ = search.compile_program(f, sort)
-        assert len(program) == _distinct_core_pairs(f, sort), f
+        keys = set()
+        _, bit = _literal(desugar(f), sort, keys)
+        assert len(program) == len(keys) + bit and (program[-1][0] == "not") == bit, f
         assert len(set(program)) == len(program)
         assert all(i is None or i < k for k, step in enumerate(program) for i in step[2:])
-        shared += len(program) < sum(1 for _ in walk(desugar(f), sort))
+        shared += len(program) < sum(1 for node, _ in walk(desugar(f), sort)
+                                     if type(node) not in (WNot, ANot))
     assert shared > 100
     library = {**knowledge_schemes("a"), **{f"interaction_{k}": s
                                             for k, s in interaction_schemes("a").items()}}
-    for name, steps in (("kunsafe_4", 16), ("ksafe_4", 12), ("interaction_2", 11)):
+    for name, steps in (("kunsafe_4", 7), ("ksafe_4", 7), ("interaction_2", 6)):
         scheme = library[name]
         sort = "world" if isinstance(scheme, WorldFormula) else "a"
         assert len(search.compile_program(scheme, sort, allow_metas=True)[0]) == steps, name
+
+
+def test_no_step_reads_a_negation_through_a_step_of_its_own():
+    # In random formulas, the scheme library and the corpus conjunctions the
+    # spot check sweeps, every step that reads an operand is one of the
+    # forms that absorb its operands' complement bits, and a ``not`` step is
+    # only ever the last, a complemented formula's, which no step reads.
+    forms = {"top", "atom", "and", "and_not", "nor", "some", "some_not", "poss", "poss_not"}
+    rng = random.Random("no-negation-steps")
+    programs = []
+    for _ in range(300):
+        sort = rng.choice(("world", "a", "b"))
+        f = (random_surface_world(rng, RICH_SIG, 5) if sort == "world"
+             else random_surface_agent(rng, RICH_SIG, sort, 5))
+        programs.append(search.compile_program(f, sort)[0])
+    for scheme in _scheme_library().values():
+        sort = "world" if isinstance(scheme, WorldFormula) else "a"
+        programs.append(search.compile_program(scheme, sort, allow_metas=True)[0])
+    for path in sorted(CORPUS.glob("*.deriv")):
+        d = hk.parser.parse_derivation(path.read_text())
+        programs.append(search.compile_program(proofkernel._conjunction(d.lines), "world")[0])
+    assert all(step[0] in forms for program in programs for step in program[:-1])
+    assert {program[-1][0] == "not" for program in programs} == {False, True}
+    assert {step[0] for program in programs for step in program} == forms | {"not"}
+
+
+def test_negations_and_derived_connectives_compile_as_their_duals():
+    # ``f`` and ``~~f``, and each derived connective and the complement of
+    # its dual core form, are one program; ``~f`` differs from ``f`` in its
+    # last ``not`` step alone.
+    rng = random.Random("dual-programs")
+    for _ in range(200):
+        sort = rng.choice(("world", "a", "b"))
+        if sort == "world":
+            x, y = (random_surface_world(rng, RICH_SIG, 3) for _ in range(2))
+            agent = rng.choice(RICH_SIG.agents)
+            sub = random_surface_agent(rng, RICH_SIG, agent, 3)
+            neg, pairs = WNot, [(WFalse(), WNot(WTrue())),
+                                (AllViews(agent, sub), WNot(SomeView(agent, ANot(sub))))]
+        else:
+            x, y = (random_surface_agent(rng, RICH_SIG, sort, 3) for _ in range(2))
+            sub = random_surface_world(rng, RICH_SIG, 3)
+            neg, pairs = ANot, [(AFalse(), ANot(ATrue())), (Box(sub), ANot(PossWorld(WNot(sub))))]
+        conj = WAnd if sort == "world" else AAnd
+        pairs += [
+            (x, neg(neg(x))),
+            ((WOr if sort == "world" else AOr)(x, y), neg(conj(neg(x), neg(y)))),
+            ((WImplies if sort == "world" else AImplies)(x, y), neg(conj(x, neg(y)))),
+        ]
+        for f, g in pairs:
+            assert search.compile_program(f, sort) == search.compile_program(g, sort), (f, g)
+        program, leaves = search.compile_program(x, sort)
+        negated, negated_leaves = search.compile_program(neg(x), sort)
+        longer, shorter = sorted((program, negated), key=len)[::-1]
+        assert longer == (*shorter, ("not", None, len(shorter) - 1, None))
+        assert leaves == negated_leaves
 
 
 def test_values_are_dropped_after_their_last_reader(monkeypatch):

@@ -132,7 +132,7 @@ def _equal_pairs(formulas):
     return equal
 
 
-def test_structural_id_agrees_with_equality(sig):
+def test_equality_agrees_with_the_structural_key(sig):
     # ``==`` holds exactly for formulas with the same structural key, and
     # equal formulas hash alike; reparsed copies carry spans, which
     # equality ignores.
@@ -142,7 +142,7 @@ def test_structural_id_agrees_with_equality(sig):
     assert _equal_pairs(formulas) >= 50
 
 
-def test_kernel_comparison_agrees_with_structural_id(sig):
+def test_kernel_comparison_agrees_with_the_structural_key(sig):
     # The proof kernel compares formulas with ``==`` and numbers its
     # variables by ``hash``; both must agree with the structural key,
     # desugared copies (which share subtrees with the originals) included.
