@@ -41,10 +41,11 @@ step, which the sweep does not interpret: it looks for a bit set in the
 step before it instead of a bit clear.  The program's steps are
 value-numbered: each step names its operands by their indices, and a step
 equal to one already emitted is not emitted again, so each distinct
-subformula is computed once, and ``f`` and ``~~f`` once.  After each stretch of ``_STRETCH`` steps, fewer on chunks wider than
-``_WIDE`` bits, the interpreter drops the values that no later step reads,
-so a long program holds about as many values at once as a short one, and a
-wide chunk no more bits than a narrow one.
+subformula is computed once, and ``f`` and ``~~f`` once.  After each
+stretch of ``_STRETCH`` steps, fewer on chunks wider than ``_WIDE`` bits,
+the interpreter drops the values that no later step reads, so a long
+program holds about as many values at once as a short one, and a wide
+chunk no more bits than a narrow one.
 ``compile_program`` reads the derived connectives directly, emitting the
 steps of their core forms, so no caller desugars.  Assignments are numbered
 in ``itertools.product`` order and swept in chunks of bounded width.  The
@@ -777,14 +778,16 @@ def sweep(program, sort: str, run: _Run, swept_names, sorts):
     # A complemented formula fails where the step its ``not`` reads holds, so
     # the ``not`` is not interpreted.
     complemented = program[-1][0] == "not"
-    chunks = extension_chunks(program[:len(program) - complemented], run, swept_names,
+    chunks = extension_chunks(program[:-1] if complemented else program, run, swept_names,
                               sorts) if members else ()
     for first, width, values in chunks:
         full = (1 << width) - 1
-        if not any(values) if complemented else reduce(and_, values, full) == full:
-            continue
         if complemented:
+            if not any(values):
+                continue
             values = [full ^ x for x in values]
+        elif reduce(and_, values, full) == full:
+            continue
         # The member of the first point false under some assignment here.
         size = len(values) // len(members)
         m = [x == full for x in values].index(False) // size
